@@ -24,10 +24,6 @@ SHAP_ENUM_CAP_DEFAULT = 16
 PSEUDO_BUDGET_VAR = "FPXPLAIN_PSEUDO_BUDGET"
 PSEUDO_BUDGET_DEFAULT = 5_000_000
 
-# worker threads for leaf-tuple enumeration (1 = sequential)
-THREADS_VAR = "FPXPLAIN_THREADS"
-THREADS_DEFAULT = 1
-
 
 def _read_int(var: str, default: int) -> int:
     raw = os.environ.get(var)
@@ -56,7 +52,3 @@ def shap_enum_cap() -> int:
 
 def pseudo_budget() -> int:
     return _read_int(PSEUDO_BUDGET_VAR, PSEUDO_BUDGET_DEFAULT)
-
-
-def thread_count() -> int:
-    return max(1, _read_int(THREADS_VAR, THREADS_DEFAULT))

@@ -4,15 +4,24 @@ Three routes, all exact:
 * shap_enum: the defining sum over feature subsets, with conditional
   expectations computed by conditioning the model (exponential in n but
   polynomial per term; fine for small n)
-* shap_interpolation: for tree ensembles, recovers the size-stratified
-  sums H(k) from expectations under lambda-mixed distributions and
-  assembles attributions from them
+* the "interpolation" route (shap_interpolation, size_stratified_sums):
+  for tree ensembles, one pass over the accepted cylinders yields the
+  size-stratified sums H(k) and every Shapley value
 * shap_perceptron_pseudopoly (in .perceptron): H(k) by subset-sum DP
 
-The mixed distribution locks each feature to its x-value with probability
-lambda and samples it otherwise, so E under the mix is the polynomial
-sum_k lambda^k (1-lambda)^(n-k) H(k); evaluating at n+1 distinct lambdas
-and solving the linear system recovers H exactly.
+The accepted instances of a tree ensemble split into disjoint cylinders
+(M, V): the features in M are fixed to V, the others are free. Given
+z_s = x_s, a cylinder has probability prod_{i in M} of [V_i = x_i] for
+i in s and p_i(V_i) otherwise, so its generating polynomial in t (t
+marking membership in s) is
+
+    prod_{i in M} (p_i(V_i) + t [V_i = x_i]) * (1 + t)^(n - |M|),
+
+and the coefficients of the sum over cylinders are the H(k). The Shapley
+value phi_i takes from each cylinder fixing i the factor
+[V_i = x_i] - p_i(V_i) times the same polynomial without i's factor,
+with t^k weighted by k! (n-k-1)! / n!. The route keeps the method label
+"interpolation" so that payloads stay byte-identical across versions.
 """
 
 from __future__ import annotations
@@ -20,13 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
 
 from . import _config
 from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
     DecisionTree, Ensemble, Instance, Majority, Model, Perceptron,
-    ProductDistribution, check_instance, eval_model, is_tree_ensemble,
+    ProductDistribution, bits_to_int, check_instance, check_subset, eval_model,
+    is_tree_ensemble, subset_mask,
 )
 from .oracle import oracle_expected_value
 from .perceptron import (
@@ -34,23 +44,93 @@ from .perceptron import (
     shap_perceptron_pseudopoly,
 )
 from .transforms import condition_model
-from .trees import _collect_tuples, _mass_sum_scaled, _raw_triples, expected_value_tree_ensemble
+from .trees import _collect_tuples, _raw_triples, expected_value_tree_ensemble
 
 
-def _solve_linear(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over exact rationals."""
-    size = len(b)
-    m = [row[:] + [bv] for row, bv in zip(a, b)]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        pivot = m[col][col]
-        m[col] = [v / pivot for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
+def _check_tree_query(e: Ensemble, x: Instance, dist: ProductDistribution) -> Instance:
+    if not is_tree_ensemble(e):
+        raise UnsupportedModelError("tree Shapley and H tables expect an ensemble of trees")
+    n = e.feature_count
+    x = check_instance(x, n)
+    if dist.feature_count != n:
+        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
+    return x
+
+
+def _cylinder_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
+                   features) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(H, phi) of the game on the ground set `features`, from one cylinder pass.
+
+    H[k] sums E[f | z_s = x_s] over the size-k subsets s of `features`;
+    phi[i] is the Shapley value of feature i in that game (0 outside it).
+    A fixed feature i of a cylinder contributes the factor a_i + b_i t with
+    a_i = den_i p_i(V_i) and b_i = den_i [V_i = x_i]; a fixed feature
+    outside the ground set contributes a_i, a free one 1. All sums are
+    integers over D = prod(den_i), and over D |F|! for phi.
+    """
+    n = e.feature_count
+    ground = subset_mask(features)
+    size = ground.bit_count()
+    xbits = bits_to_int(x)
+    nums = [p.numerator for p in dist.probs]
+    dens = [p.denominator for p in dist.probs]
+    common = prod(dens)
+    fact = [factorial(j) for j in range(size + 1)]
+    coef = [fact[k] * fact[size - k - 1] for k in range(size)]
+    weights: dict[int, list[int]] = {}  # free count r -> w_r
+    by_free: dict[int, list[int]] = {}  # free count r -> summed fixed-factor product
+    phi = [0] * n
+    for mask, vals in _collect_tuples(_raw_triples(e), e.voting, 1):
+        scale = common
+        fixed = []  # (feature, a, b) for the fixed features in the ground set
+        mm = mask
+        while mm:
+            low = mm & -mm
+            i = low.bit_length() - 1
+            mm ^= low
+            d = dens[i]
+            a = nums[i] if (vals >> i) & 1 else d - nums[i]
+            if (ground >> i) & 1:
+                scale //= d
+                fixed.append((i, a, 0 if ((vals ^ xbits) >> i) & 1 else d))
+            else:
+                scale = scale // d * a
+        q = len(fixed)
+        r = size - q
+        w = weights.get(r)
+        if w is None:
+            w = weights[r] = [sum(comb(r, l) * coef[j + l] for l in range(r + 1))
+                              for j in range(q)]
+        # tails[s][j] = sum_l suffix_s[l] w[j + l], suffix_s the product of
+        # the fixed factors s..q-1; phi_i dots the prefix before i with it
+        tails = [None] * q + [w]
+        for s in range(q - 1, 0, -1):
+            _, a, b = fixed[s]
+            nxt = tails[s + 1]
+            tails[s] = [a * nxt[j] + b * nxt[j + 1] for j in range(s)]
+        poly = [scale]
+        for s, (i, a, b) in enumerate(fixed):
+            phi[i] += (b - a) * sum(c * g for c, g in zip(poly, tails[s + 1]))
+            nxt = [a * c for c in poly] + [0]
+            if b:
+                for j, c in enumerate(poly):
+                    nxt[j + 1] += b * c
+            poly = nxt
+        acc = by_free.get(r)
+        if acc is None:
+            by_free[r] = poly
+        else:
+            for j, c in enumerate(poly):
+                acc[j] += c
+    total = [0] * (size + 1)
+    for r, poly in by_free.items():
+        binom = [comb(r, l) for l in range(r + 1)]
+        for j, c in enumerate(poly):
+            for l, bl in enumerate(binom):
+                total[j + l] += c * bl
+    scaled = common * fact[size]
+    return (tuple(Fraction(c, common) for c in total),
+            tuple(Fraction(v, scaled) for v in phi))
 
 
 @lru_cache(maxsize=64)
@@ -58,38 +138,18 @@ def size_stratified_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
                          features: tuple[int, ...] | None = None) -> HTable:
     """H(k) = sum over size-k subsets of `features` of E[f | z_s = x_s].
 
-    Tree ensembles only. `features` defaults to all of them; passing a
-    smaller tuple computes the table over that ground set, which is what
-    the per-feature conditioned tables need (the model must not test the
-    excluded features). The cylinder decomposition is computed once and
-    re-weighted for each lambda on the grid j/(r+2).
+    Tree ensembles only. `features` defaults to all of them; features
+    outside it are never fixed to x and keep their distribution. Summed
+    over s, t^|s| E[f | z_s = x_s] is the sum over the accepted cylinders
+    (M, V) of prod_{i in M} (p_i(V_i) + t [V_i = x_i]) (1 + t)^free, so
+    one pass over the cylinders gives every H(k) as a coefficient; the
+    (1 + t)^free factor is expanded once per free count.
     """
-    if not is_tree_ensemble(e):
-        raise UnsupportedModelError("size_stratified_sums expects an ensemble of trees")
+    x = _check_tree_query(e, x, dist)
     n = e.feature_count
-    x = check_instance(x, n)
-    if dist.feature_count != n:
-        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
-    if features is None:
-        features = tuple(range(n))
-    feats = set(features)
-    tuples = _collect_tuples(_raw_triples(e), e.voting, 1)
-    r = len(features)
-    grid = [Fraction(j, r + 2) for j in range(r + 1)]
-    expectations = []
-    for lam in grid:
-        mixed = [lam * x[i] + (1 - lam) * dist.probs[i] if i in feats else dist.probs[i]
-                 for i in range(n)]
-        nums = [p.numerator for p in mixed]
-        dens = [p.denominator for p in mixed]
-        denom_prod = 1
-        for d in dens:
-            denom_prod *= d
-        expectations.append(
-            Fraction(_mass_sum_scaled(tuples, nums, dens, denom_prod), denom_prod))
-    matrix = [[lam ** k * (1 - lam) ** (r - k) for k in range(r + 1)] for lam in grid]
-    values = _solve_linear(matrix, expectations)
-    return HTable(tuple(values), _fingerprint(e), _fingerprint(dist))
+    features = range(n) if features is None else check_subset(features, n)
+    h, _ = _cylinder_sums(e, x, dist, features)
+    return HTable(h, _fingerprint(e), _fingerprint(dist))
 
 
 def _shap_coefficients(n: int) -> list[Fraction]:
@@ -98,28 +158,17 @@ def _shap_coefficients(n: int) -> list[Fraction]:
 
 
 def shap_interpolation(e: Ensemble, x: Instance, i: int, dist: ProductDistribution) -> Fraction:
-    """Shapley value of feature i for a tree ensemble, via H-table algebra.
+    """Shapley value of feature i for a tree ensemble, from one cylinder pass.
 
-    phi_i = sum_k k! (n-k-1)! / n! * (H_g(k) - H_f(k) + H_g(k-1)) where g
-    is the ensemble conditioned on feature i and its table runs over the
-    remaining features.
+    Each accepted cylinder that fixes i adds (b_i - a_i) times the product
+    of its other fixed factors and (1 + t)^free, with t^k weighted by
+    k! (n-k-1)! / n!; see _cylinder_sums.
     """
+    x = _check_tree_query(e, x, dist)
     n = e.feature_count
-    x = check_instance(x, n)
     if not (0 <= i < n):
         raise ValueError(f"feature {i} outside 0..{n - 1}")
-    h_f = size_stratified_sums(e, x, dist).values
-    g = condition_model(e, x, (i,))
-    rest = tuple(j for j in range(n) if j != i)
-    h_g = size_stratified_sums(g, x, dist, rest).values
-    coef = _shap_coefficients(n)
-    total = Fraction(0)
-    for k in range(n):
-        term = h_g[k] - h_f[k]
-        if k > 0:
-            term += h_g[k - 1]
-        total += coef[k] * term
-    return total
+    return _cylinder_sums(e, x, dist, range(n))[1][i]
 
 
 def _default_expectation(m: Model, dist: ProductDistribution) -> Fraction:
@@ -204,8 +253,8 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
     """Compute attributions by the named method and package them up.
 
     method: auto | interpolation | pseudopoly | enum. auto picks
-    interpolation for tree ensembles (single trees are wrapped) and the
-    pseudo-polynomial route for perceptrons.
+    interpolation, the one-pass cylinder route, for tree ensembles (single
+    trees are wrapped) and the pseudo-polynomial route for perceptrons.
     """
     if isinstance(m, DecisionTree):
         m = Ensemble((m,), Majority())
@@ -219,8 +268,8 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
         else:
             method = "enum"
     if method == "interpolation":
-        values = tuple(shap_interpolation(m, x, i, dist) for i in range(n))
-        expected = size_stratified_sums(m, x, dist).values[0]
+        h, values = _cylinder_sums(m, _check_tree_query(m, x, dist), dist, range(n))
+        expected = h[0]
     elif method == "pseudopoly":
         if not isinstance(m, Perceptron):
             raise UnsupportedModelError("pseudopoly attribution is for perceptrons")

@@ -248,10 +248,6 @@ def is_tree_ensemble(m: Model) -> bool:
     return isinstance(m, Ensemble) and all(isinstance(t, DecisionTree) for t in m.members)
 
 
-def is_perceptron_ensemble(m: Model) -> bool:
-    return isinstance(m, Ensemble) and all(isinstance(p, Perceptron) for p in m.members)
-
-
 # ---------------------------------------------------------------------------
 # product distributions
 

@@ -275,7 +275,11 @@ def parse_dist_spec(spec: str, n: int) -> ProductDistribution:
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != n:
         raise ParseError(f"distribution needs {n} probabilities, got {len(parts)}")
-    return ProductDistribution(tuple(parse_rational(p, "probability") for p in parts))
+    probs = tuple(parse_rational(p, "probability") for p in parts)
+    for i, p in enumerate(probs):
+        if not 0 <= p <= 1:
+            raise ParseError(f"probability of feature {i} is {p}, outside [0, 1]")
+    return ProductDistribution(probs)
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,6 @@ def condition_model(m: Model, x: Instance, s) -> Model:
     raise UnsupportedModelError(f"cannot condition {type(m).__name__}")
 
 
-def condition_tree_ensemble(e: Ensemble, x: Instance, s) -> Ensemble:
-    """Condition an ensemble whose members are all decision trees."""
-    for sub in e.members:
-        if not isinstance(sub, DecisionTree):
-            raise UnsupportedModelError("ensemble member is not a decision tree")
-    return Ensemble(tuple(condition_tree(t, x, s) for t in e.members), e.voting)
-
-
 # ---------------------------------------------------------------------------
 # negation
 

@@ -15,53 +15,15 @@ times cheap bitmask work, so everything here is exponential only in k.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import _config
 from .errors import InfeasibleError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Ensemble, Instance, Majority, ProductDistribution,
     Weighted, bits_to_int, check_instance, check_subset, eval_ensemble,
     eval_tree, majority_threshold, subset_mask,
 )
-
-
-# ---------------------------------------------------------------------------
-# path descriptors
-
-
-@dataclass(frozen=True)
-class PathDescriptor:
-    """One root-to-leaf path: which features it fixes and to what."""
-
-    tree_index: int
-    leaf: int
-    mask: int
-    vals: int
-    label: int
-
-    @property
-    def assignment(self) -> dict[int, int]:
-        return {i: (self.vals >> i) & 1
-                for i in range(self.mask.bit_length()) if (self.mask >> i) & 1}
-
-
-def paths_of(e: Ensemble) -> tuple[PathDescriptor, ...]:
-    """All paths of all member trees, in tree order then DFS order."""
-    _require_trees(e)
-    out = []
-    for ti, tree in enumerate(e.members):
-        for li, (mask, vals, label) in enumerate(tree.paths):
-            out.append(PathDescriptor(ti, li, mask, vals & mask, label))
-    return tuple(out)
-
-
-def paths_match(a: PathDescriptor, b: PathDescriptor) -> bool:
-    """True iff no feature is fixed to different values by the two paths."""
-    return ((a.vals ^ b.vals) & a.mask & b.mask) == 0
 
 
 class Cylinder(NamedTuple):
@@ -175,14 +137,11 @@ def _exists_output(lists, voting, want: int) -> bool:
     return recw(0, 0, 0, Fraction(0))
 
 
-def _tuples_with_output(lists, voting, want: int,
-                        first_indices=None) -> list[tuple[int, int]]:
+def _collect_tuples(lists, voting, want: int) -> list[tuple[int, int]]:
     """All full joint selections with the given output, as (mask, vals).
 
     Full selections only (one path in every tree); the result order is
     row-major over the per-tree path lists and therefore deterministic.
-    first_indices optionally restricts the choice in tree 0 (used to
-    split the work across threads).
     """
     k = len(lists)
     out: list[tuple[int, int]] = []
@@ -222,40 +181,7 @@ def _tuples_with_output(lists, voting, want: int,
             else:
                 rec(j + 1, mask | m2, vals | v2, vote + weights[j] if lab else vote)
 
-    start = Fraction(0) if not majority else 0
-    if first_indices is None or k == 0:
-        rec(0, 0, 0, start)
-        return out
-    for idx in first_indices:
-        m2, v2, lab = lists[0][idx]
-        if majority:
-            rec(1, m2, v2, lab)
-        else:
-            rec(1, m2, v2, weights[0] if lab else start)
-    return out
-
-
-def _collect_tuples(lists, voting, want: int) -> list[tuple[int, int]]:
-    """Like _tuples_with_output but optionally fanned out over threads.
-
-    The first tree's paths are split into contiguous chunks, one task per
-    chunk; concatenating the chunk results in submission order reproduces
-    the sequential row-major order exactly, so the output is identical
-    under any schedule and any thread count.
-    """
-    workers = _config.thread_count()
-    k = len(lists)
-    if workers <= 1 or k < 2 or len(lists[0]) < 2:
-        return _tuples_with_output(lists, voting, want)
-    first = list(range(len(lists[0])))
-    step = (len(first) + workers - 1) // workers
-    chunks = [first[i:i + step] for i in range(0, len(first), step)]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-        results = ex.map(
-            lambda chunk: _tuples_with_output(lists, voting, want, chunk), chunks)
-        out: list[tuple[int, int]] = []
-        for part in results:
-            out.extend(part)
+    rec(0, 0, 0, 0 if majority else Fraction(0))
     return out
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from fpxplain import attribution, transforms
 from fpxplain.attribution import (
     check_efficiency, check_model_count_identity, shap_enum,
     shap_interpolation, shap_report, size_stratified_sums,
@@ -13,12 +14,15 @@ from fpxplain.generate import (
     random_tree, random_tree_ensemble, rng_from_seed,
 )
 from fpxplain.models import (
-    DecisionTree, Perceptron, ProductDistribution, leaf, majority_ensemble,
-    split,
+    DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
+    Weighted, leaf, majority_ensemble, split, subset_mask,
 )
 from fpxplain.oracle import (
-    oracle_h_table, oracle_model_count, oracle_shap,
+    _v_table, oracle_expected_value, oracle_h_table, oracle_model_count,
+    oracle_shap,
 )
+from fpxplain.transforms import condition_model
+from fpxplain.trees import expected_value_tree_ensemble
 
 F = Fraction
 
@@ -121,3 +125,74 @@ def test_degenerate_probabilities():
     d2 = ProductDistribution((F(0), F(1)))
     assert tuple(shap_interpolation(e, x, i, d2) for i in range(2)) == \
         tuple(oracle_shap(e, x, d2))
+
+def _battery_case(rng, trial):
+    n = rng.randint(1, 7)
+    k = rng.randint(1, 4)
+    e = random_tree_ensemble(rng, n, k, 6)
+    if trial % 3 == 1:
+        e = Ensemble(e.members, Majority())
+    elif trial % 3 == 2:
+        # weighted votes with at least one negative weight
+        weights = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(k)]
+        weights[rng.randrange(k)] = F(-rng.randint(1, 3))
+        e = Ensemble(e.members, Weighted(tuple(weights), F(rng.randint(-3, 3), 2)))
+    x = random_instance_bits(rng, n)
+    d = random_product_distribution(rng, n)
+    if trial % 2:
+        # force some deterministic features: probabilities exactly 0 and 1
+        d = ProductDistribution(tuple(rng.choice((F(0), F(1), p)) for p in d.probs))
+    return e, x, d
+
+
+def test_cylinder_route_oracle_battery():
+    rng = rng_from_seed(77)
+    for trial in range(300):
+        e, x, d = _battery_case(rng, trial)
+        rep = shap_report(e, x, d)
+        assert rep.method == "interpolation"
+        assert tuple(rep.values) == tuple(oracle_shap(e, x, d)), trial
+        assert rep.expected == oracle_expected_value(e, d), trial
+        assert tuple(size_stratified_sums(e, x, d).values) == \
+            tuple(oracle_h_table(e, x, d)), trial
+
+
+def test_size_stratified_sums_on_a_ground_subset():
+    rng = rng_from_seed(78)
+    for trial in range(60):
+        e, x, d = _battery_case(rng, trial)
+        n = e.feature_count
+        if n < 2:
+            continue
+        left_out = tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1))))
+        features = tuple(i for i in range(n) if i not in left_out)
+        g = condition_model(e, x, left_out)
+        inside = subset_mask(features)
+        want = [F(0)] * (len(features) + 1)
+        for mask, val in enumerate(_v_table(g, x, d)):
+            if mask & ~inside == 0:
+                want[mask.bit_count()] += val
+        assert tuple(size_stratified_sums(g, x, d, features).values) == \
+            tuple(want), trial
+
+
+def test_tree_shap_does_not_condition_the_model(monkeypatch):
+    # the ROADMAP hot spot: n = 30, k = 3, m = 16
+    rng = rng_from_seed(79)
+    e = random_tree_ensemble(rng, 30, 3, 16)
+    x = random_instance_bits(rng, 30)
+    d = random_product_distribution(rng, 30)
+    calls = []
+    original = transforms.condition_model
+
+    def counting(m, x, s):
+        calls.append(s)
+        return original(m, x, s)
+
+    monkeypatch.setattr(transforms, "condition_model", counting)
+    monkeypatch.setattr(attribution, "condition_model", counting)
+    rep = shap_report(e, x, d)
+    assert calls == []
+    assert rep.method == "interpolation"
+    assert check_efficiency(rep)
+    assert rep.expected == expected_value_tree_ensemble(e, d)

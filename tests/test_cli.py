@@ -87,6 +87,16 @@ def test_query_respects_dist_option(tmp_path):
     assert json.loads(r.output)["answer"] == "1/2"
 
 
+def test_query_dist_outside_unit_interval_is_an_input_error(tmp_path):
+    path = write(tmp_path, "and.json", AND_MODEL)
+    for spec in ("2,1/2", "1/2,-1/3"):
+        r = run(["query", "--model", path, "--kind", "expect", "--instance", "11",
+                 "--dist", spec])
+        assert r.exit_code == 2, (spec, r.output)
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert "outside [0, 1]" in r.output
+
+
 def test_gadget_bundle_flow(tmp_path):
     out = str(tmp_path / "b.json")
     r = run(["gadget", "--family", "ssp", "--weights", "3,5,7", "--target",
