@@ -7,6 +7,8 @@ brute-force work around 2^20 evaluations.
 
 import os
 
+from .errors import ResourceCapError
+
 # feature-count cap for brute-force enumeration (completions, truth tables)
 ORACLE_CAP_VAR = "FPXPLAIN_ORACLE_CAP"
 ORACLE_CAP_DEFAULT = 20
@@ -32,9 +34,9 @@ def _read_int(var: str, default: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{var} must be an integer, got {raw!r}") from None
+        raise ResourceCapError(f"{var} must be an integer, got {raw!r}") from None
     if value < 0:
-        raise ValueError(f"{var} must be non-negative, got {value}")
+        raise ResourceCapError(f"{var} must be non-negative, got {value}")
     return value
 
 

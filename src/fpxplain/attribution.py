@@ -44,7 +44,7 @@ from .perceptron import (
     shap_perceptron_pseudopoly,
 )
 from .transforms import condition_model
-from .trees import _collect_tuples, _raw_triples, expected_value_tree_ensemble
+from .trees import _raw_triples, _selections, expected_value_tree_ensemble
 
 
 def _check_tree_query(e: Ensemble, x: Instance, dist: ProductDistribution) -> Instance:
@@ -80,7 +80,7 @@ def _cylinder_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
     weights: dict[int, list[int]] = {}  # free count r -> w_r
     by_free: dict[int, list[int]] = {}  # free count r -> summed fixed-factor product
     phi = [0] * n
-    for mask, vals in _collect_tuples(_raw_triples(e), e.voting, 1):
+    for mask, vals in _selections(_raw_triples(e), e.voting, 1):
         scale = common
         fixed = []  # (feature, a, b) for the fixed features in the ground set
         mm = mask

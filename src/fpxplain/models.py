@@ -209,6 +209,18 @@ def majority_threshold(k: int) -> int:
     return (k + 1) // 2
 
 
+def integer_votes(voting: Voting, k: int) -> tuple[tuple[int, ...], int]:
+    """Integer view (weights, threshold) of the voting rule over k members.
+
+    Majority is unit weights with threshold ceil(k/2); weighted voting is
+    scaled by the lcm of its denominators, as in Perceptron.scaled.
+    """
+    if isinstance(voting, Majority):
+        return (1,) * k, majority_threshold(k)
+    denom = lcm(voting.threshold.denominator, *(w.denominator for w in voting.weights))
+    return tuple(int(w * denom) for w in voting.weights), int(voting.threshold * denom)
+
+
 def votes_accept(voting: Voting, votes: list[int] | tuple[int, ...]) -> int:
     """Apply the voting rule to a 0/1 vote vector."""
     if isinstance(voting, Majority):
@@ -377,32 +389,31 @@ def _validate_tree(t: DecisionTree, problems: list[str], prefix: str):
         problems.append(prefix + f"root index {t.root} outside arena")
         return
     seen: set[int] = set()
-
-    def walk(idx: int, used_mask: int) -> None:
+    stack = [(t.root, 0)]  # (node, features tested above it); 0-branch pops first
+    while stack:
+        idx, used_mask = stack.pop()
         if not (0 <= idx < len(t.nodes)):
             problems.append(prefix + f"child index {idx} outside arena")
-            return
+            continue
         if idx in seen:
             problems.append(prefix + f"node {idx} reachable twice (arena must be a tree)")
-            return
+            continue
         seen.add(idx)
         node = t.nodes[idx]
         if node[0] == LEAF:
             if node[1] not in (0, 1):
                 problems.append(prefix + f"leaf {idx} label {node[1]!r} not 0/1")
-            return
+            continue
         if node[0] != SPLIT:
             problems.append(prefix + f"node {idx} has unknown tag {node[0]!r}")
-            return
+            continue
         _, feat, c0, c1 = node
         if not (0 <= feat < t.feature_count):
             problems.append(prefix + f"node {idx} tests feature {feat} outside 0..{t.feature_count - 1}")
-            return
+            continue
         bit = 1 << feat
         if used_mask & bit:
             problems.append(prefix + f"feature {feat} tested twice on a path through node {idx}")
-            return
-        walk(c0, used_mask | bit)
-        walk(c1, used_mask | bit)
-
-    walk(t.root, 0)
+            continue
+        stack.append((c1, used_mask | bit))
+        stack.append((c0, used_mask | bit))

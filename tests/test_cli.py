@@ -5,7 +5,9 @@ import json
 from click.testing import CliRunner
 
 from fpxplain.cli import main
-from fpxplain.serialize import loads_model
+from fpxplain.models import DecisionTree, leaf, majority_ensemble, split
+from fpxplain.runner import run_query
+from fpxplain.serialize import dumps_model, loads_model
 
 
 def run(args, **kw):
@@ -95,6 +97,64 @@ def test_query_dist_outside_unit_interval_is_an_input_error(tmp_path):
         assert r.exit_code == 2, (spec, r.output)
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert "outside [0, 1]" in r.output
+
+
+def test_cap_variables_are_input_errors(tmp_path, monkeypatch):
+    path = write(tmp_path, "and.json", AND_MODEL)
+    for var, value, kind, algorithm in (("FPXPLAIN_ORACLE_CAP", "abc", "csr", "oracle"),
+                                        ("FPXPLAIN_SHAP_ENUM_CAP", "-3", "shap", "enum")):
+        monkeypatch.setenv(var, value)
+        r = run(["query", "--model", path, "--kind", kind, "--instance", "11",
+                 "--algorithm", algorithm])
+        monkeypatch.delenv(var)
+        assert r.exit_code == 2, (var, r.output)
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert r.output.startswith("error: " + var)
+
+
+def _stump_ensemble():
+    """1,201 depth-1 trees on n=3: 401 test x0, 400 test x1, 400 test not x2."""
+    def stump(feature, label1):
+        return DecisionTree(3, (split(feature, 1, 2), leaf(1 - label1), leaf(label1)), 0)
+    return majority_ensemble([stump(0, 1)] * 401 + [stump(1, 1)] * 400 + [stump(2, 0)] * 400)
+
+
+def _chain_tree(depth):
+    """Node 2i tests feature i: 0 leads to leaf i % 2, 1 leads on; the end is leaf 1."""
+    nodes = []
+    for i in range(depth):
+        nodes += [split(i, 2 * i + 1, 2 * i + 2), leaf(i % 2)]
+    return DecisionTree(depth, tuple(nodes) + (leaf(1),), 0)
+
+
+def test_deep_inputs_answer_without_recursion(tmp_path):
+    e = _stump_ensemble()
+    queries = (("csr", {"subset": (0,)}), ("csr", {"subset": (0, 1)}),
+               ("cc", {"subset": (2,)}), ("expect", {}), ("mcr", {"bound": 0}),
+               ("mcr", {"bound": 1}))
+    for z in range(8):
+        x = tuple((z >> i) & 1 for i in range(3))
+        for kind, kwargs in queries:
+            fast = run_query(e, kind, x, **kwargs)
+            slow = run_query(e, kind, x, algorithm="oracle", **kwargs)
+            assert fast["algorithm"] == "tree-fpt"
+            assert {**fast, "algorithm": None} == {**slow, "algorithm": None}, (x, kind)
+    stumps = write(tmp_path, "stumps.json", dumps_model(e))
+    chain = write(tmp_path, "chain.json", dumps_model(_chain_tree(1200)))
+    ones = "1" * 1200
+    for path, instance, args in (
+            (stumps, "110", ["--kind", "csr", "--subset", "0,1"]),
+            (stumps, "110", ["--kind", "csr", "--subset", "0"]),
+            (stumps, "100", ["--kind", "mcr", "--bound", "1"]),
+            (chain, ones, ["--kind", "csr", "--subset", "0,1"]),
+            (chain, ones, ["--kind", "csr", "--subset", ",".join(map(str, range(1200)))]),
+            (chain, ones, ["--kind", "mcr", "--bound", "0"]),
+            (chain, ones, ["--kind", "mcr", "--bound", "1"])):
+        r = run(["query", "--model", path, "--instance", instance, *args])
+        assert r.exception is None or isinstance(r.exception, SystemExit), r.output
+        answer = json.loads(r.output)["answer"]
+        assert r.exit_code == (0 if answer else 1), (args, r.output)
+    assert run(["validate", chain]).exit_code == 0
 
 
 def test_gadget_bundle_flow(tmp_path):

@@ -157,14 +157,29 @@ def test_greedy_counts_calls_and_checks_order():
 
 
 def test_cylinders_partition_the_cube():
-    from fpxplain.trees import Cylinder, _collect_tuples, _raw_triples
+    from fpxplain.trees import Cylinder, _raw_triples, _selections
     rng = rng_from_seed(54)
+    cases = []
     for _ in range(30):
         n = rng.randint(2, 6)
-        e = random_tree_ensemble(rng, n, rng.randint(1, 3), 5)
+        cases.append((n, random_tree_ensemble(rng, n, rng.randint(1, 3), 5)))
+    # weighted rules over halves and thirds, one negative weight each, whose
+    # vote sums can land exactly on the threshold: a tie must accept
+    tie_rules = (
+        Weighted((Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3)), Fraction(1, 2)),
+        Weighted((Fraction(2, 3), Fraction(1, 3), Fraction(-1, 2)), Fraction(1, 2)),
+        Weighted((Fraction(1, 2), Fraction(-2, 3), Fraction(1, 6)), Fraction(0)),
+    )
+    for voting in tie_rules:
+        for _ in range(10):
+            n = rng.randint(2, 6)
+            members = tuple(random_tree(rng, n, 5) for _ in range(3))
+            cases.append((n, Ensemble(members, voting)))
+    ties = dict.fromkeys(tie_rules, 0)
+    for n, e in cases:
         accept = cylinder_decomposition(e)
         reject = tuple(Cylinder(m, v)
-                       for m, v in _collect_tuples(_raw_triples(e), e.voting, 0))
+                       for m, v in _selections(_raw_triples(e), e.voting, 0))
         # every input matches exactly one cylinder, on the correct side
         for z in range(1 << n):
             zb = int_to_bits(z, n)
@@ -172,9 +187,15 @@ def test_cylinders_partition_the_cube():
                     for cyl in cyls if (z ^ cyl.vals) & cyl.mask == 0]
             assert len(hits) == 1
             assert hits[0][1] == eval_model(e, zb)
+            if e.voting in ties:
+                votes = [eval_model(t, zb) for t in e.members]
+                if sum(w for w, v in zip(e.voting.weights, votes) if v) == e.voting.threshold:
+                    ties[e.voting] += 1
+                    assert hits[0][1] == 1
         mass = sum((Fraction(1, 1 << cyl.mask.bit_count())
                     for cyl in accept + reject), Fraction(0))
         assert mass == 1
+    assert all(ties.values()), ties
 
 
 def test_cc_complement():
