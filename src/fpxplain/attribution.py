@@ -7,7 +7,9 @@ Three routes, all exact:
 * the "interpolation" route (shap_interpolation, size_stratified_sums):
   for tree ensembles, one pass over the accepted cylinders yields the
   size-stratified sums H(k) and every Shapley value
-* shap_perceptron_pseudopoly (in .perceptron): H(k) by subset-sum DP
+* shap_perceptron_pseudopoly (in .perceptron): one subset-sum table of
+  the perceptron gives H(k), and exact division by one feature's factor
+  gives the table of the model conditioned on that feature
 
 The accepted instances of a tree ensemble split into disjoint cylinders
 (M, V): the features in M are fixed to V, the others are free. Given

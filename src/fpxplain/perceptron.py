@@ -3,7 +3,10 @@
 Sufficiency and contrastiveness reduce to worst-case interval reasoning
 on the weighted sum, counting goes through pseudo-polynomial subset-sum
 tables on the integer-scaled weights, and Shapley attribution is
-assembled from size-stratified conditional expectation sums H(k).
+assembled from size-stratified conditional expectation sums H(k). One
+table of the agreement generating function serves a whole Shapley
+query: H(k) are its prefix sums up to the threshold, and the tables of
+the model conditioned on each feature follow from it by exact division.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
+from typing import NamedTuple
 
 from . import _config
 from .errors import ResourceCapError
@@ -19,7 +24,6 @@ from .models import (
     ABSENT, Instance, Perceptron, ProductDistribution, check_instance,
     check_subset,
 )
-from .transforms import project_out_feature
 
 
 def _score(p: Perceptron, x: Instance) -> Fraction:
@@ -305,48 +309,134 @@ def _fingerprint(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:12]
 
 
+def _check_h_query(p: Perceptron, x: Instance, dist: ProductDistribution,
+                   what: str) -> Instance:
+    """Validate the inputs and charge one (span, count) table to the budget."""
+    n = p.feature_count
+    x = check_instance(x, n)
+    if dist.feature_count != n:
+        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
+    span = sum(abs(w) for w in p.scaled[0]) + 1
+    _check_dp_budget(span * max(1, n) * (n + 1), what)
+    return x
+
+
+class _AgreementTable(NamedTuple):
+    """Prefix sums over s of the agreement generating function G(u, t).
+
+    G = prod_i F_i with F_i = (d_i - a_i) + u^{w''_i} (a_i + d_i t), where
+    q_i = a_i / d_i (see h_table_perceptron): G[j][s] / D, D = prod d_i,
+    is the mass of conditioned count j and w'' sum s. Column s - low of
+    `cells` holds C_j(s) = sum_{s' <= s} G[j][s'] for j = 0..n, one
+    little-endian `slot`-bit cell each. Every cell is below D 2^n, so a
+    column read as one integer is the polynomial sum_j C_j(s) t^j at
+    t = 2^slot, and sums, differences and exact quotients of columns are
+    taken cell by cell as long as every resulting cell stays in range.
+    """
+
+    factors: tuple[tuple[int, int, int], ...]  # (w''_i, a_i, d_i)
+    threshold: int  # T: f(z) = 1 iff the w'' sum over sim(z, x) is <= T
+    common: int  # D
+    slot: int
+    low: int
+    high: int
+    cells: bytes
+
+    def column(self, s: int) -> int:
+        if s < self.low:
+            return 0
+        size = (len(self.factors) + 1) * self.slot // 8
+        start = (min(s, self.high) - self.low) * size
+        return int.from_bytes(self.cells[start:start + size], "little")
+
+    def unpack(self, packed: int, count: int) -> list[int]:
+        size = self.slot // 8
+        raw = packed.to_bytes(count * size, "little")
+        return [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+
+    def conditioned(self, w: int, a: int, d: int) -> int:
+        """Column T - w of the prefix sums P of Q = G / F, F = (w, a, d) a factor.
+
+        Q is the table of f conditioned on that feature, over the others,
+        with threshold T - w. Summing G = F Q over s' <= s gives
+        C(s) = c0 P(s) + (a + d t) P(s - w) with c0 = d - a, which must be
+        positive, so P(s) = (C(s) - (a + d t) P(s - w)) / c0 exactly, and
+        P(T - w) needs only the points T - w - m w. For w > 0 the sweep
+        runs upward from P = 0 below Q's range [low, high - w]; for w < 0
+        the same recurrence holds for the suffix sums, which sweep down
+        from 0 above Q's range [low - w, high] and are subtracted from Q's
+        total D / d (1 + t)^(n-1).
+        """
+        c0, times = d - a, a + (d << self.slot)
+        if w > 0:
+            points = range(min(self.threshold, self.high) - w, self.low - 1, -w)
+            column = self.column
+        else:
+            total = self.column(self.high)
+            points = range(max(self.threshold - w, self.low - w - 1), self.high, -w)
+
+            def column(s: int) -> int:
+                return total - self.column(s)
+        acc = 0
+        for s in reversed(points):
+            acc = (column(s) - times * acc) // c0
+        if w > 0:
+            return acc
+        return total // (d + (d << self.slot)) - acc
+
+
+@lru_cache(maxsize=1)
+def _agreement_table(p: Perceptron, x: Instance, dist: ProductDistribution) -> _AgreementTable:
+    """Build G as one integer, cell (j, s) at bit ((s - low) (n + 1) + j) slot,
+    so multiplying by a factor F_i is a few whole-integer operations.
+
+    Cached so that shap_report reads its Shapley values and its expected
+    value (through h_table_perceptron) from the same table.
+    """
+    ws, b, _ = p.scaled
+    factors = []
+    for i, w in enumerate(ws):
+        q = dist.probs[i] if x[i] else 1 - dist.probs[i]
+        factors.append((-w if x[i] else w, q.numerator, q.denominator))
+    n = len(factors)
+    common = prod(d for _, _, d in factors)
+    slot = -(-(common << n).bit_length() // 8) * 8
+    col = (n + 1) * slot
+    g, low = 1, 0
+    # small shifts first keep the early partial products short
+    for w, a, d in sorted(factors, key=lambda f: abs(f[0])):
+        moved = (a + (d << slot)) * g
+        if w >= 0:
+            g = (d - a) * g + (moved << w * col)
+        else:
+            g = ((d - a) * g << -w * col) + moved
+            low += w
+    width = sum(abs(w) for w, _, _ in factors) + 1
+    step = 1
+    while step < width:  # prefix sums along s by doubling
+        g += g << step * col
+        step *= 2
+    cells = (g & ((1 << width * col) - 1)).to_bytes(width * col // 8, "little")
+    threshold = b + sum(w for w, xi in zip(ws, x) if not xi)
+    return _AgreementTable(tuple(factors), threshold, common, slot, low,
+                           low + width - 1, cells)
+
+
 def h_table_perceptron(p: Perceptron, x: Instance, dist: ProductDistribution) -> HTable:
-    """All H(k) at once, by a three-branch subset-sum DP.
+    """All H(k) at once, from one subset-sum table.
 
     For the agreement set A = sim(z, x), f(z) = 1 iff sum over A of
     w''_i <= T with w''_i = -w_i when x_i = 1 else w_i and
     T = b + sum of w_i over x_i = 0. Each feature is either conditioned
     (in s, weight 1, counts toward k, adds w''), agrees by chance
-    (probability q_i, adds w''), or disagrees (probability 1 - q_i).
-    States are (w'' sum, conditioned count) with integer numerators over
-    the running denominator product.
+    (probability q_i, adds w''), or disagrees (probability 1 - q_i): the
+    factor F_i of _AgreementTable. D H(k) is the prefix sum of row k up
+    to T.
     """
-    n = p.feature_count
-    x = check_instance(x, n)
-    if dist.feature_count != n:
-        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
-    ws, b, _ = p.scaled
-    span = sum(abs(w) for w in ws) + 1
-    _check_dp_budget(span * max(1, n) * (n + 1), "h_table_perceptron")
-    t_threshold = b + sum(w for i, w in enumerate(ws) if not x[i])
-    states: dict[tuple[int, int], int] = {(0, 0): 1}
-    denom_prod = 1
-    for i in range(n):
-        w2 = -ws[i] if x[i] else ws[i]
-        q = dist.probs[i] if x[i] else 1 - dist.probs[i]
-        a, d = q.numerator, q.denominator
-        denom_prod *= d
-        nxt: dict[tuple[int, int], int] = {}
-        for (total, j), c in states.items():
-            if d != a:  # disagree, stays out of the agreement set
-                key = (total, j)
-                nxt[key] = nxt.get(key, 0) + c * (d - a)
-            if a:  # agrees by chance
-                key = (total + w2, j)
-                nxt[key] = nxt.get(key, 0) + c * a
-            key = (total + w2, j + 1)  # conditioned, probability 1
-            nxt[key] = nxt.get(key, 0) + c * d
-        states = nxt
-    sums = [0] * (n + 1)
-    for (total, j), c in states.items():
-        if total <= t_threshold:
-            sums[j] += c
-    values = tuple(Fraction(c, denom_prod) for c in sums)
+    x = _check_h_query(p, x, dist, "h_table_perceptron")
+    table = _agreement_table(p, x, dist)
+    sums = table.unpack(table.column(table.threshold), p.feature_count + 1)
+    values = tuple(Fraction(c, table.common) for c in sums)
     return HTable(values, _fingerprint(p), _fingerprint(dist))
 
 
@@ -356,28 +446,31 @@ def h_sum_perceptron(p: Perceptron, x: Instance, dist: ProductDistribution, k: i
 
 def shap_perceptron_pseudopoly(p: Perceptron, x: Instance,
                                dist: ProductDistribution) -> tuple[Fraction, ...]:
-    """Exact Shapley attributions from size-stratified sums.
+    """Exact Shapley attributions from one subset-sum table.
 
     phi_i combines the H table of the model with the H table of the model
     conditioned on feature i (taken over the remaining n-1 features):
     phi_i = sum_k k! (n-k-1)! / n! * (H_g(k) - H_f(k) + H_g(k-1)).
+    The table of g is G / F_i with threshold T - w''_i, so
+    D H_g(k) = d_i P_k with P = _AgreementTable.conditioned(F_i). When
+    w''_i = 0 or q_i = 1, F_i = d_i u^{w''_i} (1 + t), hence
+    H_g(k) + H_g(k-1) = H_f(k) and phi_i = 0.
     """
     n = p.feature_count
-    x = check_instance(x, n)
-    h_f = h_table_perceptron(p, x, dist).values
+    x = _check_h_query(p, x, dist, "shap_perceptron_pseudopoly")
+    table = _agreement_table(p, x, dist)
+    h_f = table.unpack(table.column(table.threshold), n + 1)
     fact = [factorial(j) for j in range(n + 1)]
-    coef = [Fraction(fact[k] * fact[n - k - 1], fact[n]) for k in range(n)]
+    coef = [fact[k] * fact[n - k - 1] for k in range(n)] + [0]
+    # sum_k coef_k (P_k + P_{k-1}) = sum_k (coef_k + coef_{k+1}) P_k
+    pair = [coef[k] + coef[k + 1] for k in range(n)]
+    base = sum(c * h for c, h in zip(coef, h_f))
+    scale = table.common * fact[n]
     phis = []
-    for i in range(n):
-        g = project_out_feature(p, i, x[i])
-        x_g = x[:i] + x[i + 1:]
-        dist_g = ProductDistribution(dist.probs[:i] + dist.probs[i + 1:])
-        h_g = h_table_perceptron(g, x_g, dist_g).values
-        total = Fraction(0)
-        for k in range(n):
-            term = h_g[k] - h_f[k]
-            if k > 0:
-                term += h_g[k - 1]
-            total += coef[k] * term
-        phis.append(total)
+    for w, a, d in table.factors:
+        if w == 0 or a == d:
+            phis.append(Fraction(0))
+            continue
+        sums = table.unpack(table.conditioned(w, a, d), n)
+        phis.append(Fraction(d * sum(c * v for c, v in zip(pair, sums)) - base, scale))
     return tuple(phis)

@@ -185,6 +185,8 @@ def loads_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("document nested too deeply to decode") from None
 
 
 def dumps_model(m) -> str:

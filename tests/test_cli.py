@@ -5,9 +5,10 @@ import json
 from click.testing import CliRunner
 
 from fpxplain.cli import main
+from fpxplain.generate import generate_model, random_instance_bits, rng_from_seed
 from fpxplain.models import DecisionTree, leaf, majority_ensemble, split
 from fpxplain.runner import run_query
-from fpxplain.serialize import dumps_model, loads_model
+from fpxplain.serialize import canonical_dumps, dumps_model, loads_model
 
 
 def run(args, **kw):
@@ -110,6 +111,47 @@ def test_cap_variables_are_input_errors(tmp_path, monkeypatch):
         assert r.exit_code == 2, (var, r.output)
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert r.output.startswith("error: " + var)
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    path = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    for args in (["validate", path],
+                 ["query", "--model", path, "--kind", "csr", "--instance", "11"]):
+        r = run(args)
+        assert r.exit_code == 2, (args, r.output)
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        lines = r.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), r.output
+
+
+def test_query_exits_one_exactly_on_a_false_answer(tmp_path):
+    rng = rng_from_seed(72)
+    seen = set()
+    for case in range(32):
+        n = rng.randint(1, 6)
+        family = ("tree", "tree-ensemble", "perceptron", "perceptron-ensemble")[case % 4]
+        if family == "perceptron-ensemble":  # no fast route: the oracle answers
+            model = majority_ensemble([generate_model("perceptron", rng, n, weight_bound=4)
+                                       for _ in range(rng.randint(1, 3))])
+        else:
+            model = generate_model(family, rng, n, k=rng.randint(1, 3), max_leaves=6,
+                                   weight_bound=6)
+        path = write(tmp_path, f"m{case}.json", dumps_model(model))
+        x = random_instance_bits(rng, n)
+        subset = tuple(i for i in range(n) if rng.random() < 0.5)
+        bound = rng.randint(0, n)
+        for kind, kwargs, extra in (
+                ("csr", {"subset": subset}, ["--subset", ",".join(map(str, subset))]),
+                ("mcr", {"bound": bound}, ["--bound", str(bound)]),
+                ("msr", {"bound": bound}, ["--bound", str(bound)])):
+            payload = run_query(model, kind, x, **kwargs)
+            r = run(["query", "--model", path, "--kind", kind,
+                     "--instance", "".join(map(str, x)), *extra])
+            assert r.exception is None or isinstance(r.exception, SystemExit), r.output
+            assert r.output == canonical_dumps(payload).rstrip("\n") + "\n"
+            assert r.exit_code == (1 if payload["answer"] is False else 0), (case, kind)
+            seen.add((kind, r.exit_code))
+    assert seen == {(kind, code) for kind in ("csr", "mcr", "msr") for code in (0, 1)}
 
 
 def _stump_ensemble():

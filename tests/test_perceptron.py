@@ -3,6 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
+
+from fpxplain import perceptron, transforms
+from fpxplain.attribution import check_efficiency, shap_report
+from fpxplain.cli import main
 from fpxplain.errors import ResourceCapError
 from fpxplain.generate import (
     random_instance_bits, random_perceptron, random_product_distribution,
@@ -20,6 +25,7 @@ from fpxplain.perceptron import (
     min_contrastive_perceptron, min_sufficient_perceptron, msr_perceptron,
     shap_perceptron_pseudopoly,
 )
+from fpxplain.serialize import dumps_model
 
 F = Fraction
 
@@ -134,6 +140,75 @@ def test_pseudo_budget_cap(monkeypatch):
     p = P(tuple(range(1, 25)), -100)
     with pytest.raises(ResourceCapError):
         cc_perceptron_pseudopoly(p, (1,) * 24, ())
+
+
+def test_pseudo_budget_cap_shap(monkeypatch, tmp_path):
+    # integer view (6, -4, 5), bias 2: span 16, one table of 16 * 3 * 4 cells
+    p = P((3, -2, F(5, 2)), 1)
+    x = (1, 0, 1)
+    d = ProductDistribution.uniform(3)
+    cells = 16 * 3 * 4
+    path = tmp_path / "p.json"
+    path.write_text(dumps_model(p))
+    args = ["query", "--model", str(path), "--kind", "shap", "--instance", "101"]
+    monkeypatch.setenv("FPXPLAIN_PSEUDO_BUDGET", str(cells - 1))
+    with pytest.raises(ResourceCapError):
+        shap_report(p, x, d)
+    r = CliRunner().invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: ") and len(r.output.splitlines()) == 1
+    monkeypatch.setenv("FPXPLAIN_PSEUDO_BUDGET", str(cells))
+    assert shap_report(p, x, d).values == oracle_shap(p, x, d)
+    r = CliRunner().invoke(main, args)
+    assert r.exit_code == 0, r.output
+
+
+def test_shap_division_branches_match_oracle():
+    """Every branch of the exact division: w'' of either sign or 0, q_i of
+    0 and 1, fractional weights and biases, n = 1."""
+    rng = rng_from_seed(65)
+    probs = tuple(F(q) for q in ("0", "1", "1/2", "1/3", "2/3", "1/8", "7/8"))
+    seen = {"n=1": 0, "w''=0": 0, "w''>0": 0, "w''<0": 0, "q=0": 0, "q=1": 0}
+    for case in range(320):
+        n = 1 if case % 8 == 0 else rng.randint(2, 7)
+        weights = tuple(F(0) if rng.random() < 0.2
+                        else F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)))
+                        for _ in range(n))
+        p = Perceptron(weights, F(rng.randint(-12, 12), rng.choice((1, 2, 3))))
+        x = random_instance_bits(rng, n)
+        d = ProductDistribution(tuple(rng.choice(probs) for _ in range(n)))
+        assert shap_perceptron_pseudopoly(p, x, d) == oracle_shap(p, x, d), case
+        assert h_table_perceptron(p, x, d).values == oracle_h_table(p, x, d), case
+        assert shap_report(p, x, d).expected == oracle_expected_value(p, d), case
+        seen["n=1"] += n == 1
+        for w, xi, q in zip(weights, x, d.probs):
+            w2 = -w if xi else w
+            seen["w''=0" if w2 == 0 else "w''>0" if w2 > 0 else "w''<0"] += 1
+            agree = q if xi else 1 - q
+            seen["q=0"] += w2 != 0 and agree == 0
+            seen["q=1"] += w2 != 0 and agree == 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_shap_report_builds_one_table(monkeypatch):
+    """Shapley values and the expected value come from one table, with no
+    per-feature projected models."""
+    projected, built = [], []
+    project, table = transforms.project_out_feature, perceptron._AgreementTable
+    for module in (transforms, perceptron):
+        monkeypatch.setattr(module, "project_out_feature", raising=False,
+                            value=lambda *args: projected.append(args) or project(*args))
+    monkeypatch.setattr(perceptron, "_AgreementTable",
+                        lambda *args: built.append(args) or table(*args))
+    rng = rng_from_seed(66)
+    p = random_perceptron(rng, 16, 32)
+    x = random_instance_bits(rng, 16)
+    d = random_product_distribution(rng, 16)
+    report = shap_report(p, x, d)
+    assert report.method == "pseudopoly"
+    assert projected == [] and len(built) == 1
+    assert check_efficiency(report)
+    assert report.expected == expected_value_perceptron(p, d)
 
 
 def test_lex_first_witnesses():
