@@ -40,9 +40,8 @@ from .models import (
     ProductDistribution, bits_to_int, check_instance, check_subset, eval_model,
     is_tree_ensemble, subset_mask,
 )
-from .oracle import oracle_expected_value
 from .perceptron import (
-    HTable, _fingerprint, expected_value_perceptron, h_table_perceptron,
+    HTable, expected_value_perceptron, h_table_perceptron,
     shap_perceptron_pseudopoly,
 )
 from .transforms import condition_model
@@ -151,7 +150,7 @@ def size_stratified_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
     n = e.feature_count
     features = range(n) if features is None else check_subset(features, n)
     h, _ = _cylinder_sums(e, x, dist, features)
-    return HTable(h, _fingerprint(e), _fingerprint(dist))
+    return HTable(h)
 
 
 def _shap_coefficients(n: int) -> list[Fraction]:
@@ -183,6 +182,7 @@ def _default_expectation(m: Model, dist: ProductDistribution) -> Fraction:
     if isinstance(m, Ensemble):
         # Mixed or perceptron ensembles: no polynomial route, but enum is
         # already exponential so the capped oracle is an honest backend.
+        from .oracle import oracle_expected_value
         return oracle_expected_value(m, dist)
     raise UnsupportedModelError(
         f"no expectation backend for {type(m).__name__}; pass one explicitly")
@@ -243,7 +243,6 @@ class ShapReport:
     prediction: int
     expected: Fraction
     method: str
-    model_fingerprint: str
 
     @property
     def total(self) -> Fraction:
@@ -282,7 +281,7 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
         expected = _default_expectation(m, dist)
     else:
         raise ValueError(f"unknown attribution method {method!r}")
-    return ShapReport(values, eval_model(m, x), expected, method, _fingerprint(m))
+    return ShapReport(values, eval_model(m, x), expected, method)
 
 
 def check_efficiency(report: ShapReport) -> bool:

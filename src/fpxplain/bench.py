@@ -27,8 +27,6 @@ from .serialize import canonical_dumps
 CSV_COLUMNS = ("suite", "n", "k", "m", "W", "query", "algorithm",
                "wall_seconds", "answer_digest")
 
-SUITES = ("scaling-m", "scaling-k", "pseudopoly-w", "oracle-doubling")
-
 
 def payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()[:16]

@@ -12,19 +12,7 @@ from pathlib import Path
 
 import click
 
-from .bench import SUITES, rows_to_csv, run_bench
 from .errors import FpxError
-from .gadgets import (
-    GsspInstance, KgsspStarInstance, KsspInstance, SspInstance,
-    gssp_msr_gadget, kgssp_star_msr_gadget, kssp_mcr_gadget,
-    multicolored_clique_csr_gadget, solve_gssp_brute, solve_kgssp_star_brute,
-    solve_kssp_brute, solve_multicolored_clique_brute, solve_ssp_brute,
-    ssp_csr_gadget,
-)
-from .generate import (
-    generate_model, rng_from_seed, sample_colored_graph, sample_gssp,
-    sample_kgssp_star, sample_kssp_filtered, sample_ssp,
-)
 from .models import validate_model
 from .runner import ALGORITHMS, QUERY_KINDS, run_query
 from .serialize import (
@@ -32,10 +20,11 @@ from .serialize import (
     model_from_doc, parse_cnf_text, parse_dist_spec, parse_dnf_text,
     parse_graph_text, parse_instance, parse_subset,
 )
-from .transforms import (
-    cnf_to_ensemble, condition_model, dnf_to_ensemble, indicator_perceptron,
-    indicator_tree, negate_model,
-)
+
+# The gadget, gen, bench and transform commands import their modules
+# when they run, so a query process loads only the query engine. The
+# suites of bench.bench_instances are listed here for that reason.
+SUITES = ("scaling-m", "scaling-k", "pseudopoly-w", "oracle-doubling")
 
 
 def _fail(exc) -> "None":
@@ -142,6 +131,18 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 def gadget(family, weights, u_text, v_text, z_text, s0_text, k, target,
            graph_path, seed, n, solve, out_path):
     """Build a query bundle whose answer encodes a hard source problem."""
+    from .gadgets import (
+        GsspInstance, KgsspStarInstance, KsspInstance, SspInstance,
+        gssp_msr_gadget, kgssp_star_msr_gadget, kssp_mcr_gadget,
+        multicolored_clique_csr_gadget, solve_gssp_brute,
+        solve_kgssp_star_brute, solve_kssp_brute,
+        solve_multicolored_clique_brute, solve_ssp_brute, ssp_csr_gadget,
+    )
+    from .generate import (
+        rng_from_seed, sample_colored_graph, sample_gssp, sample_kgssp_star,
+        sample_kssp_filtered, sample_ssp,
+    )
+
     rng = rng_from_seed(seed) if seed is not None else None
     try:
         if family == "ssp":
@@ -210,6 +211,11 @@ def gadget(family, weights, u_text, v_text, z_text, s0_text, k, target,
 def transform(op, model_path, formula_path, instance_text, subset_text,
               features, out_path):
     """Produce a new model document from a model or formula."""
+    from .transforms import (
+        cnf_to_ensemble, condition_model, dnf_to_ensemble,
+        indicator_perceptron, indicator_tree, negate_model,
+    )
+
     try:
         if op in ("negate", "condition"):
             if not model_path:
@@ -256,6 +262,8 @@ def transform(op, model_path, formula_path, instance_text, subset_text,
 @click.option("--out", "out_path", type=click.Path(dir_okay=False))
 def gen(family, n, k, leaves, weight_bound, seed, out_path):
     """Generate a random model document from a seed."""
+    from .generate import generate_model, rng_from_seed
+
     try:
         model = generate_model(family, rng_from_seed(seed), n, k=k,
                                max_leaves=leaves, weight_bound=weight_bound)
@@ -272,6 +280,8 @@ def gen(family, n, k, leaves, weight_bound, seed, out_path):
 @click.option("--out", "out_path", type=click.Path(dir_okay=False))
 def bench(suite, seed, budget, out_path):
     """Time a deterministic instance stream and emit CSV."""
+    from .bench import rows_to_csv, run_bench
+
     try:
         rows = run_bench(suite, seed, budget_seconds=budget)
     except FpxError as exc:

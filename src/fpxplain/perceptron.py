@@ -11,7 +11,6 @@ the model conditioned on each feature follow from it by exact division.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -221,8 +220,10 @@ def msr_perceptron(p: Perceptron, x: Instance, d: int) -> bool:
 def _check_dp_budget(cells: int, what: str):
     budget = _config.pseudo_budget()
     if cells > budget:
+        # an integer past the 4,300-digit str limit cannot be printed
+        about = cells if cells < 10 ** 30 else f"2^{cells.bit_length() - 1}"
         raise ResourceCapError(
-            f"{what} needs about {cells} DP cells, over the budget {budget}; "
+            f"{what} needs about {about} DP cells, over the budget {budget}; "
             f"raise {_config.PSEUDO_BUDGET_VAR} to allow it")
 
 
@@ -288,25 +289,15 @@ def expected_value_perceptron(p: Perceptron, dist: ProductDistribution) -> Fract
 
 @dataclass(frozen=True)
 class HTable:
-    """H(k) = sum over size-k subsets of E[f | z_s = x_s], for k = 0..n.
-
-    Carries short fingerprints of the model and distribution it was
-    computed from so stale tables are easy to spot in reports.
-    """
+    """H(k) = sum over size-k subsets of E[f | z_s = x_s], for k = 0..n."""
 
     values: tuple[Fraction, ...]
-    model_fingerprint: str
-    dist_fingerprint: str
 
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def _fingerprint(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()[:12]
 
 
 def _check_h_query(p: Perceptron, x: Instance, dist: ProductDistribution,
@@ -437,7 +428,7 @@ def h_table_perceptron(p: Perceptron, x: Instance, dist: ProductDistribution) ->
     table = _agreement_table(p, x, dist)
     sums = table.unpack(table.column(table.threshold), p.feature_count + 1)
     values = tuple(Fraction(c, table.common) for c in sums)
-    return HTable(values, _fingerprint(p), _fingerprint(dist))
+    return HTable(values)
 
 
 def h_sum_perceptron(p: Perceptron, x: Instance, dist: ProductDistribution, k: int) -> Fraction:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import attribution, oracle, perceptron as pc, trees
+# oracle is imported on the oracle route only, so a fast query never loads it
+from . import attribution, perceptron as pc, trees
 from .errors import InvalidInstanceError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Ensemble, Perceptron, ProductDistribution,
@@ -79,6 +80,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
         route = _route(model, algorithm, tree_choice, "perceptron-direct",
                        kind, warnings)
         if route == "oracle":
+            from . import oracle
             answer = oracle.oracle_is_sufficient(model, x, s)
         elif route == "perceptron-direct":
             answer = pc.csr_perceptron(model, x, s)
@@ -94,6 +96,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
         route = _route(model, algorithm, "tree-fpt", "perceptron-direct",
                        kind, warnings)
         if route == "oracle":
+            from . import oracle
             finder = (oracle.oracle_min_contrastive if kind == "mcr"
                       else oracle.oracle_min_sufficient)
             found = finder(model, x)
@@ -118,6 +121,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
         route = _route(model, algorithm, "tree-fpt", "perceptron-pseudopoly",
                        kind, warnings)
         if route == "oracle":
+            from . import oracle
             value = oracle.oracle_completion_count(model, x, s)
         elif route == "perceptron-pseudopoly":
             value = pc.cc_perceptron_pseudopoly(model, x, s)
@@ -130,6 +134,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
         route = _route(model, algorithm, "tree-fpt", "perceptron-pseudopoly",
                        kind, warnings)
         if route == "oracle":
+            from . import oracle
             value = oracle.oracle_expected_value(model, dist)
         elif route == "perceptron-pseudopoly":
             value = pc.expected_value_perceptron(model, dist)
@@ -142,6 +147,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
         if feature is not None and not (0 <= feature < n):
             raise InvalidInstanceError(f"feature {feature} outside 0..{n - 1}")
         if algorithm == "oracle":
+            from . import oracle
             values = oracle.oracle_shap(model, x, dist)
             method = "oracle"
             expected = oracle.oracle_expected_value(model, dist)

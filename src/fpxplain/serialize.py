@@ -24,15 +24,17 @@ parse_dnf_text and parse_graph_text.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .gadgets import ColoredGraph, QueryGadget
 from .models import (
     DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
     Weighted, validate_model,
 )
-from .transforms import CnfFormula, DnfFormula
+
+# Gadgets and formulas are imported by the functions that build them, so
+# reading a model and a query loads neither module.
 
 MODEL_FORMAT = "fpxplain-model"
 BUNDLE_FORMAT = "fpxplain-bundle"
@@ -43,6 +45,11 @@ def rational_str(value) -> str:
     return str(Fraction(value))
 
 
+# "p/q" or "p" in ASCII digits, optionally signed, surrounding whitespace
+# allowed; Fraction alone would also take decimals and exponents ("1e5000")
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(value, what: str = "rational") -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"{what}: expected a rational, got {value!r}")
@@ -51,8 +58,12 @@ def parse_rational(value, what: str = "rational") -> Fraction:
     if isinstance(value, float):
         raise ParseError(f"{what}: floats are not accepted, write '{value}' as p/q")
     if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ParseError(f"{what}: expected 'p/q' or 'p', got {value!r}")
+        num, den = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{what}: cannot parse {value!r} ({exc})") from None
     raise ParseError(f"{what}: expected a rational, got {type(value).__name__}")
@@ -187,6 +198,8 @@ def loads_json(text: str):
         raise ParseError(exc.msg, line=exc.lineno) from None
     except RecursionError:
         raise ParseError("document nested too deeply to decode") from None
+    except ValueError as exc:  # an integer literal over the int digit limit
+        raise ParseError(f"cannot decode document: {exc}") from None
 
 
 def dumps_model(m) -> str:
@@ -213,6 +226,8 @@ def bundle_to_doc(g: QueryGadget) -> dict:
 
 
 def bundle_from_doc(doc) -> QueryGadget:
+    from .gadgets import QueryGadget
+
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("format") == BUNDLE_FORMAT,
              f"format must be {BUNDLE_FORMAT!r}, got {doc.get('format')!r}")
@@ -327,11 +342,15 @@ def _parse_formula_text(text: str) -> tuple[int, list[tuple[tuple[int, int], ...
 
 
 def parse_dnf_text(text: str) -> DnfFormula:
+    from .transforms import DnfFormula
+
     n, terms = _parse_formula_text(text)
     return DnfFormula(n, tuple(terms))
 
 
 def parse_cnf_text(text: str) -> CnfFormula:
+    from .transforms import CnfFormula
+
     n, clauses = _parse_formula_text(text)
     return CnfFormula(n, tuple(clauses))
 
@@ -361,6 +380,8 @@ def parse_graph_text(text: str) -> ColoredGraph:
     Vertex ids must be 0..n-1 (any order); edges must reference declared
     vertices.
     """
+    from .gadgets import ColoredGraph
+
     colors: dict[int, int] = {}
     edge_lines: list[tuple[int, int, int]] = []
     for lineno, line in _content_lines(text):

@@ -1,9 +1,14 @@
 """Command line interface: exit codes, document flow, option handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import fpxplain
 from fpxplain.cli import main
 from fpxplain.generate import generate_model, random_instance_bits, rng_from_seed
 from fpxplain.models import DecisionTree, leaf, majority_ensemble, split
@@ -19,6 +24,14 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def assert_one_error_line(r, args):
+    """An input error: exit 2 with one `error:` line and no traceback."""
+    assert r.exit_code == 2, (args, r.output)
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    lines = r.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.output
 
 
 AND_MODEL = json.dumps({
@@ -117,11 +130,69 @@ def test_deeply_nested_json_is_an_input_error(tmp_path):
     path = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
     for args in (["validate", path],
                  ["query", "--model", path, "--kind", "csr", "--instance", "11"]):
-        r = run(args)
-        assert r.exit_code == 2, (args, r.output)
-        assert r.exception is None or isinstance(r.exception, SystemExit)
-        lines = r.output.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), r.output
+        assert_one_error_line(run(args), args)
+
+
+def test_over_long_json_integer_is_an_input_error(tmp_path):
+    doc = AND_MODEL.replace('"bias": "-2"', '"bias": ' + "9" * 5_000)
+    path = write(tmp_path, "long.json", doc)
+    for args in (["validate", path],
+                 ["query", "--model", path, "--kind", "csr", "--instance", "11"]):
+        assert_one_error_line(run(args), args)
+
+
+def _perceptron_doc(weights):
+    return json.dumps({"format": "fpxplain-model", "version": 1,
+                       "model": {"kind": "perceptron", "weights": weights,
+                                 "bias": "0"}})
+
+
+def test_rationals_outside_the_documented_forms_are_input_errors(tmp_path):
+    exponent = write(tmp_path, "e.json", _perceptron_doc(["1e5000", "1"]))
+    plain = write(tmp_path, "p.json", _perceptron_doc(["1", "1"]))
+    # documented forms whose integer-scaled weights have about 6,000
+    # digits: the DP budget refuses them, and its message must still print
+    huge = write(tmp_path, "h.json", _perceptron_doc(
+        ["9" * 4_000 + "/" + "7" * 1_990 + "1",
+         "9" * 4_000 + "/" + "3" * 1_990 + "1"]))
+    cases = [["query", "--model", exponent, "--kind", kind, "--instance", "01"]
+             for kind in ("expect", "cc", "shap")]
+    cases += [["transform", "--op", "negate", "--model", exponent],
+              ["query", "--model", plain, "--kind", "expect", "--instance", "01",
+               "--dist", "1e-3000000,1/2"],
+              ["query", "--model", huge, "--kind", "expect", "--instance", "01"]]
+    for args in cases:
+        assert_one_error_line(run(args), args)
+
+
+IMPORT_PROBE = """
+import json, sys
+import fpxplain.cli
+loaded = [m for m in ("fpxplain.gadgets", "fpxplain.generate", "fpxplain.bench",
+                      "fpxplain.oracle", "hashlib") if m in sys.modules]
+import fpxplain
+wrong = []
+for name in fpxplain.__all__:
+    obj = getattr(fpxplain, name)
+    home = sys.modules[obj.__module__]
+    if not home.__name__.startswith("fpxplain.") or getattr(home, name) is not obj:
+        wrong.append(name)
+star = {}
+exec("from fpxplain import *", star)
+missing = sorted(set(fpxplain.__all__) - (set(star) & set(dir(fpxplain))))
+print(json.dumps({"loaded": loaded, "wrong": wrong, "missing": missing}))
+"""
+
+
+def test_cli_import_loads_only_the_query_path():
+    """A fresh `import fpxplain.cli` leaves the gadgets, generators, bench
+    and oracle unloaded, and the package's lazy names still resolve."""
+    src = str(Path(fpxplain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == {"loaded": [], "wrong": [], "missing": []}
 
 
 def test_query_exits_one_exactly_on_a_false_answer(tmp_path):

@@ -33,6 +33,13 @@ def test_rational_codec():
         parse_rational("1/0")
     with pytest.raises(ParseError):
         parse_rational(True)
+    # only an optional sign, ASCII digits and an optional /digits
+    for text, value in (("-3/4", F(-3, 4)), ("+6/4", F(3, 2)), (" 1/2\n", F(1, 2))):
+        assert parse_rational(text) == value
+    for text in ("1e5000", "0.5", ".5", "1_000", "1/-2", "- 1", "1 / 2", "",
+                 "\u0663", "inf", "nan", "1/2/3"):
+        with pytest.raises(ParseError):
+            parse_rational(text)
 
 
 @settings(deadline=None, max_examples=60)
