@@ -22,8 +22,11 @@ marking membership in s) is
 and the coefficients of the sum over cylinders are the H(k). The Shapley
 value phi_i takes from each cylinder fixing i the factor
 [V_i = x_i] - p_i(V_i) times the same polynomial without i's factor,
-with t^k weighted by k! (n-k-1)! / n!. The route keeps the method label
-"interpolation" so that payloads stay byte-identical across versions.
+with t^k weighted by k! (n-k-1)! / n!. The cylinders fixing i to V_i
+share i's factor, so their polynomials are summed, packed into one
+integer, and the factor is removed by one exact division after the pass.
+The route keeps the method label "interpolation" so that payloads stay
+byte-identical across versions.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from . import _config
 from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
     DecisionTree, Ensemble, Instance, Majority, Model, Perceptron,
-    ProductDistribution, bits_to_int, check_instance, check_subset, eval_model,
+    ProductDistribution, check_instance, check_subset, eval_model,
     is_tree_ensemble, subset_mask,
 )
 from .perceptron import (
@@ -64,73 +67,66 @@ def _cylinder_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
 
     H[k] sums E[f | z_s = x_s] over the size-k subsets s of `features`;
     phi[i] is the Shapley value of feature i in that game (0 outside it).
-    A fixed feature i of a cylinder contributes the factor a_i + b_i t with
-    a_i = den_i p_i(V_i) and b_i = den_i [V_i = x_i]; a fixed feature
-    outside the ground set contributes a_i, a free one 1. All sums are
-    integers over D = prod(den_i), and over D |F|! for phi.
+    With a_i = den_i p_i(V_i) and b_i = den_i [V_i = x_i], a cylinder's
+    factor is a_i + b_i t for a fixed ground feature, a_i for another fixed
+    feature, 1 + t for a free ground feature and 1 otherwise. Packed at
+    t = 2^slot over D = prod(den_i), its product is one integer, added to
+    the total and to its buckets (i, V_i); dividing a bucket exactly by
+    a_i + b_i 2^slot drops i's factor. phi is over D g!, g = |features|.
     """
     n = e.feature_count
     ground = subset_mask(features)
     size = ground.bit_count()
-    xbits = bits_to_int(x)
-    nums = [p.numerator for p in dist.probs]
     dens = [p.denominator for p in dist.probs]
+    factors = []  # 2 i + v -> (a_i, b_i) of feature i fixed to v
+    for p, d, xi in zip(dist.probs, dens, x):
+        factors += [(d - p.numerator, d * (xi == 0)), (p.numerator, d * (xi == 1))]
     common = prod(dens)
+    # every coefficient of the total, of a bucket and of its quotient is
+    # below D 2^size (the cylinders are disjoint), so no slot carries
+    slot = -(-(common.bit_length() + size + 2) // 8) * 8
+    binoms: dict[int, int] = {}  # free count r -> packed (1 + t)^r
+    total = 0
+    buckets = [0] * (2 * n)  # 2 i + v -> packed sum over the cylinders fixing i to v
+    for mask, vals in _selections(_raw_triples(e), e.voting, 1):
+        scale, poly, keys = common, 1, []
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            mask ^= low
+            key = 2 * i + ((vals >> i) & 1)
+            a, b = factors[key]
+            scale //= dens[i]
+            if (ground >> i) & 1:
+                poly = a * poly + ((b * poly) << slot)
+                keys.append(key)
+            else:
+                scale *= a
+        r = size - len(keys)
+        binom = binoms.get(r)
+        if binom is None:
+            binom = binoms[r] = (1 + (1 << slot)) ** r
+        f = scale * poly * binom
+        total += f
+        for key in keys:
+            buckets[key] += f
+    step = slot // 8
+    width = (size + 1) * step
+
+    def unpack(packed: int) -> list[int]:
+        raw = packed.to_bytes(width, "little")
+        return [int.from_bytes(raw[k:k + step], "little") for k in range(0, width, step)]
+
     fact = [factorial(j) for j in range(size + 1)]
     coef = [fact[k] * fact[size - k - 1] for k in range(size)]
-    weights: dict[int, list[int]] = {}  # free count r -> w_r
-    by_free: dict[int, list[int]] = {}  # free count r -> summed fixed-factor product
     phi = [0] * n
-    for mask, vals in _selections(_raw_triples(e), e.voting, 1):
-        scale = common
-        fixed = []  # (feature, a, b) for the fixed features in the ground set
-        mm = mask
-        while mm:
-            low = mm & -mm
-            i = low.bit_length() - 1
-            mm ^= low
-            d = dens[i]
-            a = nums[i] if (vals >> i) & 1 else d - nums[i]
-            if (ground >> i) & 1:
-                scale //= d
-                fixed.append((i, a, 0 if ((vals ^ xbits) >> i) & 1 else d))
-            else:
-                scale = scale // d * a
-        q = len(fixed)
-        r = size - q
-        w = weights.get(r)
-        if w is None:
-            w = weights[r] = [sum(comb(r, l) * coef[j + l] for l in range(r + 1))
-                              for j in range(q)]
-        # tails[s][j] = sum_l suffix_s[l] w[j + l], suffix_s the product of
-        # the fixed factors s..q-1; phi_i dots the prefix before i with it
-        tails = [None] * q + [w]
-        for s in range(q - 1, 0, -1):
-            _, a, b = fixed[s]
-            nxt = tails[s + 1]
-            tails[s] = [a * nxt[j] + b * nxt[j + 1] for j in range(s)]
-        poly = [scale]
-        for s, (i, a, b) in enumerate(fixed):
-            phi[i] += (b - a) * sum(c * g for c, g in zip(poly, tails[s + 1]))
-            nxt = [a * c for c in poly] + [0]
-            if b:
-                for j, c in enumerate(poly):
-                    nxt[j + 1] += b * c
-            poly = nxt
-        acc = by_free.get(r)
-        if acc is None:
-            by_free[r] = poly
-        else:
-            for j, c in enumerate(poly):
-                acc[j] += c
-    total = [0] * (size + 1)
-    for r, poly in by_free.items():
-        binom = [comb(r, l) for l in range(r + 1)]
-        for j, c in enumerate(poly):
-            for l, bl in enumerate(binom):
-                total[j + l] += c * bl
+    for key, packed in enumerate(buckets):
+        if packed:
+            a, b = factors[key]
+            quot = unpack(packed // (a + (b << slot)))
+            phi[key >> 1] += (b - a) * sum(c * w for c, w in zip(quot, coef))
     scaled = common * fact[size]
-    return (tuple(Fraction(c, common) for c in total),
+    return (tuple(Fraction(c, common) for c in unpack(total)),
             tuple(Fraction(v, scaled) for v in phi))
 
 
@@ -140,11 +136,9 @@ def size_stratified_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
     """H(k) = sum over size-k subsets of `features` of E[f | z_s = x_s].
 
     Tree ensembles only. `features` defaults to all of them; features
-    outside it are never fixed to x and keep their distribution. Summed
-    over s, t^|s| E[f | z_s = x_s] is the sum over the accepted cylinders
-    (M, V) of prod_{i in M} (p_i(V_i) + t [V_i = x_i]) (1 + t)^free, so
-    one pass over the cylinders gives every H(k) as a coefficient; the
-    (1 + t)^free factor is expanded once per free count.
+    outside it are never fixed to x and keep their distribution. The H(k)
+    are the coefficients of the summed cylinder polynomials; see
+    _cylinder_sums.
     """
     x = _check_tree_query(e, x, dist)
     n = e.feature_count
@@ -158,18 +152,22 @@ def _shap_coefficients(n: int) -> list[Fraction]:
     return [Fraction(fact[k] * fact[n - k - 1], fact[n]) for k in range(n)]
 
 
+@lru_cache(maxsize=1)
+def _full_pass(e: Ensemble, x: Instance, dist: ProductDistribution):
+    return _cylinder_sums(e, x, dist, range(e.feature_count))
+
+
 def shap_interpolation(e: Ensemble, x: Instance, i: int, dist: ProductDistribution) -> Fraction:
     """Shapley value of feature i for a tree ensemble, from one cylinder pass.
 
-    Each accepted cylinder that fixes i adds (b_i - a_i) times the product
-    of its other fixed factors and (1 + t)^free, with t^k weighted by
-    k! (n-k-1)! / n!; see _cylinder_sums.
+    The pass of the last (e, x, dist) is kept, so a loop over the
+    features pays for one pass; see _cylinder_sums.
     """
     x = _check_tree_query(e, x, dist)
     n = e.feature_count
     if not (0 <= i < n):
         raise ValueError(f"feature {i} outside 0..{n - 1}")
-    return _cylinder_sums(e, x, dist, range(n))[1][i]
+    return _full_pass(e, x, dist)[1][i]
 
 
 def _default_expectation(m: Model, dist: ProductDistribution) -> Fraction:

@@ -43,7 +43,10 @@ def _emit(text: str, out_path: str | None):
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            _fail(exc)
     else:
         click.echo(text, nl=False)
 

@@ -1,6 +1,9 @@
 """Shapley attribution: interpolation route, enumeration route, identities."""
 
+import time
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from fpxplain import attribution, transforms
@@ -22,7 +25,8 @@ from fpxplain.oracle import (
     oracle_shap,
 )
 from fpxplain.transforms import condition_model
-from fpxplain.trees import expected_value_tree_ensemble
+from fpxplain.trees import _raw_triples, _selections, expected_value_tree_ensemble
+from test_cli import _chain_tree
 
 F = Fraction
 
@@ -196,3 +200,65 @@ def test_tree_shap_does_not_condition_the_model(monkeypatch):
     assert rep.method == "interpolation"
     assert check_efficiency(rep)
     assert rep.expected == expected_value_tree_ensemble(e, d)
+
+
+def _ground_game(e, x, d, features):
+    """(H, phi) of the game on the ground set `features`, from the oracle's v table."""
+    v = _v_table(e, x, d)
+    ground = list(features)
+    g = len(ground)
+    coef = [F(factorial(k) * factorial(g - k - 1), factorial(g)) for k in range(g)]
+    h = [F(0)] * (g + 1)
+    phi = [F(0)] * e.feature_count
+    for sub in range(1 << g):
+        s = sum(1 << ground[j] for j in range(g) if (sub >> j) & 1)
+        h[sub.bit_count()] += v[s]
+        for i in ground:
+            if not (s >> i) & 1:
+                phi[i] += coef[sub.bit_count()] * (v[s | 1 << i] - v[s])
+    return tuple(h), tuple(phi)
+
+
+def _bucket_branches(e, x, d, features):
+    """Count the non-empty (feature, value) buckets of the cylinder pass by
+    the shape of their divisor a + b t: a = 0, b = 0, or neither zero."""
+    ground = subset_mask(features)
+    prob = [(1 - p, p) for p in d.probs]
+    keys = set()
+    for mask, vals in _selections(_raw_triples(e), e.voting, 1):
+        fixed = [(i, (vals >> i) & 1) for i in range(e.feature_count) if (mask >> i) & 1]
+        inside = [(i, v) for i, v in fixed if (ground >> i) & 1]
+        # a cylinder adds a zero polynomial when one of its factors is zero
+        if any(prob[i][v] == 0 for i, v in fixed if (i, v) not in inside) or \
+                any(prob[i][v] == 0 and v != x[i] for i, v in inside):
+            continue
+        keys.update(inside)
+    return Counter("a=0" if prob[i][v] == 0 else "b=0" if v != x[i] else "both"
+                   for i, v in keys)
+
+
+def test_bucket_division_branch_battery():
+    rng = rng_from_seed(80)
+    branches = Counter()
+    for trial in range(200):
+        e, x, d = _battery_case(rng, trial)
+        n = e.feature_count
+        if trial % 4 >= 2:
+            features = tuple(sorted(rng.sample(range(n), rng.randint(0, n - 1))))
+            want = _ground_game(e, x, d, features)
+        else:
+            features = tuple(range(n))
+            want = (oracle_h_table(e, x, d), oracle_shap(e, x, d))
+        assert attribution._cylinder_sums(e, x, d, features) == want, trial
+        branches += _bucket_branches(e, x, d, features)
+    assert min(branches[key] for key in ("a=0", "b=0", "both")) >= 30, branches
+
+
+def test_deep_chain_tree_shap():
+    depth = 200
+    tree, d = _chain_tree(depth), ProductDistribution.uniform(depth)
+    start = time.perf_counter()
+    rep = shap_report(tree, (1,) * depth, d)
+    assert time.perf_counter() - start < 0.7
+    assert check_efficiency(rep)
+    assert rep.expected == expected_value_tree_ensemble(Ensemble((tree,), Majority()), d)

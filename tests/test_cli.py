@@ -96,6 +96,13 @@ def test_query_shap_payload(tmp_path):
     assert json.loads(r2.output)["answer"] == "3/8"
 
 
+def test_out_into_a_missing_directory_is_an_input_error(tmp_path):
+    path = write(tmp_path, "and.json", AND_MODEL)
+    args = ["query", "--model", path, "--kind", "csr", "--instance", "11",
+            "--subset", "0", "--out", str(tmp_path / "missing" / "out.json")]
+    assert_one_error_line(run(args), args)
+
+
 def test_query_respects_dist_option(tmp_path):
     path = write(tmp_path, "and.json", AND_MODEL)
     r = run(["query", "--model", path, "--kind", "expect", "--instance", "11",
