@@ -22,7 +22,8 @@ SHAP_ORACLE_CAP_DEFAULT = 14
 SHAP_ENUM_CAP_VAR = "FPXPLAIN_SHAP_ENUM_CAP"
 SHAP_ENUM_CAP_DEFAULT = 16
 
-# budget for pseudo-polynomial DP tables, counted in table cells
+# budget for the perceptron subset-sum table, counted in (weight span) x
+# (features) cells, times n + 1 for the H table and Shapley values
 PSEUDO_BUDGET_VAR = "FPXPLAIN_PSEUDO_BUDGET"
 PSEUDO_BUDGET_DEFAULT = 5_000_000
 

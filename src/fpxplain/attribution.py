@@ -40,7 +40,7 @@ from . import _config
 from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
     DecisionTree, Ensemble, Instance, Majority, Model, Perceptron,
-    ProductDistribution, check_instance, check_subset, eval_model,
+    ProductDistribution, check_dist, check_instance, check_subset, eval_model,
     is_tree_ensemble, subset_mask,
 )
 from .perceptron import (
@@ -56,8 +56,7 @@ def _check_tree_query(e: Ensemble, x: Instance, dist: ProductDistribution) -> In
         raise UnsupportedModelError("tree Shapley and H tables expect an ensemble of trees")
     n = e.feature_count
     x = check_instance(x, n)
-    if dist.feature_count != n:
-        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
+    check_dist(dist, n)
     return x
 
 
@@ -201,8 +200,7 @@ def shap_enum(m: Model, x: Instance, dist: ProductDistribution,
             f"shap_enum refuses n={n} features (cap {cap}); "
             f"raise {_config.SHAP_ENUM_CAP_VAR} if you really want this")
     x = check_instance(x, n)
-    if dist.feature_count != n:
-        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
+    check_dist(dist, n)
     if backend is None:
         backend = _default_expectation
 

@@ -319,6 +319,13 @@ def check_subset(s, n: int) -> tuple[int, ...]:
     return st
 
 
+def check_dist(dist: ProductDistribution, n: int):
+    """Validate that a product distribution covers exactly n features."""
+    if dist.feature_count != n:
+        raise InputShapeError(
+            f"distribution over {dist.feature_count} features, model has {n}")
+
+
 def subset_mask(s) -> int:
     m = 0
     for i in s:

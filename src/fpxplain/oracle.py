@@ -16,8 +16,8 @@ from math import factorial
 from . import _config
 from .errors import ResourceCapError
 from .models import (
-    ABSENT, Instance, Model, ProductDistribution, bits_to_int, check_instance,
-    check_subset, eval_model, feature_count, subset_mask,
+    ABSENT, Instance, Model, ProductDistribution, bits_to_int, check_dist,
+    check_instance, check_subset, eval_model, feature_count, subset_mask,
 )
 
 
@@ -131,8 +131,7 @@ def oracle_expected_value(m: Model, dist: ProductDistribution) -> Fraction:
     """E[f(z)] under the product distribution, by full enumeration."""
     n = feature_count(m)
     _require_cap(n, _config.oracle_cap(), "oracle_expected_value")
-    if dist.feature_count != n:
-        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
+    check_dist(dist, n)
     table = _truth_table(m)
     nums = [p.numerator for p in dist.probs]
     dens = [p.denominator for p in dist.probs]
@@ -221,8 +220,7 @@ def oracle_shap(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fract
     n = feature_count(m)
     _require_cap(n, _config.shap_oracle_cap(), "oracle_shap")
     x = check_instance(x, n)
-    if dist.feature_count != n:
-        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
+    check_dist(dist, n)
     v = _v_table(m, x, dist)
     fact = [factorial(j) for j in range(n + 1)]
     coef = [Fraction(fact[k] * fact[n - k - 1], fact[n]) for k in range(n)]

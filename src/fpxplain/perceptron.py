@@ -1,12 +1,13 @@
 """Exact explanation queries on a single perceptron.
 
 Sufficiency and contrastiveness reduce to worst-case interval reasoning
-on the weighted sum, counting goes through pseudo-polynomial subset-sum
-tables on the integer-scaled weights, and Shapley attribution is
-assembled from size-stratified conditional expectation sums H(k). One
-table of the agreement generating function serves a whole Shapley
-query: H(k) are its prefix sums up to the threshold, and the tables of
-the model conditioned on each feature follow from it by exact division.
+on the weighted sum. Counting and Shapley attribution read one packed
+subset-sum table on the integer-scaled weights: completion counts and
+expected values are a single prefix of its t-free form, and Shapley
+values are assembled from size-stratified conditional expectation sums
+H(k), the prefix sums of its t^k rows up to the threshold. The tables
+of the model conditioned on each feature follow from it by exact
+division.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, prod
 from typing import NamedTuple
 
 from . import _config
 from .errors import ResourceCapError
 from .models import (
-    ABSENT, Instance, Perceptron, ProductDistribution, check_instance,
-    check_subset,
+    ABSENT, Instance, Perceptron, ProductDistribution, check_dist,
+    check_instance, check_subset,
 )
 
 
@@ -62,7 +64,38 @@ def csr_perceptron(p: Perceptron, x: Instance, s) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# contrastive reasons
+# smallest witnesses
+
+
+def _lex_first_witness(gains: list[Fraction], passes):
+    """(size, witness) of a smallest feature set whose gain sum passes, or
+    ABSENT if even all features fail.
+
+    `passes` is monotone in the gain sum, so the smallest size is the
+    first r whose top-r gain sum passes, and a prefix of chosen features
+    extends to a passing set of that size exactly when its sum plus the
+    largest remaining gains passes. Scanning indices in order gives the
+    lexicographically first witness.
+    """
+    n = len(gains)
+    ranked = accumulate(sorted(gains, reverse=True), initial=Fraction(0))
+    size = next((r for r, total in enumerate(ranked) if passes(total)), None)
+    if size is None:
+        return ABSENT
+    chosen: list[int] = []
+    acc = Fraction(0)
+    start = 0
+    while len(chosen) < size:
+        for i in range(start, n):
+            tail = sorted(gains[i + 1:], reverse=True)[:size - len(chosen) - 1]
+            if passes(acc + gains[i] + sum(tail, Fraction(0))):
+                chosen.append(i)
+                acc += gains[i]
+                start = i + 1
+                break
+        else:  # pragma: no cover
+            raise AssertionError("feasible size must admit a witness")
+    return size, tuple(chosen)
 
 
 def _flip_benefits(p: Perceptron, x: Instance) -> tuple[list[Fraction], Fraction, bool]:
@@ -93,49 +126,17 @@ def min_contrastive_perceptron(p: Perceptron, x: Instance):
 
     The witness is the lexicographically first among the minimum-size
     contrastive sets: a set of flips overturns the prediction exactly when
-    its benefit sum crosses the score gap, so feasibility of extending a
-    prefix is a top-r benefit sum check.
+    its benefit sum crosses the score gap.
     """
-    n = p.feature_count
-    x = check_instance(x, n)
+    x = check_instance(x, p.feature_count)
     benefits, score, positive = _flip_benefits(p, x)
-    ranked = sorted(benefits, reverse=True)
-    best = Fraction(0)
-    size = None
-    for r in range(0, n + 1):
-        if _crosses(score, best, positive):
-            size = r
-            break
-        if r < n:
-            best += ranked[r]
-    if size is None or size == 0:
-        # size 0 would mean x itself overturns its own prediction
-        return ABSENT if size is None else (0, ())
-    chosen: list[int] = []
-    acc = Fraction(0)
-    start = 0
-    while len(chosen) < size:
-        for i in range(start, n):
-            need = size - len(chosen) - 1
-            tail = sorted(benefits[i + 1:], reverse=True)[:need]
-            if _crosses(score, acc + benefits[i] + sum(tail, Fraction(0)), positive):
-                chosen.append(i)
-                acc += benefits[i]
-                start = i + 1
-                break
-        else:  # pragma: no cover
-            raise AssertionError("feasible size must admit a witness")
-    return size, tuple(chosen)
+    return _lex_first_witness(benefits, lambda total: _crosses(score, total, positive))
 
 
 def mcr_perceptron(p: Perceptron, x: Instance, d: int) -> bool:
     """Is there a contrastive set of size at most d?"""
     res = min_contrastive_perceptron(p, x)
     return res is not ABSENT and res[0] <= d
-
-
-# ---------------------------------------------------------------------------
-# minimum sufficient reasons
 
 
 def _fix_gains(p: Perceptron, x: Instance) -> tuple[list[Fraction], Fraction, bool]:
@@ -171,40 +172,14 @@ def min_sufficient_perceptron(p: Perceptron, x: Instance) -> tuple[int, tuple[in
     """(size, witness) of a minimum sufficient reason.
 
     Sufficiency of a set is monotone in its gain sum against a fixed
-    worst-case base, so the minimum size comes from the top gains and the
-    lexicographically first witness from a prefix-feasibility scan.
+    worst-case base, and the witness is the lexicographically first.
     """
-    n = p.feature_count
-    x = check_instance(x, n)
+    x = check_instance(x, p.feature_count)
     gains, base, positive = _fix_gains(p, x)
-    ranked = sorted(gains, reverse=True)
-    acc = Fraction(0)
-    size = None
-    for r in range(0, n + 1):
-        if _gains_sufficient(base, acc, positive):
-            size = r
-            break
-        if r < n:
-            acc += ranked[r]
-    assert size is not None, "the full feature set is always sufficient"
-    if size == 0:
-        return 0, ()
-    chosen: list[int] = []
-    got = Fraction(0)
-    start = 0
-    while len(chosen) < size:
-        for i in range(start, n):
-            need = size - len(chosen) - 1
-            tail = sorted(gains[i + 1:], reverse=True)[:need]
-            if _gains_sufficient(base, got + gains[i] + sum(tail, Fraction(0)), positive):
-                chosen.append(i)
-                got += gains[i]
-                start = i + 1
-                break
-        else:  # pragma: no cover
-            raise AssertionError("feasible size must admit a witness")
-    assert csr_perceptron(p, x, chosen)
-    return size, tuple(chosen)
+    found = _lex_first_witness(gains, lambda total: _gains_sufficient(base, total, positive))
+    assert found is not ABSENT, "the full feature set is always sufficient"
+    assert csr_perceptron(p, x, found[1])
+    return found
 
 
 def msr_perceptron(p: Perceptron, x: Instance, d: int) -> bool:
@@ -214,7 +189,7 @@ def msr_perceptron(p: Perceptron, x: Instance, d: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pseudo-polynomial counting
+# the packed subset-sum table
 
 
 def _check_dp_budget(cells: int, what: str):
@@ -227,11 +202,65 @@ def _check_dp_budget(cells: int, what: str):
             f"raise {_config.PSEUDO_BUDGET_VAR} to allow it")
 
 
+def _packed_product(factors, with_t: bool) -> tuple[int, int, int, int]:
+    """(G, low, slot, D) for G = prod_i F_i over the factors (w_i, a_i, d_i),
+    F_i = (d_i - a_i) + u^{w_i} (a_i + d_i t), or G(u, 0) without t.
+
+    G is one integer, cell (j, s) at bit ((s - low) rows + j) slot with
+    rows = n + 1 (1 without t), so multiplying by a factor is a few
+    whole-integer operations. A slot holds D 2^(rows - 1) + 1, more than
+    any prefix sum of a row.
+    """
+    rows = len(factors) + 1 if with_t else 1
+    common = prod(d for _, _, d in factors)
+    slot = -(-((common << rows - 1) + 1).bit_length() // 8) * 8
+    col = rows * slot
+    g, low = 1, 0
+    # small shifts first keep the early partial products short
+    for w, a, d in sorted(factors, key=lambda f: abs(f[0])):
+        moved = (a + (d << slot) if with_t else a) * g
+        if w >= 0:
+            g = (d - a) * g + (moved << w * col)
+        else:
+            g = ((d - a) * g << -w * col) + moved
+            low += w
+    return g, low, slot, common
+
+
+def _agreement_factors(p: Perceptron, x: Instance,
+                       dist: ProductDistribution) -> tuple[list, int]:
+    """The factors (w''_i, a_i, d_i) of G for instance x, and the threshold T."""
+    ws, b, _ = p.scaled
+    factors = []
+    for i, w in enumerate(ws):
+        q = dist.probs[i] if x[i] else 1 - dist.probs[i]
+        factors.append((-w if x[i] else w, q.numerator, q.denominator))
+    return factors, b + sum(w for w, xi in zip(ws, x) if not xi)
+
+
+def _mass_up_to(factors, threshold: int) -> Fraction:
+    """G(u, 0) / D summed over w'' sums up to the threshold.
+
+    The cells up to the threshold, masked off as one integer, leave their
+    sum as its remainder modulo 2^slot - 1: 2^slot is 1 modulo 2^slot - 1,
+    and the sum is at most D < 2^slot - 1.
+    """
+    g, low, slot, common = _packed_product(factors, with_t=False)
+    cells = min(max(threshold - low + 1, 0), sum(abs(w) for w, _, _ in factors) + 1)
+    return Fraction((g & ((1 << cells * slot) - 1)) % ((1 << slot) - 1), common)
+
+
+# ---------------------------------------------------------------------------
+# pseudo-polynomial counting
+
+
 def cc_perceptron_pseudopoly(p: Perceptron, x: Instance, s) -> Fraction:
     """Fraction of completions agreeing with x on s that keep the prediction.
 
-    Subset-sum counting over the integer-scaled free weights; exact, with
-    cost proportional to the number of distinct achievable sums.
+    The free features are uniform, so this is the t-free agreement table
+    over them at q_i = 1/2 and x_i = 0, with the fixed part of the score
+    moved into the threshold; exact, with cost proportional to the span
+    of the free integer-scaled weights.
     """
     n = p.feature_count
     x = check_instance(x, n)
@@ -242,45 +271,18 @@ def cc_perceptron_pseudopoly(p: Perceptron, x: Instance, s) -> Fraction:
     free = [ws[i] for i in range(n) if i not in sset]
     span = sum(abs(w) for w in free) + 1
     _check_dp_budget(span * max(1, len(free)), "cc_perceptron_pseudopoly")
-    counts: dict[int, int] = {0: 1}
-    for w in free:
-        nxt: dict[int, int] = {}
-        for total, c in counts.items():
-            nxt[total] = nxt.get(total, 0) + c
-            nxt[total + w] = nxt.get(total + w, 0) + c
-        counts = nxt
-    kept = sum(c for total, c in counts.items() if total + fixed >= 0)
-    n_free = len(free)
-    target = 1 if _score(p, x) >= 0 else 0
-    if not target:
-        kept = (1 << n_free) - kept
-    return Fraction(kept, 1 << n_free)
+    kept = _mass_up_to([(w, 1, 2) for w in free], fixed + sum(free))
+    return kept if _score(p, x) >= 0 else 1 - kept
 
 
 def expected_value_perceptron(p: Perceptron, dist: ProductDistribution) -> Fraction:
-    """E[f(z)] under a product distribution via subset-sum accumulation."""
+    """E[f(z)] under a product distribution: the t-free agreement table of
+    the instance x = 0, read at its threshold b + sum of w."""
     n = p.feature_count
-    if dist.feature_count != n:
-        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
-    ws, b, _ = p.scaled
-    span = sum(abs(w) for w in ws) + 1
+    check_dist(dist, n)
+    span = sum(abs(w) for w in p.scaled[0]) + 1
     _check_dp_budget(span * max(1, n), "expected_value_perceptron")
-    # integer numerators over the running product of probability denominators
-    weights: dict[int, int] = {0: 1}
-    denom_prod = 1
-    for i, w in enumerate(ws):
-        a = dist.probs[i].numerator
-        d = dist.probs[i].denominator
-        denom_prod *= d
-        nxt: dict[int, int] = {}
-        for total, c in weights.items():
-            if d != a:
-                nxt[total] = nxt.get(total, 0) + c * (d - a)
-            if a:
-                nxt[total + w] = nxt.get(total + w, 0) + c * a
-        weights = nxt
-    hits = sum(c for total, c in weights.items() if total + b >= 0)
-    return Fraction(hits, denom_prod)
+    return _mass_up_to(*_agreement_factors(p, (0,) * n, dist))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +307,7 @@ def _check_h_query(p: Perceptron, x: Instance, dist: ProductDistribution,
     """Validate the inputs and charge one (span, count) table to the budget."""
     n = p.feature_count
     x = check_instance(x, n)
-    if dist.feature_count != n:
-        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
+    check_dist(dist, n)
     span = sum(abs(w) for w in p.scaled[0]) + 1
     _check_dp_budget(span * max(1, n) * (n + 1), what)
     return x
@@ -378,37 +379,20 @@ class _AgreementTable(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _agreement_table(p: Perceptron, x: Instance, dist: ProductDistribution) -> _AgreementTable:
-    """Build G as one integer, cell (j, s) at bit ((s - low) (n + 1) + j) slot,
-    so multiplying by a factor F_i is a few whole-integer operations.
+    """The table of G(u, t) for (p, x, dist).
 
     Cached so that shap_report reads its Shapley values and its expected
     value (through h_table_perceptron) from the same table.
     """
-    ws, b, _ = p.scaled
-    factors = []
-    for i, w in enumerate(ws):
-        q = dist.probs[i] if x[i] else 1 - dist.probs[i]
-        factors.append((-w if x[i] else w, q.numerator, q.denominator))
-    n = len(factors)
-    common = prod(d for _, _, d in factors)
-    slot = -(-(common << n).bit_length() // 8) * 8
-    col = (n + 1) * slot
-    g, low = 1, 0
-    # small shifts first keep the early partial products short
-    for w, a, d in sorted(factors, key=lambda f: abs(f[0])):
-        moved = (a + (d << slot)) * g
-        if w >= 0:
-            g = (d - a) * g + (moved << w * col)
-        else:
-            g = ((d - a) * g << -w * col) + moved
-            low += w
+    factors, threshold = _agreement_factors(p, x, dist)
+    g, low, slot, common = _packed_product(factors, with_t=True)
+    col = (len(factors) + 1) * slot
     width = sum(abs(w) for w, _, _ in factors) + 1
     step = 1
     while step < width:  # prefix sums along s by doubling
         g += g << step * col
         step *= 2
     cells = (g & ((1 << width * col) - 1)).to_bytes(width * col // 8, "little")
-    threshold = b + sum(w for w, xi in zip(ws, x) if not xi)
     return _AgreementTable(tuple(factors), threshold, common, slot, low,
                            low + width - 1, cells)
 

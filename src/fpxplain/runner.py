@@ -8,11 +8,12 @@ bytes stay deterministic.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 # oracle is imported on the oracle route only, so a fast query never loads it
 from . import attribution, perceptron as pc, trees
-from .errors import InvalidInstanceError, UnsupportedModelError
+from .errors import InvalidInstanceError, ResourceCapError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Ensemble, Perceptron, ProductDistribution,
     check_instance, check_subset, eval_model, feature_count,
@@ -26,7 +27,13 @@ ALGORITHMS = ("auto", "oracle", "fpt", "direct", "pseudopoly",
 
 
 def _frs(value) -> str:
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError:  # a numerator or denominator past the int digit limit
+        raise ResourceCapError(
+            f"the answer's numerator or denominator has more than "
+            f"{sys.get_int_max_str_digits()} digits; raise PYTHONINTMAXSTRDIGITS "
+            "to print it") from None
 
 
 def _as_tree_ensemble(m) -> Ensemble:

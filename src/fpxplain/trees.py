@@ -28,8 +28,8 @@ from typing import Callable, NamedTuple
 from .errors import InfeasibleError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Ensemble, Instance, ProductDistribution, bits_to_int,
-    check_instance, check_subset, eval_ensemble, eval_tree, integer_votes,
-    subset_mask,
+    check_dist, check_instance, check_subset, eval_ensemble, eval_tree,
+    integer_votes, subset_mask,
 )
 
 
@@ -325,8 +325,7 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
     """E[f(z)] under a product distribution, summed over disjoint cylinders."""
     _require_trees(e)
     n = e.feature_count
-    if dist.feature_count != n:
-        raise ValueError(f"distribution over {dist.feature_count} features, model has {n}")
+    check_dist(dist, n)
     nums = [p.numerator for p in dist.probs]
     dens = [p.denominator for p in dist.probs]
     denom_prod = prod(dens)

@@ -1,17 +1,22 @@
 """Command line interface: exit codes, document flow, option handling."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import fpxplain
 from fpxplain.cli import main
+from fpxplain.errors import FpxError
 from fpxplain.generate import generate_model, random_instance_bits, rng_from_seed
-from fpxplain.models import DecisionTree, leaf, majority_ensemble, split
+from fpxplain.models import (
+    DecisionTree, ProductDistribution, leaf, majority_ensemble, split,
+)
 from fpxplain.runner import run_query
 from fpxplain.serialize import canonical_dumps, dumps_model, loads_model
 
@@ -120,6 +125,35 @@ def test_query_dist_outside_unit_interval_is_an_input_error(tmp_path):
         assert "outside [0, 1]" in r.output
 
 
+def test_over_long_answer_is_an_input_error(tmp_path):
+    """An answer whose denominator has more digits than Python converts to
+    text exits 2, not with a traceback."""
+    out = str(tmp_path / "p.json")
+    r = run(["gen", "--family", "perceptron", "--n", "16", "--weight-bound", "32",
+             "--seed", "3", "--out", out])
+    assert r.exit_code == 0, r.output
+    dist = ",".join(f"1/{10 ** 399 + 2 * i + 1}" for i in range(16))
+    for kind in ("expect", "shap"):
+        args = ["query", "--model", out, "--kind", kind, "--instance", "01" * 8,
+                "--dist", dist]
+        r = run(args)
+        assert_one_error_line(r, args)
+        assert "PYTHONINTMAXSTRDIGITS" in r.output
+
+
+def test_wrong_length_dist_is_an_input_error():
+    """A distribution over the wrong number of features is an FpxError on
+    every route that takes one."""
+    perceptron = generate_model("perceptron", rng_from_seed(5), 3)
+    ensemble = generate_model("tree-ensemble", rng_from_seed(6), 3, k=2)
+    short = ProductDistribution.uniform(2)
+    for model in (perceptron, ensemble):
+        for kind in ("expect", "shap"):
+            for algorithm in ("auto", "oracle"):
+                with pytest.raises(FpxError, match="distribution over 2 features"):
+                    run_query(model, kind, (0, 1, 1), dist=short, algorithm=algorithm)
+
+
 def test_cap_variables_are_input_errors(tmp_path, monkeypatch):
     path = write(tmp_path, "and.json", AND_MODEL)
     for var, value, kind, algorithm in (("FPXPLAIN_ORACLE_CAP", "abc", "csr", "oracle"),
@@ -200,6 +234,19 @@ def test_cli_import_loads_only_the_query_path():
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == {"loaded": [], "wrong": [], "missing": []}
+
+
+def test_perfbench_traced_names_resolve():
+    """Every function perfbench's tracer wraps still exists under its name."""
+    spec = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "spec.json")
+                      .read_text())
+    missing = []
+    for entry in spec["layers"].values():
+        for qualified in entry.get("functions", ()):
+            module, attr = qualified.split(".")
+            if not hasattr(importlib.import_module(f"fpxplain.{module}"), attr):
+                missing.append(qualified)
+    assert missing == []
 
 
 def test_query_exits_one_exactly_on_a_false_answer(tmp_path):

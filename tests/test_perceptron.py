@@ -64,6 +64,15 @@ def test_cc_examples():
     assert cc_perceptron_pseudopoly(p, x, ()) == F(5, 8)
 
 
+def test_expect_when_the_common_denominator_fills_a_slot():
+    # 15 * 17 = 2^8 - 1: the t-free table's slot must still hold the total mass
+    d = ProductDistribution((F(1, 15), F(1, 17)))
+    for bias in (5, -5, 0, F(-1, 2), F(-3, 2)):
+        p = P((1, 1), bias)
+        assert expected_value_perceptron(p, d) == oracle_expected_value(p, d), bias
+    assert expected_value_perceptron(P((1, 1), 5), d) == 1
+
+
 def test_h_sum_example():
     # H(1) sums E[f | z_i = x_i] over both singletons
     p = P((1, 1), -2)
@@ -165,22 +174,36 @@ def test_pseudo_budget_cap_shap(monkeypatch, tmp_path):
 
 def test_shap_division_branches_match_oracle():
     """Every branch of the exact division: w'' of either sign or 0, q_i of
-    0 and 1, fractional weights and biases, n = 1."""
+    0 and 1, fractional weights and biases, n = 1. The t-free tables of cc
+    and expect run on the same cases, with no free features for cc and
+    with thresholds below and above the range of the weight sums."""
     rng = rng_from_seed(65)
     probs = tuple(F(q) for q in ("0", "1", "1/2", "1/3", "2/3", "1/8", "7/8"))
-    seen = {"n=1": 0, "w''=0": 0, "w''>0": 0, "w''<0": 0, "q=0": 0, "q=1": 0}
+    seen = {"n=1": 0, "w''=0": 0, "w''>0": 0, "w''<0": 0, "q=0": 0, "q=1": 0,
+            "s=all": 0, "f=0": 0, "f=1": 0}
     for case in range(320):
         n = 1 if case % 8 == 0 else rng.randint(2, 7)
         weights = tuple(F(0) if rng.random() < 0.2
                         else F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)))
                         for _ in range(n))
-        p = Perceptron(weights, F(rng.randint(-12, 12), rng.choice((1, 2, 3))))
+        bias = F(rng.randint(-12, 12), rng.choice((1, 2, 3)))
+        if case % 8 in (3, 6):  # the threshold below or above every weight sum
+            reach = sum(abs(w) for w in weights) + F(1, 2)
+            bias = -reach if case % 8 == 3 else reach
+        p = Perceptron(weights, bias)
         x = random_instance_bits(rng, n)
         d = ProductDistribution(tuple(rng.choice(probs) for _ in range(n)))
+        s = tuple(range(n)) if case % 4 == 1 else tuple(
+            i for i in range(n) if rng.random() < 0.4)
         assert shap_perceptron_pseudopoly(p, x, d) == oracle_shap(p, x, d), case
         assert h_table_perceptron(p, x, d).values == oracle_h_table(p, x, d), case
         assert shap_report(p, x, d).expected == oracle_expected_value(p, d), case
+        assert expected_value_perceptron(p, d) == oracle_expected_value(p, d), case
+        assert cc_perceptron_pseudopoly(p, x, s) == oracle_completion_count(p, x, s), case
         seen["n=1"] += n == 1
+        seen["s=all"] += len(s) == n
+        seen["f=0"] += bias < -sum(abs(w) for w in weights)
+        seen["f=1"] += bias > sum(abs(w) for w in weights)
         for w, xi, q in zip(weights, x, d.probs):
             w2 = -w if xi else w
             seen["w''=0" if w2 == 0 else "w''>0" if w2 > 0 else "w''<0"] += 1
