@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (including decision answers of yes), 1 for a
 decision answer of no (and for validate finding invariant violations),
-2 for any input or usage error.
+2 for any input or usage error, and for any exception the commands do
+not expect (see _Guarded).
 """
 
 from __future__ import annotations
@@ -51,7 +52,20 @@ def _emit(text: str, out_path: str | None):
         click.echo(text, nl=False)
 
 
-@click.group()
+class _Guarded(click.Group):
+    """Exits 2 with one error line on any exception click does not handle
+    itself, so exit 1 only ever means "the answer is no"."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            _fail(f"{type(exc).__name__}: {exc}")
+
+
+@click.group(cls=_Guarded)
 def main():
     """Exact explanation queries over tree ensembles and perceptrons."""
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from math import lcm
 from typing import Union
 
-from .errors import InputShapeError, UnsupportedModelError
+from .errors import InputShapeError, InvalidInstanceError, UnsupportedModelError
 
 Instance = tuple[int, ...]
 
@@ -274,7 +274,7 @@ class ProductDistribution:
         ps = tuple(as_fraction(p) for p in self.probs)
         for i, p in enumerate(ps):
             if p < 0 or p > 1:
-                raise ValueError(f"probs[{i}] = {p} outside [0, 1]")
+                raise InvalidInstanceError(f"probs[{i}] = {p} outside [0, 1]")
         object.__setattr__(self, "probs", ps)
 
     @classmethod

@@ -12,6 +12,18 @@ as the remaining trees cannot bring the sum to the wanted side. Distinct
 selections conflict in at least one tree, so the accepted selections
 partition the accepted instances into disjoint cylinders; expectation
 and counting queries just add up cylinder masses as they stream by.
+Expectation splits each cylinder's fixed features at the last tree's
+features: the part the other trees fix repeats across consecutive
+selections, the part inside is memoised for the call, so a cylinder
+costs one big-integer division.
+
+The contrastive queries read one set of flip masks, the features on
+which a selection that overturns f(x) disagrees with x. The smallest
+contrastive set is a smallest mask. Minimum sufficient reasons come from
+the hitting-set duality (Ignatiev, Narodytska & Marques-Silva, AAAI
+2019): a set is sufficient iff it meets every flip mask, and iff it
+meets every inclusion-minimal one, so the family is reduced to those
+before the search.
 
 Cost is O(m^k) joint selections for k trees with at most m leaves each,
 times cheap bitmask work, so everything here is exponential only in k.
@@ -40,7 +52,7 @@ class Cylinder(NamedTuple):
     vals: int
 
     def fixed_features(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.mask.bit_length()) if (self.mask >> i) & 1)
+        return _members(self.mask)
 
 
 def _require_trees(e: Ensemble):
@@ -171,6 +183,44 @@ def greedy_subset_minimal_sufficient(n: int, order, is_sufficient: Callable) -> 
 # contrastive reasons and minimum sufficient reasons via hitting-set duality
 
 
+def _flip_masks(e: Ensemble, x: Instance) -> set[int]:
+    """Flip masks (vals ^ x) & mask of the selections that overturn f(x).
+
+    Each one is contrastive, and every subset-minimal contrastive set is
+    one of them.
+    """
+    _require_trees(e)
+    x = check_instance(x, e.feature_count)
+    xbits = bits_to_int(x)
+    flips = {(vals ^ xbits) & mask for mask, vals
+             in _selections(_raw_triples(e), e.voting, 1 - eval_ensemble(e, x))}
+    assert 0 not in flips, "a selection consistent with x cannot overturn f(x)"
+    return flips
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return tuple(out)
+
+
+def _inclusion_minimal(masks) -> list[int]:
+    """The members of a family of distinct masks that contain no other member.
+
+    Sorted by popcount, every proper subset of a mask comes before it, so
+    one pass that keeps a mask iff it contains no kept mask is exact.
+    """
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count):
+        if all(k & m != k for k in kept):
+            kept.append(m)
+    return kept
+
+
 def enumerate_candidate_contrastive(e: Ensemble, x: Instance,
                                     filter_minimal: bool = False) -> tuple[tuple[int, ...], ...]:
     """Flip sets extracted from joint selections that overturn f(x).
@@ -180,41 +230,19 @@ def enumerate_candidate_contrastive(e: Ensemble, x: Instance,
     lexicographically. filter_minimal drops members that strictly contain
     another member.
     """
-    _require_trees(e)
-    n = e.feature_count
-    x = check_instance(x, n)
-    target = eval_ensemble(e, x)
-    xbits = bits_to_int(x)
-    found: set[tuple[int, ...]] = set()
-    for mask, vals in _selections(_raw_triples(e), e.voting, 1 - target):
-        diff = (vals ^ xbits) & mask
-        assert diff, "a selection consistent with x cannot overturn f(x)"
-        s = []
-        dd = diff
-        while dd:
-            b = dd & -dd
-            s.append(b.bit_length() - 1)
-            dd ^= b
-        found.add(tuple(s))
-    family = sorted(found, key=lambda t: (len(t), t))
+    flips = _flip_masks(e, x)
     if filter_minimal:
-        kept = []
-        sets = [frozenset(t) for t in family]
-        for i, t in enumerate(family):
-            ti = sets[i]
-            if not any(sets[j] < ti for j in range(len(family)) if j != i):
-                kept.append(t)
-        family = kept
-    return tuple(family)
+        flips = _inclusion_minimal(flips)
+    return tuple(sorted(sorted(map(_members, flips)), key=len))  # by size, then lex
 
 
 def min_contrastive_size(e: Ensemble, x: Instance):
     """(size, witness) of a smallest contrastive set, or ABSENT if none."""
-    family = enumerate_candidate_contrastive(e, x)
-    if not family:
+    flips = _flip_masks(e, x)
+    if not flips:
         return ABSENT
-    best = family[0]  # already sorted by (size, lexicographic)
-    return len(best), best
+    size = min(map(int.bit_count, flips))
+    return size, min(_members(m) for m in flips if m.bit_count() == size)
 
 
 def mcr_tree_ensemble(e: Ensemble, x: Instance, d: int) -> bool:
@@ -237,16 +265,19 @@ def _disjoint_packing(masks: list[int]) -> int:
 def minimum_hitting_set(family, n: int) -> tuple[int, tuple[int, ...]]:
     """Smallest set meeting every member; lexicographically first on ties.
 
-    Iterative deepening with a disjoint-packing lower bound; element
+    The family is first reduced to its inclusion-minimal members: a set
+    meets every member iff it meets every minimal one, so neither the size
+    nor the witness changes, and the search sees far fewer sets. Then
+    iterative deepening with a disjoint-packing lower bound; element
     candidates are taken in increasing order, so the first solution found
     at the optimal size is the lexicographically smallest one.
     """
-    fam = sorted({tuple(sorted(set(t))) for t in family}, key=lambda t: (len(t), t))
-    if not fam:
+    masks = {subset_mask(t) for t in family}
+    if not masks:
         return 0, ()
-    if fam[0] == ():
+    if 0 in masks:
         raise InfeasibleError("family contains the empty set; no hitting set exists")
-    masks = [subset_mask(t) for t in fam]
+    masks = sorted(_inclusion_minimal(masks), key=lambda m: (m.bit_count(), _members(m)))
     lower = _disjoint_packing(masks)
 
     def search(size: int, start: int, chosen: list[int], unhit: list[int]):
@@ -278,14 +309,17 @@ def min_sufficient_size(e: Ensemble, x: Instance) -> tuple[int, tuple[int, ...]]
     """(size, witness) of a minimum sufficient reason, via hitting-set duality.
 
     A set is sufficient exactly when it meets every contrastive set, and
-    it is enough to meet the candidate family, which contains all the
-    subset-minimal contrastive sets.
+    it is enough to meet the flip masks, which contain all the
+    subset-minimal contrastive sets, or just their inclusion-minimal
+    members.
     """
-    family = enumerate_candidate_contrastive(e, x)
-    n = e.feature_count
-    if not family:
+    flips = _flip_masks(e, x)
+    if not flips:
         return 0, ()
-    size, witness = minimum_hitting_set(family, n)
+    # filtered here too, so only the minimal members make the trip through
+    # index tuples; the second pass inside finds nothing to drop
+    minimal = map(_members, _inclusion_minimal(flips))
+    size, witness = minimum_hitting_set(minimal, e.feature_count)
     assert csr_tree_ensemble(e, x, witness), "duality witness must be sufficient"
     return size, witness
 
@@ -306,31 +340,57 @@ def cylinder_decomposition(e: Ensemble) -> tuple[Cylinder, ...]:
     return tuple(Cylinder(m, v) for m, v in _selections(_raw_triples(e), e.voting, 1))
 
 
-def _mass_sum_scaled(tuples, nums: list[int], dens: list[int], denom_prod: int) -> int:
-    """Sum of cylinder masses, as a numerator over denom_prod = prod(dens)."""
-    acc = 0
-    for mask, vals in tuples:
-        t = denom_prod
-        mm = mask
-        while mm:
-            b = mm & -mm
-            i = b.bit_length() - 1
-            mm ^= b
-            t = t // dens[i] * (nums[i] if (vals >> i) & 1 else dens[i] - nums[i])
-        acc += t
-    return acc
+def _mass_factors(mask: int, vals: int, nums: list[int], dens: list[int]) -> tuple[int, int]:
+    """(product of the numerators of Pr[z_i = vals_i], product of the
+    denominators) over the features in mask."""
+    q = d = 1
+    while mask:
+        b = mask & -mask
+        i = b.bit_length() - 1
+        mask ^= b
+        q *= nums[i] if vals & b else dens[i] - nums[i]
+        d *= dens[i]
+    return q, d
 
 
 def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Fraction:
-    """E[f(z)] under a product distribution, summed over disjoint cylinders."""
+    """E[f(z)] under a product distribution, summed over disjoint cylinders.
+
+    A cylinder's mass is the product over its fixed features of
+    Pr[z_i = vals_i], kept as an integer over D, the product of all the
+    denominators: D // (d_out * d_in) * (q_out * q_in), where q and d are
+    the products of the numerator factors and of the denominators on the
+    two parts of the fixed features split at U, the union of the last
+    member tree's path masks. The part outside U is fixed by the other
+    trees' paths and repeats across consecutive selections, so it is
+    recomputed only when it changes; the part inside U is memoised for
+    the call on its (mask, vals).
+    """
     _require_trees(e)
     n = e.feature_count
     check_dist(dist, n)
     nums = [p.numerator for p in dist.probs]
     dens = [p.denominator for p in dist.probs]
-    denom_prod = prod(dens)
-    tuples = _selections(_raw_triples(e), e.voting, 1)
-    return Fraction(_mass_sum_scaled(tuples, nums, dens, denom_prod), denom_prod)
+    denom = prod(dens)
+    lists = _raw_triples(e)
+    inside = 0
+    for m, _, _ in lists[-1]:
+        inside |= m
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    out_key = None
+    acc = 0
+    for mask, vals in _selections(lists, e.voting, 1):
+        # vals lies inside mask: _selections only ORs path (mask, vals) pairs
+        key = (mask & ~inside, vals & ~inside)
+        if key != out_key:
+            out_key = key
+            q_out, d_out = _mass_factors(*key, nums, dens)
+        key = (mask & inside, vals & inside)
+        f = memo.get(key)
+        if f is None:
+            f = memo[key] = _mass_factors(*key, nums, dens)
+        acc += denom // (d_out * f[1]) * (q_out * f[0])
+    return Fraction(acc, denom)
 
 
 def cc_tree_ensemble(e: Ensemble, x: Instance, s) -> Fraction:

@@ -108,6 +108,21 @@ def test_out_into_a_missing_directory_is_an_input_error(tmp_path):
     assert_one_error_line(run(args), args)
 
 
+def test_unexpected_exception_is_not_exit_one(tmp_path, monkeypatch):
+    """An exception the CLI does not expect exits 2 with one error line,
+    never 1, which means "the answer is no"."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine broke")
+
+    monkeypatch.setattr("fpxplain.cli.run_query", broken)
+    path = write(tmp_path, "and.json", AND_MODEL)
+    args = ["query", "--model", path, "--kind", "csr", "--instance", "11",
+            "--subset", "0"]
+    r = run(args)
+    assert_one_error_line(r, args)
+    assert "RuntimeError: engine broke" in r.output
+
+
 def test_query_respects_dist_option(tmp_path):
     path = write(tmp_path, "and.json", AND_MODEL)
     r = run(["query", "--model", path, "--kind", "expect", "--instance", "11",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpxplain.errors import InputShapeError
+from fpxplain.errors import InputShapeError, InvalidInstanceError
 from fpxplain.generate import random_instance_bits, random_tree, rng_from_seed
 from fpxplain.models import (
     ABSENT, DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
@@ -120,7 +120,7 @@ def test_bit_helpers_roundtrip():
 
 
 def test_product_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInstanceError):
         ProductDistribution((Fraction(3, 2),))
     d = ProductDistribution.uniform(3)
     assert d.is_uniform() and d.bit_prob(0, 0) == Fraction(1, 2)

@@ -4,14 +4,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from fpxplain import trees
 from fpxplain.errors import InfeasibleError, UnsupportedModelError
 from fpxplain.generate import (
     random_instance_bits, random_product_distribution, random_tree,
-    random_tree_ensemble, rng_from_seed,
+    random_tree_ensemble, random_tree_exact, rng_from_seed,
 )
 from fpxplain.models import (
-    ABSENT, DecisionTree, Ensemble, Majority, Weighted, eval_model,
-    int_to_bits, leaf, majority_ensemble, split,
+    ABSENT, DecisionTree, Ensemble, Majority, ProductDistribution, Weighted,
+    constant_tree, eval_model, int_to_bits, leaf, majority_ensemble, split,
 )
 from fpxplain.oracle import (
     oracle_completion_count, oracle_expected_value, oracle_is_contrastive,
@@ -227,3 +228,105 @@ def test_expected_value_skewed_distribution():
     # hand value: Pr[x0=1 or x1=1] = 1 - (1-p0)(1-p1)
     p0, p1 = d.probs
     assert expected_value_tree_ensemble(e, d) == 1 - (1 - p0) * (1 - p1)
+
+
+def test_mass_memo_and_minimal_filter_match_oracle():
+    """expect against the oracle across the split of each cylinder at the
+    last tree's features (both parts non-empty, a constant last tree with
+    nothing inside, one tree with nothing outside), and the contrastive
+    queries and the minimal filter against the oracles and the plain
+    pairwise definition of inclusion-minimal."""
+    rng = rng_from_seed(57)
+    probs = tuple(Fraction(q) for q in ("0", "1", "1/2", "1/2", "1/3", "7/8", "2/9"))
+    halves = tuple(Fraction(w, 2) for w in (-3, -2, -1, 1, 2, 3))
+    seen = {"k=1": 0, "wrapped": 0, "constant last": 0, "weighted": 0,
+            "tie": 0, "both parts": 0, "filter drops": 0, "no flip": 0}
+    for case in range(300):
+        n = rng.randint(1, 7)
+        if case % 6 == 0:  # a single tree wrapped as the runner wraps it
+            e = majority_ensemble((random_tree(rng, n, 8),))
+            seen["wrapped"] += 1
+        else:
+            k = rng.randint(1, 4)
+            # a small last tree leaves features outside it for the others
+            members = [random_tree(rng, n, 8 if j < k - 1 else rng.choice((3, 8)))
+                       for j in range(k)]
+            if case % 5 == 0:
+                members[-1] = constant_tree(n, rng.randint(0, 1))
+                seen["constant last"] += 1
+            if case % 2:  # half-integer weights of either sign; sums can tie
+                voting = Weighted(tuple(rng.choice(halves) for _ in range(k)),
+                                  Fraction(rng.randint(-4, 4), 2))
+                seen["weighted"] += 1
+            else:
+                voting = Majority()
+            e = Ensemble(tuple(members), voting)
+        x = random_instance_bits(rng, n)
+        d = ProductDistribution(tuple(rng.choice(probs) for _ in range(n)))
+        assert expected_value_tree_ensemble(e, d) == oracle_expected_value(e, d), case
+        assert min_contrastive_size(e, x) == oracle_min_contrastive(e, x), case
+        assert min_sufficient_size(e, x) == oracle_min_sufficient(e, x), case
+        family = enumerate_candidate_contrastive(e, x)
+        assert list(family) == sorted(family, key=lambda t: (len(t), t)), case
+        sets = [frozenset(t) for t in family]
+        minimal = tuple(t for t, st in zip(family, sets)
+                        if not any(other < st for other in sets))
+        assert enumerate_candidate_contrastive(e, x, filter_minimal=True) == minimal, case
+        inside = 0
+        for mask, _, _ in e.members[-1].paths:
+            inside |= mask
+        seen["k=1"] += len(e.members) == 1
+        if isinstance(e.voting, Weighted):
+            w, t = e.voting.weights, e.voting.threshold
+            seen["tie"] += any(
+                sum(wi for wi, m in zip(w, e.members)
+                    if eval_model(m, int_to_bits(z, n))) == t
+                for z in range(1 << n))
+        seen["both parts"] += any(c.mask & inside and c.mask & ~inside
+                                  for c in cylinder_decomposition(e))
+        seen["filter drops"] += len(minimal) < len(family)
+        seen["no flip"] += not family
+    assert min(seen.values()) >= 30, seen
+
+
+def test_min_sufficient_on_the_hitting_set_hot_spot():
+    """Four 24-leaf trees over 30 features whose 4,960 flip masks reduce to
+    71 minimal ones; size and witness as the unfiltered search gave them."""
+    rng = rng_from_seed(37)
+    e = majority_ensemble(tuple(random_tree_exact(rng, 30, 24) for _ in range(4)))
+    x = random_instance_bits(rng, 30)
+    assert min_sufficient_size(e, x) == (10, (1, 3, 11, 14, 15, 21, 25, 26, 28, 29))
+    assert len(enumerate_candidate_contrastive(e, x)) == 4960
+    assert len(enumerate_candidate_contrastive(e, x, filter_minimal=True)) == 71
+
+
+def _cylinder_mass(d, c):
+    mass = Fraction(1)
+    for i in c.fixed_features():
+        mass *= d.bit_prob(i, (c.vals >> i) & 1)
+    return mass
+
+
+def test_expect_computes_each_mass_part_once(monkeypatch):
+    """expect splits each cylinder at the last tree's features: the part
+    outside is recomputed only when it differs from the previous
+    cylinder's, and each distinct part inside once per call."""
+    calls = []
+    factors = trees._mass_factors
+    monkeypatch.setattr(trees, "_mass_factors",
+                        lambda *args: calls.append(args[:2]) or factors(*args))
+    rng = rng_from_seed(58)
+    for k in (1, 3):
+        e = majority_ensemble(tuple(random_tree_exact(rng, 20, 10) for _ in range(k)))
+        d = random_product_distribution(rng, 20)
+        inside = 0
+        for mask, _, _ in e.members[-1].paths:
+            inside |= mask
+        cylinders = cylinder_decomposition(e)
+        outside = [(c.mask & ~inside, c.vals & ~inside) for c in cylinders]
+        changes = sum(1 for i, key in enumerate(outside) if i == 0 or key != outside[i - 1])
+        parts = {(c.mask & inside, c.vals & inside) for c in cylinders}
+        calls.clear()
+        assert expected_value_tree_ensemble(e, d) == sum(
+            (_cylinder_mass(d, c) for c in cylinders), Fraction(0))
+        assert len(calls) == changes + len(parts), k
