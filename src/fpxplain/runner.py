@@ -11,8 +11,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-# oracle is imported on the oracle route only, so a fast query never loads it
-from . import attribution, perceptron as pc, trees
+# Each engine (trees, perceptron, attribution, oracle) is imported on the
+# route that calls it, so a query process loads only the engine it runs.
 from .errors import InvalidInstanceError, ResourceCapError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Ensemble, Perceptron, ProductDistribution,
@@ -90,11 +90,12 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
             from . import oracle
             answer = oracle.oracle_is_sufficient(model, x, s)
         elif route == "perceptron-direct":
+            from . import perceptron as pc
             answer = pc.csr_perceptron(model, x, s)
-        elif route == "tree-direct":
-            answer = trees.csr_single_tree(model, x, s)
         else:
-            answer = trees.csr_tree_ensemble(model, x, s)
+            from . import trees
+            answer = (trees.csr_single_tree if route == "tree-direct"
+                      else trees.csr_tree_ensemble)(model, x, s)
         payload.update({"subset": list(s), "answer": answer})
 
     elif kind in ("mcr", "msr"):
@@ -108,10 +109,12 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
                       else oracle.oracle_min_sufficient)
             found = finder(model, x)
         elif route == "perceptron-direct":
+            from . import perceptron as pc
             finder = (pc.min_contrastive_perceptron if kind == "mcr"
                       else pc.min_sufficient_perceptron)
             found = finder(model, x)
         else:
+            from . import trees
             finder = (trees.min_contrastive_size if kind == "mcr"
                       else trees.min_sufficient_size)
             found = finder(_as_tree_ensemble(model), x)
@@ -131,8 +134,10 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
             from . import oracle
             value = oracle.oracle_completion_count(model, x, s)
         elif route == "perceptron-pseudopoly":
+            from . import perceptron as pc
             value = pc.cc_perceptron_pseudopoly(model, x, s)
         else:
+            from . import trees
             value = trees.cc_tree_ensemble(_as_tree_ensemble(model), x, s)
         payload.update({"subset": list(s), "answer": _frs(value)})
 
@@ -144,8 +149,10 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
             from . import oracle
             value = oracle.oracle_expected_value(model, dist)
         elif route == "perceptron-pseudopoly":
+            from . import perceptron as pc
             value = pc.expected_value_perceptron(model, dist)
         else:
+            from . import trees
             value = trees.expected_value_tree_ensemble(_as_tree_ensemble(model), dist)
         payload.update({"answer": _frs(value)})
 
@@ -159,6 +166,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
             method = "oracle"
             expected = oracle.oracle_expected_value(model, dist)
         else:
+            from . import attribution
             method_map = {"auto": "auto", "interpolation": "interpolation",
                           "pseudopoly": "pseudopoly", "enum": "enum",
                           "fpt": "interpolation", "direct": "pseudopoly"}
@@ -180,6 +188,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
         if algorithm not in ("auto", "fpt"):
             raise InvalidInstanceError(
                 f"algorithm {algorithm!r} does not apply to enumeration")
+        from . import trees
         cands = trees.enumerate_candidate_contrastive(
             _as_tree_ensemble(model), x, filter_minimal=minimal_only)
         payload.update({"minimal_only": minimal_only,

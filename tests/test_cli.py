@@ -8,10 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import fpxplain
-from fpxplain.cli import main
 from fpxplain.errors import FpxError
 from fpxplain.generate import generate_model, random_instance_bits, rng_from_seed
 from fpxplain.models import (
@@ -20,9 +18,7 @@ from fpxplain.models import (
 from fpxplain.runner import run_query
 from fpxplain.serialize import canonical_dumps, dumps_model, loads_model
 
-
-def run(args, **kw):
-    return CliRunner().invoke(main, args, **kw)
+from cli_runner import run
 
 
 def write(tmp_path, name, text):
@@ -224,8 +220,17 @@ def test_rationals_outside_the_documented_forms_are_input_errors(tmp_path):
 IMPORT_PROBE = """
 import json, sys
 import fpxplain.cli
-loaded = [m for m in ("fpxplain.gadgets", "fpxplain.generate", "fpxplain.bench",
-                      "fpxplain.oracle", "hashlib") if m in sys.modules]
+ENGINES = ("trees", "perceptron", "attribution", "transforms")
+def loaded(names):
+    return [m for m in names if m in sys.modules]
+at_import = loaded(("click", "fpxplain.gadgets", "fpxplain.generate", "fpxplain.bench",
+                    "fpxplain.oracle", "hashlib") + tuple("fpxplain." + m for m in ENGINES))
+from fpxplain.models import DecisionTree, Perceptron, leaf, split
+from fpxplain.runner import run_query
+model = (Perceptron((1, 1), -2) if sys.argv[1] == "perceptron"
+         else DecisionTree(2, (split(0, 1, 2), leaf(0), leaf(1)), 0))
+run_query(model, "csr", (1, 1), subset=(0,))
+after_csr = loaded("fpxplain." + m for m in ENGINES)
 import fpxplain
 wrong = []
 for name in fpxplain.__all__:
@@ -236,19 +241,24 @@ for name in fpxplain.__all__:
 star = {}
 exec("from fpxplain import *", star)
 missing = sorted(set(fpxplain.__all__) - (set(star) & set(dir(fpxplain))))
-print(json.dumps({"loaded": loaded, "wrong": wrong, "missing": missing}))
+print(json.dumps({"at_import": at_import, "after_csr": after_csr, "wrong": wrong,
+                  "missing": missing}))
 """
 
 
 def test_cli_import_loads_only_the_query_path():
-    """A fresh `import fpxplain.cli` leaves the gadgets, generators, bench
-    and oracle unloaded, and the package's lazy names still resolve."""
+    """A fresh `import fpxplain.cli` loads neither click nor any engine,
+    gadget, generator, bench or oracle module; a csr query then loads only
+    the engine of its route; and the package's lazy names still resolve."""
     src = str(Path(fpxplain.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert json.loads(out) == {"loaded": [], "wrong": [], "missing": []}
+    for family, engine in (("perceptron", "fpxplain.perceptron"),
+                           ("tree", "fpxplain.trees")):
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, family], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == {"at_import": [], "after_csr": [engine],
+                                   "wrong": [], "missing": []}, family
 
 
 def test_perfbench_traced_names_resolve():
@@ -437,3 +447,89 @@ def test_enumerate_contrastive_query(tmp_path):
     assert r.exit_code == 0, r.output
     payload = json.loads(r.output)
     assert payload["candidates"] == [[0]]
+
+def test_option_values_that_begin_with_a_dash_bind(tmp_path):
+    """A value option takes the next token even when it begins with '-':
+    the engines, not the parser, reject these values."""
+    args = ["gadget", "--family", "ssp", "--weights", "-3,5", "--target", "2"]
+    r = run(args)
+    assert_one_error_line(r, args)
+    assert "weights must be positive integers, got -3" in r.output
+    path = write(tmp_path, "and.json", AND_MODEL)
+    args = ["query", "--model", path, "--kind", "expect", "--instance", "11",
+            "--dist", "-1/2,1/2"]
+    r = run(args)
+    assert_one_error_line(r, args)
+    assert "outside [0, 1]" in r.output
+
+
+def test_usage_errors_exit_two(tmp_path):
+    """Option prefixes, missing or directory paths, bad choices and bad
+    integers are usage errors."""
+    path = write(tmp_path, "and.json", AND_MODEL)
+    for args in (["query", "--model", path, "--kind", "csr", "--inst", "11"],
+                 ["query", "--model", str(tmp_path), "--kind", "csr", "--instance", "11"],
+                 ["query", "--model", str(tmp_path / "missing.json"), "--kind", "csr",
+                  "--instance", "11"],
+                 ["validate", str(tmp_path)],
+                 ["query", "--model", path, "--kind", "csrr", "--instance", "11"],
+                 ["query", "--model", path, "--kind", "mcr", "--instance", "11",
+                  "--bound", "abc"]):
+        r = run(args)
+        assert r.exit_code == 2, (args, r.output)
+        assert r.exception is None or isinstance(r.exception, SystemExit), args
+        assert '"algorithm"' not in r.output, args  # no payload
+
+
+HELP_OPTIONS = {
+    "query": ("--model", "--bundle", "--kind", "--instance", "--subset", "--bound",
+              "--feature", "--dist", "--algorithm", "--minimal-only", "--out"),
+    "gadget": ("--family", "--weights", "--u", "--v", "--z", "--s0", "--k", "--target",
+               "--graph", "--seed", "--n", "--solve", "--out"),
+    "transform": ("--op", "--model", "--formula", "--instance", "--subset",
+                  "--features", "--out"),
+    "gen": ("--family", "--n", "--k", "--leaves", "--weight-bound", "--seed", "--out"),
+    "bench": ("--suite", "--seed", "--budget", "--out"),
+    "validate": (),
+}
+
+
+def test_help_names_every_command_and_option():
+    r = run(["--help"])
+    assert r.exit_code == 0, r.output
+    assert all(command in r.output for command in HELP_OPTIONS), r.output
+    for command, options in HELP_OPTIONS.items():
+        r = run([command, "--help"])
+        assert r.exit_code == 0, (command, r.output)
+        assert all(option in r.output for option in options + ("--help",)), \
+            (command, r.output)
+
+
+def test_interrupted_command_is_an_input_error(tmp_path, monkeypatch):
+    """An interrupt exits 2 with one error line, never 1, which means
+    "the answer is no"."""
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("fpxplain.cli.run_query", interrupted)
+    path = write(tmp_path, "and.json", AND_MODEL)
+    args = ["query", "--model", path, "--kind", "csr", "--instance", "11",
+            "--subset", "0"]
+    assert_one_error_line(run(args), args)
+
+
+def test_entry_call_prints_the_payload_and_exits_with_its_code(tmp_path, capsys):
+    """`main.main(args=..., prog_name=...)`, the call the benchmark's traced
+    child makes, prints the canonical payload and exits with the query's
+    code."""
+    import fpxplain.cli
+    path = write(tmp_path, "and.json", AND_MODEL)
+    model = loads_model(AND_MODEL)
+    for subset, code in (("0,1", 0), ("0", 1)):
+        with pytest.raises(SystemExit) as exit_info:
+            fpxplain.cli.main.main(args=["query", "--model", path, "--kind", "csr",
+                                         "--instance", "11", "--subset", subset],
+                                   prog_name="fpxplain")
+        assert exit_info.value.code == code
+        payload = run_query(model, "csr", (1, 1), subset=tuple(map(int, subset.split(","))))
+        assert capsys.readouterr().out == canonical_dumps(payload).rstrip("\n") + "\n"

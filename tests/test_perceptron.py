@@ -3,11 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from fpxplain import perceptron, transforms
 from fpxplain.attribution import check_efficiency, shap_report
-from fpxplain.cli import main
 from fpxplain.errors import ResourceCapError
 from fpxplain.generate import (
     random_instance_bits, random_perceptron, random_product_distribution,
@@ -26,6 +24,8 @@ from fpxplain.perceptron import (
     shap_perceptron_pseudopoly,
 )
 from fpxplain.serialize import dumps_model
+
+from cli_runner import run
 
 F = Fraction
 
@@ -163,12 +163,12 @@ def test_pseudo_budget_cap_shap(monkeypatch, tmp_path):
     monkeypatch.setenv("FPXPLAIN_PSEUDO_BUDGET", str(cells - 1))
     with pytest.raises(ResourceCapError):
         shap_report(p, x, d)
-    r = CliRunner().invoke(main, args)
+    r = run(args)
     assert r.exit_code == 2, r.output
     assert r.output.startswith("error: ") and len(r.output.splitlines()) == 1
     monkeypatch.setenv("FPXPLAIN_PSEUDO_BUDGET", str(cells))
     assert shap_report(p, x, d).values == oracle_shap(p, x, d)
-    r = CliRunner().invoke(main, args)
+    r = run(args)
     assert r.exit_code == 0, r.output
 
 
