@@ -39,9 +39,9 @@ from math import factorial, prod
 from . import _config
 from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
-    DecisionTree, Ensemble, Instance, Majority, Model, Perceptron,
-    ProductDistribution, check_dist, check_instance, check_subset, eval_model,
-    is_tree_ensemble, subset_mask,
+    DecisionTree, Ensemble, Instance, Model, Perceptron, ProductDistribution,
+    check_dist, check_instance, check_subset, eval_model, is_tree_ensemble,
+    majority_ensemble, subset_mask,
 )
 from .perceptron import (
     HTable, expected_value_perceptron, h_table_perceptron,
@@ -173,7 +173,7 @@ def _default_expectation(m: Model, dist: ProductDistribution) -> Fraction:
     if isinstance(m, Perceptron):
         return expected_value_perceptron(m, dist)
     if isinstance(m, DecisionTree):
-        return expected_value_tree_ensemble(Ensemble((m,), Majority()), dist)
+        return expected_value_tree_ensemble(majority_ensemble((m,)), dist)
     if is_tree_ensemble(m):
         return expected_value_tree_ensemble(m, dist)
     if isinstance(m, Ensemble):
@@ -254,7 +254,7 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
     trees are wrapped) and the pseudo-polynomial route for perceptrons.
     """
     if isinstance(m, DecisionTree):
-        m = Ensemble((m,), Majority())
+        m = majority_ensemble((m,))
     n = m.feature_count
     x = check_instance(x, n)
     if method == "auto":

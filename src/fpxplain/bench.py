@@ -16,7 +16,6 @@ import time
 from fractions import Fraction
 
 from . import oracle
-from .attribution import size_stratified_sums
 from .errors import InvalidInstanceError
 from .gadgets import ssp_csr_gadget
 from .generate import random_instance_bits, random_tree_exact, sample_ssp
@@ -35,7 +34,6 @@ def payload_digest(payload: dict) -> str:
 def _clear_caches():
     oracle._truth_table.cache_clear()
     oracle._v_table.cache_clear()
-    size_stratified_sums.cache_clear()
 
 
 def bench_instances(suite: str, seed: int):

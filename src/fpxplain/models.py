@@ -311,12 +311,16 @@ def check_instance(x, n: int) -> Instance:
 
 
 def check_subset(s, n: int) -> tuple[int, ...]:
-    """Validate and canonicalize a feature subset to a sorted tuple."""
-    st = tuple(sorted(set(s)))
+    """Validate and canonicalize a feature subset to a sorted tuple of ints.
+
+    Each index is checked before duplicates are merged, so a bool (equal
+    to 0 or 1 but not a feature index) is refused even beside its int.
+    """
+    st = tuple(s)
     for i in st:
-        if not isinstance(i, int) or i < 0 or i >= n:
+        if type(i) is not int or i < 0 or i >= n:
             raise InputShapeError(f"feature index {i!r} outside range 0..{n - 1}")
-    return st
+    return tuple(sorted(set(st)))
 
 
 def check_dist(dist: ProductDistribution, n: int):

@@ -10,20 +10,46 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from importlib import import_module
 
-# Each engine (trees, perceptron, attribution, oracle) is imported on the
-# route that calls it, so a query process loads only the engine it runs.
 from .errors import InvalidInstanceError, ResourceCapError, UnsupportedModelError
 from .models import (
-    ABSENT, DecisionTree, Ensemble, Perceptron, ProductDistribution,
-    check_instance, check_subset, eval_model, feature_count,
-    is_tree_ensemble, majority_ensemble,
+    ABSENT, DecisionTree, Perceptron, ProductDistribution, check_instance,
+    check_subset, eval_model, feature_count, is_tree_ensemble, majority_ensemble,
 )
 
 QUERY_KINDS = ("csr", "mcr", "msr", "cc", "shap", "expect",
                "enumerate-contrastive")
 ALGORITHMS = ("auto", "oracle", "fpt", "direct", "pseudopoly",
               "interpolation", "enum")
+
+# kind -> its fast algorithm on (tree ensembles, perceptrons); a kind with
+# a "tree-direct" engine runs it on a single tree
+_FAST = {"csr": ("fpt", "direct"), "mcr": ("fpt", "direct"),
+         "msr": ("fpt", "direct"), "cc": ("fpt", "pseudopoly"),
+         "expect": ("fpt", "pseudopoly")}
+
+# (kind, route) -> (engine module, function). The function is looked up on
+# its module at each call: a query process imports only the engine it runs,
+# and a wrapper set on the module attribute sees the call.
+_ENGINES = {
+    ("csr", "oracle"): ("oracle", "oracle_is_sufficient"),
+    ("csr", "tree-direct"): ("trees", "csr_single_tree"),
+    ("csr", "tree-fpt"): ("trees", "csr_tree_ensemble"),
+    ("csr", "perceptron-direct"): ("perceptron", "csr_perceptron"),
+    ("mcr", "oracle"): ("oracle", "oracle_min_contrastive"),
+    ("mcr", "tree-fpt"): ("trees", "min_contrastive_size"),
+    ("mcr", "perceptron-direct"): ("perceptron", "min_contrastive_perceptron"),
+    ("msr", "oracle"): ("oracle", "oracle_min_sufficient"),
+    ("msr", "tree-fpt"): ("trees", "min_sufficient_size"),
+    ("msr", "perceptron-direct"): ("perceptron", "min_sufficient_perceptron"),
+    ("cc", "oracle"): ("oracle", "oracle_completion_count"),
+    ("cc", "tree-fpt"): ("trees", "cc_tree_ensemble"),
+    ("cc", "perceptron-pseudopoly"): ("perceptron", "cc_perceptron_pseudopoly"),
+    ("expect", "oracle"): ("oracle", "oracle_expected_value"),
+    ("expect", "tree-fpt"): ("trees", "expected_value_tree_ensemble"),
+    ("expect", "perceptron-pseudopoly"): ("perceptron", "expected_value_perceptron"),
+}
 
 
 def _frs(value) -> str:
@@ -36,36 +62,29 @@ def _frs(value) -> str:
             "to print it") from None
 
 
-def _as_tree_ensemble(m) -> Ensemble:
-    if isinstance(m, DecisionTree):
-        return majority_ensemble((m,))
-    return m
-
-
-def _route(m, algorithm: str, tree_choice: str, perceptron_choice: str,
-           query: str, warnings: list[str]) -> str:
-    """Resolve the concrete algorithm name, or 'oracle'."""
+def _route(m, kind: str, algorithm: str, warnings: list[str]) -> str:
+    """The route of a kind in _FAST: 'oracle' or '<family>-<algorithm>'."""
     if algorithm == "oracle":
         return "oracle"
-    if isinstance(m, DecisionTree) or is_tree_ensemble(m):
-        choice = tree_choice
+    if isinstance(m, DecisionTree) and (kind, "tree-direct") in _ENGINES:
+        family, fast = "tree", "direct"
+    elif isinstance(m, DecisionTree) or is_tree_ensemble(m):
+        family, fast = "tree", _FAST[kind][0]
     elif isinstance(m, Perceptron):
-        choice = perceptron_choice
+        family, fast = "perceptron", _FAST[kind][1]
+    elif algorithm != "auto":
+        raise UnsupportedModelError(
+            f"no {algorithm} algorithm for {kind} on this model")
     else:
-        choice = None
-    if choice is None:
-        if algorithm != "auto":
-            raise UnsupportedModelError(
-                f"no {algorithm} algorithm for {query} on this model")
         warnings.append(
-            f"no fast algorithm for {query} on this model; "
+            f"no fast algorithm for {kind} on this model; "
             "falling back to the exponential oracle")
         return "oracle"
-    if algorithm != "auto" and not choice.endswith(algorithm):
+    if algorithm not in ("auto", fast):
         raise UnsupportedModelError(
-            f"algorithm {algorithm!r} does not apply to {query} on this model "
-            f"(would use {choice})")
-    return choice
+            f"algorithm {algorithm!r} does not apply to {kind} on this model "
+            f"(would use {family}-{fast})")
+    return f"{family}-{fast}"
 
 
 def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
@@ -81,120 +100,73 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
     payload: dict = {"query": kind, "features": n,
                      "prediction": eval_model(model, x)}
 
-    if kind == "csr":
-        s = check_subset(subset, n)
-        tree_choice = "tree-direct" if isinstance(model, DecisionTree) else "tree-fpt"
-        route = _route(model, algorithm, tree_choice, "perceptron-direct",
-                       kind, warnings)
-        if route == "oracle":
-            from . import oracle
-            answer = oracle.oracle_is_sufficient(model, x, s)
-        elif route == "perceptron-direct":
-            from . import perceptron as pc
-            answer = pc.csr_perceptron(model, x, s)
-        else:
-            from . import trees
-            answer = (trees.csr_single_tree if route == "tree-direct"
-                      else trees.csr_tree_ensemble)(model, x, s)
-        payload.update({"subset": list(s), "answer": answer})
-
-    elif kind in ("mcr", "msr"):
-        if bound is None or bound < 0:
-            raise InvalidInstanceError(f"{kind} needs a bound of at least 0")
-        route = _route(model, algorithm, "tree-fpt", "perceptron-direct",
-                       kind, warnings)
-        if route == "oracle":
-            from . import oracle
-            finder = (oracle.oracle_min_contrastive if kind == "mcr"
-                      else oracle.oracle_min_sufficient)
-            found = finder(model, x)
-        elif route == "perceptron-direct":
-            from . import perceptron as pc
-            finder = (pc.min_contrastive_perceptron if kind == "mcr"
-                      else pc.min_sufficient_perceptron)
-            found = finder(model, x)
-        else:
-            from . import trees
-            finder = (trees.min_contrastive_size if kind == "mcr"
-                      else trees.min_sufficient_size)
-            found = finder(_as_tree_ensemble(model), x)
-        if found is ABSENT:
-            payload.update({"bound": bound, "answer": False,
-                            "size": None, "witness": None})
-        else:
-            size, witness = found
-            payload.update({"bound": bound, "answer": size <= bound,
-                            "size": size, "witness": list(witness)})
-
-    elif kind == "cc":
-        s = check_subset(subset, n)
-        route = _route(model, algorithm, "tree-fpt", "perceptron-pseudopoly",
-                       kind, warnings)
-        if route == "oracle":
-            from . import oracle
-            value = oracle.oracle_completion_count(model, x, s)
-        elif route == "perceptron-pseudopoly":
-            from . import perceptron as pc
-            value = pc.cc_perceptron_pseudopoly(model, x, s)
-        else:
-            from . import trees
-            value = trees.cc_tree_ensemble(_as_tree_ensemble(model), x, s)
-        payload.update({"subset": list(s), "answer": _frs(value)})
-
-    elif kind == "expect":
+    if kind == "shap":
         dist = dist if dist is not None else ProductDistribution.uniform(n)
-        route = _route(model, algorithm, "tree-fpt", "perceptron-pseudopoly",
-                       kind, warnings)
-        if route == "oracle":
-            from . import oracle
-            value = oracle.oracle_expected_value(model, dist)
-        elif route == "perceptron-pseudopoly":
-            from . import perceptron as pc
-            value = pc.expected_value_perceptron(model, dist)
-        else:
-            from . import trees
-            value = trees.expected_value_tree_ensemble(_as_tree_ensemble(model), dist)
-        payload.update({"answer": _frs(value)})
-
-    elif kind == "shap":
-        dist = dist if dist is not None else ProductDistribution.uniform(n)
-        if feature is not None and not (0 <= feature < n):
-            raise InvalidInstanceError(f"feature {feature} outside 0..{n - 1}")
+        if feature is not None and not (type(feature) is int and 0 <= feature < n):
+            raise InvalidInstanceError(f"feature {feature!r} outside 0..{n - 1}")
         if algorithm == "oracle":
             from . import oracle
             values = oracle.oracle_shap(model, x, dist)
-            method = "oracle"
+            route = "oracle"
             expected = oracle.oracle_expected_value(model, dist)
         else:
             from . import attribution
-            method_map = {"auto": "auto", "interpolation": "interpolation",
-                          "pseudopoly": "pseudopoly", "enum": "enum",
-                          "fpt": "interpolation", "direct": "pseudopoly"}
-            report = attribution.shap_report(model, x, dist,
-                                             method=method_map[algorithm])
-            values, method, expected = report.values, report.method, report.expected
-        payload.update({"method": method, "expected": _frs(expected),
+            method = {"fpt": "interpolation", "direct": "pseudopoly"}.get(algorithm, algorithm)
+            report = attribution.shap_report(model, x, dist, method=method)
+            values, route, expected = report.values, report.method, report.expected
+        payload.update({"method": route, "expected": _frs(expected),
                         "total": _frs(sum(values, Fraction(0)))})
         if feature is None:
             payload["values"] = [_frs(v) for v in values]
         else:
             payload.update({"feature": feature, "answer": _frs(values[feature])})
-        route = method
 
-    else:  # enumerate-contrastive
-        if not (isinstance(model, DecisionTree) or is_tree_ensemble(model)):
+    elif kind == "enumerate-contrastive":
+        if type(minimal_only) is not bool:
+            raise InvalidInstanceError(
+                f"minimal_only must be true or false, got {minimal_only!r}")
+        if isinstance(model, DecisionTree):
+            model = majority_ensemble((model,))
+        if not is_tree_ensemble(model):
             raise UnsupportedModelError(
                 "contrastive-candidate enumeration is a tree-ensemble algorithm")
         if algorithm not in ("auto", "fpt"):
             raise InvalidInstanceError(
                 f"algorithm {algorithm!r} does not apply to enumeration")
         from . import trees
-        cands = trees.enumerate_candidate_contrastive(
-            _as_tree_ensemble(model), x, filter_minimal=minimal_only)
+        cands = trees.enumerate_candidate_contrastive(model, x, filter_minimal=minimal_only)
         payload.update({"minimal_only": minimal_only,
                         "candidates": [list(c) for c in cands],
                         "count": len(cands)})
         route = "tree-fpt"
+
+    else:
+        if kind in ("csr", "cc"):
+            s = check_subset(() if subset is None else subset, n)
+            payload["subset"] = list(s)
+            args = (x, s)
+        elif kind == "expect":
+            args = (dist if dist is not None else ProductDistribution.uniform(n),)
+        else:  # mcr, msr
+            if bound is not None and type(bound) is not int:
+                raise InvalidInstanceError(f"{kind} needs an integer bound, got {bound!r}")
+            if bound is None or bound < 0:
+                raise InvalidInstanceError(f"{kind} needs a bound of at least 0")
+            payload["bound"] = bound
+            args = (x,)
+        route = _route(model, kind, algorithm, warnings)
+        if route == "tree-fpt" and isinstance(model, DecisionTree):
+            model = majority_ensemble((model,))
+        module, name = _ENGINES[kind, route]
+        answer = getattr(import_module(f".{module}", __package__), name)(model, *args)
+        if answer is ABSENT:  # mcr/msr with no witness
+            payload.update({"answer": False, "size": None, "witness": None})
+        elif kind in ("mcr", "msr"):
+            size, witness = answer
+            payload.update({"answer": size <= bound, "size": size,
+                            "witness": list(witness)})
+        else:
+            payload["answer"] = answer if kind == "csr" else _frs(answer)
 
     payload["algorithm"] = route
     payload["warnings"] = warnings

@@ -220,17 +220,18 @@ def test_rationals_outside_the_documented_forms_are_input_errors(tmp_path):
 IMPORT_PROBE = """
 import json, sys
 import fpxplain.cli
-ENGINES = ("trees", "perceptron", "attribution", "transforms")
+ENGINES = ("trees", "perceptron", "attribution", "transforms", "oracle")
 def loaded(names):
     return [m for m in names if m in sys.modules]
 at_import = loaded(("click", "fpxplain.gadgets", "fpxplain.generate", "fpxplain.bench",
-                    "fpxplain.oracle", "hashlib") + tuple("fpxplain." + m for m in ENGINES))
+                    "hashlib") + tuple("fpxplain." + m for m in ENGINES))
 from fpxplain.models import DecisionTree, Perceptron, leaf, split
 from fpxplain.runner import run_query
-model = (Perceptron((1, 1), -2) if sys.argv[1] == "perceptron"
+family, kind, algorithm = sys.argv[1:]
+model = (Perceptron((1, 1), -2) if family == "perceptron"
          else DecisionTree(2, (split(0, 1, 2), leaf(0), leaf(1)), 0))
-run_query(model, "csr", (1, 1), subset=(0,))
-after_csr = loaded("fpxplain." + m for m in ENGINES)
+run_query(model, kind, (1, 1), subset=(0,), bound=1, algorithm=algorithm)
+after_query = loaded("fpxplain." + m for m in ENGINES)
 import fpxplain
 wrong = []
 for name in fpxplain.__all__:
@@ -241,24 +242,30 @@ for name in fpxplain.__all__:
 star = {}
 exec("from fpxplain import *", star)
 missing = sorted(set(fpxplain.__all__) - (set(star) & set(dir(fpxplain))))
-print(json.dumps({"at_import": at_import, "after_csr": after_csr, "wrong": wrong,
+print(json.dumps({"at_import": at_import, "after_query": after_query, "wrong": wrong,
                   "missing": missing}))
 """
 
 
 def test_cli_import_loads_only_the_query_path():
     """A fresh `import fpxplain.cli` loads neither click nor any engine,
-    gadget, generator, bench or oracle module; a csr query then loads only
-    the engine of its route; and the package's lazy names still resolve."""
+    gadget, generator, bench or oracle module; a csr, mcr, msr, cc or
+    expect query on a tree or a perceptron, or a forced oracle query, then
+    loads only the engine of its route; and the package's lazy names still
+    resolve."""
     src = str(Path(fpxplain.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for family, engine in (("perceptron", "fpxplain.perceptron"),
-                           ("tree", "fpxplain.trees")):
-        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, family], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert json.loads(out) == {"at_import": [], "after_csr": [engine],
-                                   "wrong": [], "missing": []}, family
+    probes = [(family, kind, "auto", engine)
+              for family, engine in (("perceptron", "fpxplain.perceptron"),
+                                     ("tree", "fpxplain.trees"))
+              for kind in ("csr", "mcr", "msr", "cc", "expect")]
+    probes.append(("tree", "csr", "oracle", "fpxplain.oracle"))
+    for family, kind, algorithm, engine in probes:
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, family, kind, algorithm],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == {"at_import": [], "after_query": [engine],
+                                   "wrong": [], "missing": []}, (family, kind, algorithm)
 
 
 def test_perfbench_traced_names_resolve():

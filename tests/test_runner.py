@@ -359,3 +359,28 @@ def test_arguments_are_checked_before_the_route():
     ]
     for (kind, family), kwargs, outcome in cases:
         assert _outcome(kind, family, **kwargs) == outcome, (kind, family, kwargs)
+
+
+def test_library_arguments_the_cli_cannot_send():
+    """csr and cc read a missing subset as the empty one, the CLI default;
+    a bool, float or string where a feature index, bound or flag belongs is
+    an input error, not an echo in the payload."""
+    for family, model in FAMILIES.items():
+        for kind in ("csr", "cc"):
+            assert run_query(model, kind, X) == run_query(model, kind, X, subset=()), family
+    cases = [
+        ("csr", {"subset": (True,)},
+         "InputShapeError: feature index True outside range 0..2"),
+        ("cc", {"subset": (1, True)},
+         "InputShapeError: feature index True outside range 0..2"),
+        ("csr", {"subset": (0, "a")},
+         "InputShapeError: feature index 'a' outside range 0..2"),
+        ("mcr", {"bound": 1.5}, "InvalidInstanceError: mcr needs an integer bound, got 1.5"),
+        ("msr", {"bound": True}, "InvalidInstanceError: msr needs an integer bound, got True"),
+        ("shap", {"feature": True}, "InvalidInstanceError: feature True outside 0..2"),
+        ("shap", {"feature": 1.0}, "InvalidInstanceError: feature 1.0 outside 0..2"),
+        ("enumerate-contrastive", {"minimal_only": "yes"},
+         "InvalidInstanceError: minimal_only must be true or false, got 'yes'"),
+    ]
+    for kind, kwargs, outcome in cases:
+        assert _outcome(kind, "tree", **kwargs) == outcome, (kind, kwargs)
