@@ -305,7 +305,7 @@ def check_instance(x, n: int) -> Instance:
     if len(xt) != n:
         raise InputShapeError(f"instance has {len(xt)} features, model expects {n}")
     for i, b in enumerate(xt):
-        if b not in (0, 1):
+        if not isinstance(b, int) or b not in (0, 1):  # 1.0 == 1, but indexes no branch
             raise InputShapeError(f"instance bit {i} is {b!r}, expected 0 or 1")
     return xt
 

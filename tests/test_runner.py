@@ -363,8 +363,9 @@ def test_arguments_are_checked_before_the_route():
 
 def test_library_arguments_the_cli_cannot_send():
     """csr and cc read a missing subset as the empty one, the CLI default;
-    a bool, float or string where a feature index, bound or flag belongs is
-    an input error, not an echo in the payload."""
+    a bool, float or string where a feature index, bound or flag belongs,
+    or a float instance bit, is an input error, not an echo in the payload
+    or a TypeError."""
     for family, model in FAMILIES.items():
         for kind in ("csr", "cc"):
             assert run_query(model, kind, X) == run_query(model, kind, X, subset=()), family
@@ -381,6 +382,7 @@ def test_library_arguments_the_cli_cannot_send():
         ("shap", {"feature": 1.0}, "InvalidInstanceError: feature 1.0 outside 0..2"),
         ("enumerate-contrastive", {"minimal_only": "yes"},
          "InvalidInstanceError: minimal_only must be true or false, got 'yes'"),
+        ("csr", {"x": (1.0, 0, 1)}, "InputShapeError: instance bit 0 is 1.0, expected 0 or 1"),
     ]
     for kind, kwargs, outcome in cases:
         assert _outcome(kind, "tree", **kwargs) == outcome, (kind, kwargs)
