@@ -74,27 +74,25 @@ class DecisionTree:
     root: int = 0
 
     @cached_property
+    def _arena(self) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
+        """(problems, paths) of the arena, from one walk (see _walk_arena)."""
+        return _walk_arena(self)
+
+    @property
     def paths(self) -> tuple[tuple[int, int, int], ...]:
         """All root-to-leaf paths as (mask, vals, label) bitmask triples.
 
         Bit i of mask is set iff feature i is tested on the path; bit i of
         vals gives the branch taken (only meaningful under mask). Paths are
         listed in DFS order, 0-branch first, so the order is deterministic.
+        The walk that lists them also validates the arena and is cached on
+        the tree, so validate_model and the engines share it. An arena
+        with problems raises InvalidInstanceError naming them.
         """
-        out = []
-        stack = [(self.root, 0, 0)]
-        while stack:
-            idx, mask, vals = stack.pop()
-            node = self.nodes[idx]
-            if node[0] == LEAF:
-                out.append((mask, vals, node[1]))
-            else:
-                _, feat, c0, c1 = node
-                bit = 1 << feat
-                # push the 1-branch first so the 0-branch pops first
-                stack.append((c1, mask | bit, vals | bit))
-                stack.append((c0, mask | bit, vals))
-        return tuple(out)
+        problems, triples = self._arena
+        if problems:
+            raise InvalidInstanceError("invalid tree: " + "; ".join(problems))
+        return triples
 
     @cached_property
     def leaf_count(self) -> int:
@@ -273,7 +271,7 @@ class ProductDistribution:
     def __post_init__(self):
         ps = tuple(as_fraction(p) for p in self.probs)
         for i, p in enumerate(ps):
-            if p < 0 or p > 1:
+            if not 0 <= p.numerator <= p.denominator:  # the denominator is positive
                 raise InvalidInstanceError(f"probs[{i}] = {p} outside [0, 1]")
         object.__setattr__(self, "probs", ps)
 
@@ -316,7 +314,11 @@ def check_subset(s, n: int) -> tuple[int, ...]:
     Each index is checked before duplicates are merged, so a bool (equal
     to 0 or 1 but not a feature index) is refused even beside its int.
     """
-    st = tuple(s)
+    try:
+        st = tuple(s)
+    except TypeError:
+        raise InputShapeError(
+            f"subset must be an iterable of feature indices, got {s!r}") from None
     for i in st:
         if type(i) is not int or i < 0 or i >= n:
             raise InputShapeError(f"feature index {i!r} outside range 0..{n - 1}")
@@ -324,7 +326,10 @@ def check_subset(s, n: int) -> tuple[int, ...]:
 
 
 def check_dist(dist: ProductDistribution, n: int):
-    """Validate that a product distribution covers exactly n features."""
+    """Validate that dist is a product distribution over exactly n features."""
+    if not isinstance(dist, ProductDistribution):
+        raise InputShapeError(
+            f"distribution must be a ProductDistribution, got {type(dist).__name__}")
     if dist.feature_count != n:
         raise InputShapeError(
             f"distribution over {dist.feature_count} features, model has {n}")
@@ -354,10 +359,15 @@ def int_to_bits(z: int, n: int) -> Instance:
 
 
 def validate_model(m: Model) -> list[str]:
-    """Structural diagnostics for a model; empty list means valid."""
+    """Structural diagnostics for a model; empty list means valid.
+
+    A tree's problems come from its cached arena walk, the walk that also
+    lists its paths, so a tree that passes here already holds the path
+    triples the engines read. Member problems carry a "member j: " prefix.
+    """
     problems: list[str] = []
     if isinstance(m, DecisionTree):
-        _validate_tree(m, problems, prefix="")
+        problems.extend(m._arena[0])
     elif isinstance(m, Perceptron):
         _validate_perceptron(m, problems, prefix="")
     elif isinstance(m, Ensemble):
@@ -373,7 +383,7 @@ def validate_model(m: Model) -> list[str]:
                 problems.append(
                     f"member {j}: feature count {sub.feature_count} differs from member 0 ({n})")
             if isinstance(sub, DecisionTree):
-                _validate_tree(sub, problems, prefix=f"member {j}: ")
+                problems.extend(f"member {j}: {p}" for p in sub._arena[0])
             else:
                 _validate_perceptron(sub, problems, prefix=f"member {j}: ")
         if isinstance(m.voting, Weighted):
@@ -392,39 +402,54 @@ def _validate_perceptron(p: Perceptron, problems: list[str], prefix: str):
         problems.append(prefix + "perceptron has no features")
 
 
-def _validate_tree(t: DecisionTree, problems: list[str], prefix: str):
-    if not t.nodes:
-        problems.append(prefix + "tree has no nodes")
-        return
-    if not (0 <= t.root < len(t.nodes)):
-        problems.append(prefix + f"root index {t.root} outside arena")
-        return
-    seen: set[int] = set()
-    stack = [(t.root, 0)]  # (node, features tested above it); 0-branch pops first
+def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
+    """One DFS over the arena, 0-branch first: (problems, path triples).
+
+    Each reachable node is visited once: a node reachable twice, a child
+    outside the arena, an unknown tag, a feature outside 0..n-1 or tested
+    twice on a path, and a leaf label other than 0/1 are problems, and the
+    walk does not descend past them. The triples are DecisionTree.paths,
+    meaningful only when there are no problems.
+    """
+    nodes = t.nodes
+    size = len(nodes)
+    if not size:
+        return ("tree has no nodes",), ()
+    if not (0 <= t.root < size):
+        return (f"root index {t.root} outside arena",), ()
+    problems = []
+    out = []
+    seen = set()
+    n = t.feature_count
+    stack = [(t.root, 0, 0)]  # (node, features tested above it, their values)
     while stack:
-        idx, used_mask = stack.pop()
-        if not (0 <= idx < len(t.nodes)):
-            problems.append(prefix + f"child index {idx} outside arena")
+        idx, mask, vals = stack.pop()
+        if not (0 <= idx < size):
+            problems.append(f"child index {idx} outside arena")
             continue
         if idx in seen:
-            problems.append(prefix + f"node {idx} reachable twice (arena must be a tree)")
+            problems.append(f"node {idx} reachable twice (arena must be a tree)")
             continue
         seen.add(idx)
-        node = t.nodes[idx]
+        node = nodes[idx]
         if node[0] == LEAF:
-            if node[1] not in (0, 1):
-                problems.append(prefix + f"leaf {idx} label {node[1]!r} not 0/1")
+            if node[1] in (0, 1):
+                out.append((mask, vals, node[1]))
+            else:
+                problems.append(f"leaf {idx} label {node[1]!r} not 0/1")
             continue
         if node[0] != SPLIT:
-            problems.append(prefix + f"node {idx} has unknown tag {node[0]!r}")
+            problems.append(f"node {idx} has unknown tag {node[0]!r}")
             continue
         _, feat, c0, c1 = node
-        if not (0 <= feat < t.feature_count):
-            problems.append(prefix + f"node {idx} tests feature {feat} outside 0..{t.feature_count - 1}")
+        if not (0 <= feat < n):
+            problems.append(f"node {idx} tests feature {feat} outside 0..{n - 1}")
             continue
         bit = 1 << feat
-        if used_mask & bit:
-            problems.append(prefix + f"feature {feat} tested twice on a path through node {idx}")
+        if mask & bit:
+            problems.append(f"feature {feat} tested twice on a path through node {idx}")
             continue
-        stack.append((c1, used_mask | bit))
-        stack.append((c0, used_mask | bit))
+        # push the 1-branch first so the 0-branch pops first
+        stack.append((c1, mask | bit, vals | bit))
+        stack.append((c0, mask | bit, vals))
+    return tuple(problems), tuple(out)

@@ -14,8 +14,9 @@ from importlib import import_module
 
 from .errors import InvalidInstanceError, ResourceCapError, UnsupportedModelError
 from .models import (
-    ABSENT, DecisionTree, Perceptron, ProductDistribution, check_instance,
-    check_subset, eval_model, feature_count, is_tree_ensemble, majority_ensemble,
+    ABSENT, DecisionTree, Perceptron, ProductDistribution, check_dist,
+    check_instance, check_subset, eval_model, feature_count, is_tree_ensemble,
+    majority_ensemble,
 )
 
 QUERY_KINDS = ("csr", "mcr", "msr", "cc", "shap", "expect",
@@ -87,6 +88,14 @@ def _route(m, kind: str, algorithm: str, warnings: list[str]) -> str:
     return f"{family}-{fast}"
 
 
+def _dist(dist, n: int) -> ProductDistribution:
+    """The query's distribution, uniform when none is given, checked
+    before the route so that every engine receives a valid one."""
+    dist = ProductDistribution.uniform(n) if dist is None else dist
+    check_dist(dist, n)
+    return dist
+
+
 def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
               dist: ProductDistribution | None = None,
               algorithm: str = "auto", minimal_only: bool = False) -> dict:
@@ -101,7 +110,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
                      "prediction": eval_model(model, x)}
 
     if kind == "shap":
-        dist = dist if dist is not None else ProductDistribution.uniform(n)
+        dist = _dist(dist, n)
         if feature is not None and not (type(feature) is int and 0 <= feature < n):
             raise InvalidInstanceError(f"feature {feature!r} outside 0..{n - 1}")
         if algorithm == "oracle":
@@ -146,7 +155,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
             payload["subset"] = list(s)
             args = (x, s)
         elif kind == "expect":
-            args = (dist if dist is not None else ProductDistribution.uniform(n),)
+            args = (_dist(dist, n),)
         else:  # mcr, msr
             if bound is not None and type(bound) is not int:
                 raise InvalidInstanceError(f"{kind} needs an integer bound, got {bound!r}")

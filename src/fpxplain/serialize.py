@@ -126,7 +126,10 @@ def model_from_obj(obj, check: bool = True) -> DecisionTree | Perceptron | Ensem
     Structural problems (wrong shapes, unknown tags, bad rationals) always
     raise ParseError. Semantic invariants (read-once, arena bounds, member
     consistency) raise too unless check=False; callers that want the full
-    diagnostic list run validate_model themselves.
+    diagnostic list run validate_model themselves. The document is read in
+    one pass: a tree's nodes are converted without formatting any message
+    unless one fails, and the check walks each tree's arena once, leaving
+    its path triples cached on the tree for the engines.
     """
     _require(isinstance(obj, dict), "model must be an object")
     kind = obj.get("kind")
@@ -135,18 +138,22 @@ def model_from_obj(obj, check: bool = True) -> DecisionTree | Perceptron | Ensem
         raw = obj.get("nodes")
         _require(isinstance(raw, list) and raw, "tree: nodes must be a non-empty list")
         nodes = []
-        for entry in raw:
-            _require(isinstance(entry, list) and entry, f"tree: bad node {entry!r}")
-            if entry[0] == "leaf":
-                _require(len(entry) == 2, f"tree: bad leaf {entry!r}")
+        for entry in raw:  # messages are formatted only on the failing branch
+            if not (isinstance(entry, list) and entry):
+                raise ParseError(f"tree: bad node {entry!r}")
+            tag = entry[0]
+            if tag == "leaf":
+                if len(entry) != 2:
+                    raise ParseError(f"tree: bad leaf {entry!r}")
                 nodes.append(("leaf", _int(entry[1], "leaf label")))
-            elif entry[0] == "split":
-                _require(len(entry) == 4, f"tree: bad split {entry!r}")
+            elif tag == "split":
+                if len(entry) != 4:
+                    raise ParseError(f"tree: bad split {entry!r}")
                 nodes.append(("split", _int(entry[1], "split feature"),
                               _int(entry[2], "split child"),
                               _int(entry[3], "split child")))
             else:
-                raise ParseError(f"tree: unknown node tag {entry[0]!r}")
+                raise ParseError(f"tree: unknown node tag {tag!r}")
         root = _int(obj.get("root", 0), "tree root")
         model = DecisionTree(features, tuple(nodes), root)
     elif kind == "perceptron":
@@ -294,7 +301,7 @@ def parse_dist_spec(spec: str, n: int) -> ProductDistribution:
         raise ParseError(f"distribution needs {n} probabilities, got {len(parts)}")
     probs = tuple(parse_rational(p, "probability") for p in parts)
     for i, p in enumerate(probs):
-        if not 0 <= p <= 1:
+        if not 0 <= p.numerator <= p.denominator:  # the denominator is positive
             raise ParseError(f"probability of feature {i} is {p}, outside [0, 1]")
     return ProductDistribution(probs)
 

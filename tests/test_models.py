@@ -1,5 +1,6 @@
 """Core model semantics: evaluation, paths, shape checks, validation."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,9 @@ def test_check_subset_sorts_and_validates():
         check_subset([5], 5)
     with pytest.raises(InputShapeError):
         check_subset([-1], 5)
+    for s in (5, None, 1.5):
+        with pytest.raises(InputShapeError, match="subset must be an iterable"):
+            check_subset(s, 3)
 
 
 def test_bit_helpers_roundtrip():
@@ -127,6 +131,15 @@ def test_product_distribution_validation():
     d2 = ProductDistribution((Fraction(1, 4),))
     assert d2.bit_prob(0, 1) == Fraction(1, 4)
     assert d2.bit_prob(0, 0) == Fraction(3, 4)
+    # the ends of [0, 1] are inside; the message names the first bad index
+    assert ProductDistribution((0, 1, "1/1", Fraction(2, 2))).probs == (0, 1, 1, 1)
+    for probs, message in (((Fraction(1, 2), Fraction(-1, 3)), "probs[1] = -1/3 outside [0, 1]"),
+                           ((Fraction(1, 1000), Fraction(1001, 1000)),
+                            "probs[1] = 1001/1000 outside [0, 1]"),
+                           ((-1,), "probs[0] = -1 outside [0, 1]")):
+        with pytest.raises(InvalidInstanceError) as err:
+            ProductDistribution(probs)
+        assert str(err.value) == message
 
 
 def test_validate_model_diagnostics():
@@ -144,6 +157,59 @@ def test_validate_model_diagnostics():
     # weighted voting weight count must match member count
     e2 = Ensemble((constant_tree(2, 1),), Weighted((Fraction(1), Fraction(1)), Fraction(1)))
     assert any("weights" in p for p in validate_model(e2))
+
+
+def _within_a_second(fn):
+    """fn(), failed with an AssertionError if it has not returned in 1 s."""
+    def hang(signum, frame):
+        raise AssertionError("did not return within a second")
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_paths_raise_on_an_invalid_arena():
+    """Every invalid arena raises at once, naming its problem; none loops,
+    indexes past the arena or yields a path that fixes a feature twice."""
+    cases = [
+        (DecisionTree(1, (leaf(7),), 0), "leaf 0 label 7 not 0/1"),
+        (DecisionTree(1, (split(0, 1, 1), leaf(1)), 0),
+         "node 1 reachable twice (arena must be a tree)"),
+        (DecisionTree(1, (split(0, 1, 0), leaf(0)), 0),  # a cycle back to the root
+         "node 0 reachable twice (arena must be a tree)"),
+        (DecisionTree(1, (split(0, 1, 5), leaf(0)), 0), "child index 5 outside arena"),
+        (DecisionTree(2, (split(0, 1, 2), split(0, 3, 4), leaf(1), leaf(0), leaf(1)), 0),
+         "feature 0 tested twice on a path through node 1"),
+    ]
+    for t, problem in cases:
+        assert validate_model(t) == [problem]
+        with pytest.raises(InvalidInstanceError) as err:
+            _within_a_second(lambda: t.paths)
+        assert str(err.value) == "invalid tree: " + problem
+
+
+def _reference_paths(t):
+    """Root-to-leaf (mask, vals, label) triples by recursion, 0-branch first."""
+    def walk(idx, mask, vals):
+        node = t.nodes[idx]
+        if node[0] == "leaf":
+            return [(mask, vals, node[1])]
+        bit = 1 << node[1]
+        return walk(node[2], mask | bit, vals) + walk(node[3], mask | bit, vals | bit)
+    return tuple(walk(t.root, 0, 0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**30), st.integers(1, 6))
+def test_validated_tree_holds_the_paths_of_an_unvalidated_copy(seed, n):
+    t = random_tree(rng_from_seed(seed), n, 8)
+    copy = DecisionTree(t.feature_count, t.nodes, t.root)
+    assert validate_model(t) == []
+    assert t.paths == copy.paths == _reference_paths(t)
 
 
 @settings(deadline=None, max_examples=60)

@@ -386,3 +386,19 @@ def test_library_arguments_the_cli_cannot_send():
     ]
     for kind, kwargs, outcome in cases:
         assert _outcome(kind, "tree", **kwargs) == outcome, (kind, kwargs)
+
+
+def test_a_dist_or_subset_of_the_wrong_type_is_an_input_error():
+    """A dist that is not a ProductDistribution, or a subset that is not
+    iterable, is refused on every family before any engine runs."""
+    for family in FAMILIES:
+        for algorithm in ("auto", "oracle"):
+            for kind in ("expect", "shap"):
+                assert _outcome(kind, family, dist=[Fraction(1, 2)] * 3,
+                                algorithm=algorithm) == (
+                    "InputShapeError: distribution must be a ProductDistribution, got list"), \
+                    (kind, family, algorithm)
+            for kind in ("csr", "cc"):
+                assert _outcome(kind, family, subset=5, algorithm=algorithm) == (
+                    "InputShapeError: subset must be an iterable of feature indices, got 5"), \
+                    (kind, family, algorithm)

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpxplain import models
 from fpxplain.errors import ParseError
 from fpxplain.gadgets import ColoredGraph, SspInstance, ssp_csr_gadget
 from fpxplain.generate import (
     random_perceptron, random_tree, random_tree_ensemble, rng_from_seed,
 )
 from fpxplain.models import Perceptron, ProductDistribution
+from fpxplain.runner import run_query
 from fpxplain.serialize import (
     canonical_dumps, cnf_to_text, dnf_to_text, dumps_bundle, dumps_model,
     graph_to_text, loads_bundle, loads_json, loads_model, model_from_doc,
-    parse_cnf_text, parse_dist_spec, parse_dnf_text, parse_graph_text,
-    parse_instance, parse_rational, parse_subset, rational_str,
+    model_to_doc, parse_cnf_text, parse_dist_spec, parse_dnf_text,
+    parse_graph_text, parse_instance, parse_rational, parse_subset, rational_str,
 )
 
 F = Fraction
@@ -100,6 +102,65 @@ def test_model_doc_validation_errors():
     assert m.feature_count == 1
 
 
+def _tree_doc(nodes) -> dict:
+    return {"format": "fpxplain-model", "version": 1,
+            "model": {"kind": "tree", "features": 2, "root": 0, "nodes": nodes}}
+
+
+def test_malformed_node_messages():
+    cases = [
+        ({}, "tree: bad node {}"),
+        ([], "tree: bad node []"),
+        (["leaf"], "tree: bad leaf ['leaf']"),
+        (["leaf", True], "leaf label must be an int, got True"),
+        (["split", 1, 2], "tree: bad split ['split', 1, 2]"),
+        (["split", 1.5, 1, 2], "split feature must be an int, got 1.5"),
+        (["split", 0, "1", 2], "split child must be an int, got '1'"),
+        (["node", 1], "tree: unknown node tag 'node'"),
+    ]
+    for node, message in cases:
+        for check in (True, False):
+            with pytest.raises(ParseError) as err:
+                model_from_doc(_tree_doc([["leaf", 0], node]), check=check)
+            assert str(err.value) == message, node
+
+
+class _CountingList(list):
+    reprs = 0
+
+    def __repr__(self):
+        type(self).reprs += 1
+        return super().__repr__()
+
+
+def test_valid_nodes_format_no_message():
+    """A node is rendered into an error message only when it is bad."""
+    e = random_tree_ensemble(rng_from_seed(3), 6, 3, 8)
+    doc = model_to_doc(e)
+    for member in doc["model"]["members"]:
+        member["nodes"] = [_CountingList(node) for node in member["nodes"]]
+    _CountingList.reprs = 0
+    assert model_from_doc(doc) == e
+    assert _CountingList.reprs == 0
+
+
+def test_loading_and_a_tree_query_walk_each_arena_once(monkeypatch):
+    """The check on load walks each member's arena; the engine then reads
+    the path triples that walk cached and does not walk again."""
+    walked = []
+    walk = models._walk_arena
+    monkeypatch.setattr(models, "_walk_arena", lambda t: walked.append(t) or walk(t))
+    e = random_tree_ensemble(rng_from_seed(4), 6, 3, 8)
+    for model in (e, e.members[0]):
+        walked.clear()
+        loaded = model_from_doc(model_to_doc(model))
+        for kind in ("csr", "cc"):
+            run_query(loaded, kind, (1, 0, 1, 1, 0, 0), subset=(0, 2))
+        members = loaded.members if model is e else (loaded,)
+        assert len(walked) == len(members)
+        assert all(a is b for a, b in zip(walked, members))
+
+
 def test_parse_instance_and_subset():
     assert parse_instance("0110") == (0, 1, 1, 0)
     with pytest.raises(ParseError):
@@ -118,6 +179,14 @@ def test_parse_dist_spec():
     assert d.probs == (F(1, 4), F(1))
     with pytest.raises(ParseError):
         parse_dist_spec("1/4", 2)
+    assert parse_dist_spec("0, 1/1, 2/2", 3).probs == (0, 1, 1)
+    for spec, message in (("1/2, -1/3", "probability of feature 1 is -1/3, outside [0, 1]"),
+                          ("1001/1000, 0",
+                           "probability of feature 0 is 1001/1000, outside [0, 1]"),
+                          ("-0/5, 2", "probability of feature 1 is 2, outside [0, 1]")):
+        with pytest.raises(ParseError) as err:
+            parse_dist_spec(spec, 2)
+        assert str(err.value) == message
 
 
 def test_formula_text_roundtrip_and_errors():
