@@ -31,7 +31,6 @@ byte-identical across versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -40,15 +39,12 @@ from . import _config
 from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
     DecisionTree, Ensemble, Instance, Model, Perceptron, ProductDistribution,
-    check_dist, check_instance, check_subset, eval_model, is_tree_ensemble,
-    majority_ensemble, subset_mask,
+    Record, check_dist, check_instance, check_subset, eval_model,
+    is_tree_ensemble, majority_ensemble, subset_mask,
 )
-from .perceptron import (
-    HTable, expected_value_perceptron, h_table_perceptron,
-    shap_perceptron_pseudopoly,
-)
-from .transforms import condition_model
-from .trees import _raw_triples, _selections, expected_value_tree_ensemble
+
+# The engines (trees, perceptron, transforms, oracle) are imported by the
+# functions that call them, so a query process loads only its route's.
 
 
 def _check_tree_query(e: Ensemble, x: Instance, dist: ProductDistribution) -> Instance:
@@ -73,6 +69,7 @@ def _cylinder_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
     the total and to its buckets (i, V_i); dividing a bucket exactly by
     a_i + b_i 2^slot drops i's factor. phi is over D g!, g = |features|.
     """
+    from .trees import _raw_triples, _selections
     n = e.feature_count
     ground = subset_mask(features)
     size = ground.bit_count()
@@ -139,6 +136,7 @@ def size_stratified_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
     are the coefficients of the summed cylinder polynomials; see
     _cylinder_sums.
     """
+    from .perceptron import HTable
     x = _check_tree_query(e, x, dist)
     n = e.feature_count
     features = range(n) if features is None else check_subset(features, n)
@@ -171,10 +169,12 @@ def shap_interpolation(e: Ensemble, x: Instance, i: int, dist: ProductDistributi
 
 def _default_expectation(m: Model, dist: ProductDistribution) -> Fraction:
     if isinstance(m, Perceptron):
+        from .perceptron import expected_value_perceptron
         return expected_value_perceptron(m, dist)
     if isinstance(m, DecisionTree):
-        return expected_value_tree_ensemble(majority_ensemble((m,)), dist)
+        m = majority_ensemble((m,))
     if is_tree_ensemble(m):
+        from .trees import expected_value_tree_ensemble
         return expected_value_tree_ensemble(m, dist)
     if isinstance(m, Ensemble):
         # Mixed or perceptron ensembles: no polynomial route, but enum is
@@ -193,6 +193,7 @@ def shap_enum(m: Model, x: Instance, dist: ProductDistribution,
     computed by `backend(conditioned_model, dist)`. Exponential in the
     feature count, hence capped.
     """
+    from .transforms import condition_model
     n = m.feature_count
     cap = _config.shap_enum_cap()
     if n > cap:
@@ -231,14 +232,18 @@ def shap_enum(m: Model, x: Instance, dist: ProductDistribution,
 # reports and identities
 
 
-@dataclass(frozen=True)
-class ShapReport:
+class ShapReport(Record):
     """A full attribution vector plus the data its identities refer to."""
 
     values: tuple[Fraction, ...]
     prediction: int
     expected: Fraction
     method: str
+
+    def __init__(self, values: tuple[Fraction, ...], prediction: int,
+                 expected: Fraction, method: str):
+        self._set(values=values, prediction=prediction, expected=expected,
+                  method=method)
 
     @property
     def total(self) -> Fraction:
@@ -270,6 +275,7 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
     elif method == "pseudopoly":
         if not isinstance(m, Perceptron):
             raise UnsupportedModelError("pseudopoly attribution is for perceptrons")
+        from .perceptron import h_table_perceptron, shap_perceptron_pseudopoly
         values = shap_perceptron_pseudopoly(m, x, dist)
         expected = h_table_perceptron(m, x, dist).values[0]
     elif method == "enum":

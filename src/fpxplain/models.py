@@ -13,7 +13,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -44,6 +43,49 @@ class _AbsentType:
 ABSENT = _AbsentType()
 
 
+class Record:
+    """Base of the immutable value classes.
+
+    A frozen dataclass would load dataclasses and inspect into every query
+    process and generate each class's methods at import. Here the fields
+    are the class's annotated names, in order, and its __init__ stores
+    them with _set. Equality and hashing are field-wise, and only
+    between instances of one class; repr is ClassName(field=value, ...).
+    Assigning or deleting an attribute raises AttributeError. Instances
+    keep a __dict__, so functools.cached_property works on them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _set(self, **fields):
+        self.__dict__.update(fields)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+
 def as_fraction(v) -> Fraction:
     """Coerce ints, strings like '3/4' and Fractions to Fraction."""
     if isinstance(v, Fraction):
@@ -60,8 +102,7 @@ LEAF = "leaf"
 SPLIT = "split"
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(Record):
     """Binary decision tree over Boolean features, stored as a node arena.
 
     nodes[i] is either ("leaf", label) with label in {0, 1} or
@@ -71,7 +112,10 @@ class DecisionTree:
 
     feature_count: int
     nodes: tuple[tuple, ...]
-    root: int = 0
+    root: int
+
+    def __init__(self, feature_count: int, nodes: tuple[tuple, ...], root: int = 0):
+        self._set(feature_count=feature_count, nodes=nodes, root=root)
 
     @cached_property
     def _arena(self) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
@@ -125,16 +169,14 @@ def eval_tree(tree: DecisionTree, x: Instance) -> int:
 # perceptrons
 
 
-@dataclass(frozen=True)
-class Perceptron:
+class Perceptron(Record):
     """Linear threshold classifier: output 1 iff weights . x + bias >= 0."""
 
     weights: tuple[Fraction, ...]
     bias: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(as_fraction(w) for w in self.weights))
-        object.__setattr__(self, "bias", as_fraction(self.bias))
+    def __init__(self, weights, bias):
+        self._set(weights=tuple(as_fraction(w) for w in weights), bias=as_fraction(bias))
 
     @property
     def feature_count(self) -> int:
@@ -162,21 +204,19 @@ def eval_perceptron(p: Perceptron, x: Instance) -> int:
 # ensembles
 
 
-@dataclass(frozen=True)
-class Majority:
+class Majority(Record):
     """Simple majority voting: output 1 iff at least ceil(k/2) members vote 1."""
 
 
-@dataclass(frozen=True)
-class Weighted:
+class Weighted(Record):
     """Weighted voting: output 1 iff sum(weights[i] * vote_i) >= threshold."""
 
     weights: tuple[Fraction, ...]
     threshold: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(as_fraction(w) for w in self.weights))
-        object.__setattr__(self, "threshold", as_fraction(self.threshold))
+    def __init__(self, weights, threshold):
+        self._set(weights=tuple(as_fraction(w) for w in weights),
+                  threshold=as_fraction(threshold))
 
 
 Voting = Union[Majority, Weighted]
@@ -185,10 +225,12 @@ BaseModel = Union[DecisionTree, Perceptron]
 Model = Union[DecisionTree, Perceptron, "Ensemble"]
 
 
-@dataclass(frozen=True)
-class Ensemble:
+class Ensemble(Record):
     members: tuple[BaseModel, ...]
     voting: Voting
+
+    def __init__(self, members: tuple[BaseModel, ...], voting: Voting):
+        self._set(members=members, voting=voting)
 
     @property
     def feature_count(self) -> int:
@@ -262,18 +304,17 @@ def is_tree_ensemble(m: Model) -> bool:
 # product distributions
 
 
-@dataclass(frozen=True)
-class ProductDistribution:
+class ProductDistribution(Record):
     """Independent per-feature Bernoulli parameters, probs[i] = Pr[z_i = 1]."""
 
     probs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        ps = tuple(as_fraction(p) for p in self.probs)
+    def __init__(self, probs):
+        ps = tuple(as_fraction(p) for p in probs)
         for i, p in enumerate(ps):
             if not 0 <= p.numerator <= p.denominator:  # the denominator is positive
                 raise InvalidInstanceError(f"probs[{i}] = {p} outside [0, 1]")
-        object.__setattr__(self, "probs", ps)
+        self._set(probs=ps)
 
     @classmethod
     def uniform(cls, n: int) -> "ProductDistribution":
@@ -406,15 +447,20 @@ def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int,
     """One DFS over the arena, 0-branch first: (problems, path triples).
 
     Each reachable node is visited once: a node reachable twice, a child
-    outside the arena, an unknown tag, a feature outside 0..n-1 or tested
-    twice on a path, and a leaf label other than 0/1 are problems, and the
-    walk does not descend past them. The triples are DecisionTree.paths,
-    meaningful only when there are no problems.
+    index that is not an int (bools included) or is outside the arena, an
+    empty node or one that is not a sequence, an unknown tag, a leaf
+    without two entries or a split without four, a feature that is not an
+    int, is outside 0..n-1 or is tested twice on a path, and a leaf label
+    other than the ints 0 and 1 are problems, and the walk does not
+    descend past them. The triples are DecisionTree.paths, meaningful only
+    when there are no problems.
     """
     nodes = t.nodes
     size = len(nodes)
     if not size:
         return ("tree has no nodes",), ()
+    if type(t.root) is not int:
+        return (f"root index {t.root!r} is not an int",), ()
     if not (0 <= t.root < size):
         return (f"root index {t.root} outside arena",), ()
     problems = []
@@ -424,6 +470,9 @@ def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int,
     stack = [(t.root, 0, 0)]  # (node, features tested above it, their values)
     while stack:
         idx, mask, vals = stack.pop()
+        if type(idx) is not int:  # True and 1.0 would index node 1
+            problems.append(f"child index {idx!r} is not an int")
+            continue
         if not (0 <= idx < size):
             problems.append(f"child index {idx} outside arena")
             continue
@@ -432,24 +481,41 @@ def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int,
             continue
         seen.add(idx)
         node = nodes[idx]
-        if node[0] == LEAF:
-            if node[1] in (0, 1):
-                out.append((mask, vals, node[1]))
+        # the try blocks cost nothing unless a node is malformed
+        try:
+            tag = node[0]
+        except (IndexError, TypeError):
+            problems.append(f"node {idx} {node!r} is not a tagged tuple")
+            continue
+        if tag == SPLIT:
+            try:
+                _, feat, c0, c1 = node
+            except ValueError:
+                problems.append(f"node {idx} {node!r} has {len(node)} entries, not 4")
+                continue
+            if type(feat) is not int:
+                problems.append(f"node {idx} tests feature {feat!r}, not an int")
+                continue
+            if not (0 <= feat < n):
+                problems.append(f"node {idx} tests feature {feat} outside 0..{n - 1}")
+                continue
+            bit = 1 << feat
+            if mask & bit:
+                problems.append(f"feature {feat} tested twice on a path through node {idx}")
+                continue
+            # push the 1-branch first so the 0-branch pops first
+            stack.append((c1, mask | bit, vals | bit))
+            stack.append((c0, mask | bit, vals))
+        elif tag == LEAF:
+            try:
+                _, label = node
+            except ValueError:
+                problems.append(f"node {idx} {node!r} has {len(node)} entries, not 2")
+                continue
+            if label in (0, 1) and type(label) is int:  # True == 1, but is no label
+                out.append((mask, vals, label))
             else:
-                problems.append(f"leaf {idx} label {node[1]!r} not 0/1")
-            continue
-        if node[0] != SPLIT:
-            problems.append(f"node {idx} has unknown tag {node[0]!r}")
-            continue
-        _, feat, c0, c1 = node
-        if not (0 <= feat < n):
-            problems.append(f"node {idx} tests feature {feat} outside 0..{n - 1}")
-            continue
-        bit = 1 << feat
-        if mask & bit:
-            problems.append(f"feature {feat} tested twice on a path through node {idx}")
-            continue
-        # push the 1-branch first so the 0-branch pops first
-        stack.append((c1, mask | bit, vals | bit))
-        stack.append((c0, mask | bit, vals))
+                problems.append(f"leaf {idx} label {label!r} not 0/1")
+        else:
+            problems.append(f"node {idx} has unknown tag {tag!r}")
     return tuple(problems), tuple(out)

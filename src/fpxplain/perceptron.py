@@ -12,7 +12,6 @@ division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -22,7 +21,7 @@ from typing import NamedTuple
 from . import _config
 from .errors import ResourceCapError
 from .models import (
-    ABSENT, Instance, Perceptron, ProductDistribution, check_dist,
+    ABSENT, Instance, Perceptron, ProductDistribution, Record, check_dist,
     check_instance, check_subset,
 )
 
@@ -289,11 +288,13 @@ def expected_value_perceptron(p: Perceptron, dist: ProductDistribution) -> Fract
 # size-stratified conditional expectation sums and Shapley values
 
 
-@dataclass(frozen=True)
-class HTable:
+class HTable(Record):
     """H(k) = sum over size-k subsets of E[f | z_s = x_s], for k = 0..n."""
 
     values: tuple[Fraction, ...]
+
+    def __init__(self, values: tuple[Fraction, ...]):
+        self._set(values=values)
 
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]

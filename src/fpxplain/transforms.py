@@ -6,13 +6,12 @@ remain directly comparable before and after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedModelError
 from .models import (
     DecisionTree, Ensemble, Instance, LEAF, Majority, Model, Perceptron,
-    Weighted, as_fraction, check_instance, check_subset, constant_tree,
+    Record, Weighted, as_fraction, check_instance, check_subset, constant_tree,
     leaf, majority_threshold, split, subset_mask,
 )
 
@@ -189,30 +188,26 @@ def indicator_perceptron(x: Instance, s, n: int) -> Perceptron:
 Literal = tuple[int, int]  # (feature, required value)
 
 
-@dataclass(frozen=True)
-class DnfFormula:
+class DnfFormula(Record):
     """Disjunction of terms; each term is a conjunction of literals."""
 
     feature_count: int
     terms: tuple[tuple[Literal, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms",
-            tuple(_check_term(t, self.feature_count) for t in self.terms))
+    def __init__(self, feature_count: int, terms):
+        self._set(feature_count=feature_count,
+                  terms=tuple(_check_term(t, feature_count) for t in terms))
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """Conjunction of clauses; each clause is a disjunction of literals."""
 
     feature_count: int
     clauses: tuple[tuple[Literal, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "clauses",
-            tuple(_check_term(c, self.feature_count) for c in self.clauses))
+    def __init__(self, feature_count: int, clauses):
+        self._set(feature_count=feature_count,
+                  clauses=tuple(_check_term(c, feature_count) for c in clauses))
 
 
 def _check_term(lits, n: int) -> tuple[Literal, ...]:

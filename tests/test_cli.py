@@ -13,7 +13,7 @@ import fpxplain
 from fpxplain.errors import FpxError
 from fpxplain.generate import generate_model, random_instance_bits, rng_from_seed
 from fpxplain.models import (
-    DecisionTree, ProductDistribution, leaf, majority_ensemble, split,
+    DecisionTree, Perceptron, ProductDistribution, leaf, majority_ensemble, split,
 )
 from fpxplain.runner import run_query
 from fpxplain.serialize import canonical_dumps, dumps_model, loads_model
@@ -247,15 +247,21 @@ print(json.dumps({"at_import": at_import, "after_query": after_query, "wrong": w
 """
 
 
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports this fpxplain."""
+    src = str(Path(fpxplain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_import_loads_only_the_query_path():
     """A fresh `import fpxplain.cli` loads neither click nor any engine,
     gadget, generator, bench or oracle module; a csr, mcr, msr, cc or
     expect query on a tree or a perceptron, or a forced oracle query, then
     loads only the engine of its route; and the package's lazy names still
     resolve."""
-    src = str(Path(fpxplain.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     probes = [(family, kind, "auto", engine)
               for family, engine in (("perceptron", "fpxplain.perceptron"),
                                      ("tree", "fpxplain.trees"))
@@ -266,6 +272,48 @@ def test_cli_import_loads_only_the_query_path():
                              env=env, capture_output=True, text=True, check=True).stdout
         assert json.loads(out) == {"at_import": [], "after_query": [engine],
                                    "wrong": [], "missing": []}, (family, kind, algorithm)
+
+
+def _imported(argv, env) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run `python -X importtime ARGV`; the process and the modules it listed."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc, {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
+def test_query_process_imports_only_what_its_route_runs(tmp_path):
+    """A real `python -m fpxplain.cli query` process on a small tree or
+    perceptron imports neither dataclasses nor inspect on any route, and
+    shap loads attribution and its model's engine only: not perceptron or
+    transforms for a tree, not trees or transforms for a perceptron.
+    `-X importtime` does not list a module that `importlib.import_module`
+    loads (runner's engine table), but it lists every module that one
+    imports, so only the shap engines are named here."""
+    env = _src_env()
+    models = {"tree": write(tmp_path, "t.json", dumps_model(
+                  DecisionTree(2, (split(0, 1, 2), leaf(0), leaf(1))))),
+              "perceptron": write(tmp_path, "p.json", dumps_model(Perceptron((1, 1), -2)))}
+    _, bare = _imported(["-c", "pass"], env)
+    shap_engines = {"tree": "fpxplain.trees", "perceptron": "fpxplain.perceptron"}
+    for family, path in models.items():
+        kinds = ["csr", "cc", "mcr", "msr", "expect", "shap"]
+        if family == "tree":
+            kinds.append("enumerate-contrastive")
+        for kind in kinds:
+            proc, loaded = _imported(["-m", "fpxplain.cli", "query", "--model", path,
+                                      "--kind", kind, "--instance", "11", "--bound", "1"],
+                                     env)
+            assert proc.returncode in (0, 1), (family, kind, proc.stderr[-500:])
+            assert json.loads(proc.stdout)["query"] == kind
+            new = loaded - bare
+            assert {"fpxplain.models", "fpxplain.serialize"} <= new, (family, kind)
+            assert not new & {"dataclasses", "inspect"}, (family, kind)
+            if kind == "shap":
+                engines = {m for m in new if m in (
+                    "fpxplain.attribution", "fpxplain.trees", "fpxplain.perceptron",
+                    "fpxplain.transforms", "fpxplain.oracle")}
+                assert engines == {"fpxplain.attribution", shap_engines[family]}, family
 
 
 def test_perfbench_traced_names_resolve():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpxplain import models
 from fpxplain.errors import InputShapeError, InvalidInstanceError
 from fpxplain.generate import random_instance_bits, random_tree, rng_from_seed
 from fpxplain.models import (
@@ -192,6 +193,40 @@ def test_paths_raise_on_an_invalid_arena():
         assert str(err.value) == "invalid tree: " + problem
 
 
+def _assert_one_problem(t, problem):
+    """validate_model lists exactly `problem`, and paths raises naming it."""
+    assert validate_model(t) == [problem]
+    with pytest.raises(InvalidInstanceError) as err:
+        t.paths
+    assert str(err.value) == "invalid tree: " + problem
+
+
+def test_a_split_on_a_float_feature_is_a_listed_problem():
+    _assert_one_problem(DecisionTree(2, (split(1.5, 1, 2), leaf(0), leaf(1))),
+                        "node 0 tests feature 1.5, not an int")
+
+
+def test_a_split_without_four_entries_is_a_listed_problem():
+    _assert_one_problem(DecisionTree(2, (("split", 0, 1), leaf(0))),
+                        "node 0 ('split', 0, 1) has 3 entries, not 4")
+
+
+def test_a_float_child_index_is_a_listed_problem():
+    _assert_one_problem(DecisionTree(2, (split(0, 1.0, 2), leaf(0), leaf(1))),
+                        "child index 1.0 is not an int")
+
+
+def test_a_bool_leaf_label_is_a_listed_problem():
+    _assert_one_problem(DecisionTree(1, (split(0, 1, 2), leaf(True), leaf(0))),
+                        "leaf 1 label True not 0/1")
+
+
+def test_a_node_that_is_not_a_tagged_tuple_is_a_listed_problem():
+    for node in ((), 5):
+        _assert_one_problem(DecisionTree(1, (split(0, 1, 2), node, leaf(0))),
+                            f"node 1 {node!r} is not a tagged tuple")
+
+
 def _reference_paths(t):
     """Root-to-leaf (mask, vals, label) triples by recursion, 0-branch first."""
     def walk(idx, mask, vals):
@@ -231,3 +266,61 @@ def test_eval_model_dispatch_consistency(seed):
     e = majority_ensemble((t,))
     x = random_instance_bits(rng, n)
     assert eval_model(t, x) == eval_model(e, x)
+
+
+def test_model_classes_are_records():
+    """Equal fields give equal objects with equal hashes; a record equals
+    no record of another class and no tuple; keyword construction and
+    defaults work; repr names the fields."""
+    t = DecisionTree(2, (split(0, 1, 2), leaf(0), leaf(1)))
+    same = {
+        DecisionTree(feature_count=2, nodes=(split(0, 1, 2), leaf(0), leaf(1)), root=0): t,
+        Perceptron(weights=[1, "1/2"], bias=-1): Perceptron((Fraction(1), Fraction(1, 2)), "-1"),
+        Weighted(weights=(1, 2), threshold="3/2"): Weighted([Fraction(1), 2], Fraction(3, 2)),
+        Majority(): Majority(),
+        Ensemble(members=(t,), voting=Majority()): majority_ensemble([t]),
+        ProductDistribution(probs=("1/2", "1/2")): ProductDistribution.uniform(2),
+    }
+    for a, b in same.items():
+        assert a == b and hash(a) == hash(b) and not a != b
+    assert t.root == 0
+    assert Majority() != Weighted((1,), 1)
+    assert Perceptron((1,), 1) != Perceptron((1,), 2)
+    assert Perceptron((1,), 1) != ((Fraction(1),), Fraction(1))
+    assert ProductDistribution.uniform(1) != (Fraction(1, 2),)
+    assert Majority() != ()
+    assert repr(Perceptron((1, 2), 3)) == \
+        "Perceptron(weights=(Fraction(1, 1), Fraction(2, 1)), bias=Fraction(3, 1))"
+    assert repr(Majority()) == "Majority()"
+    assert repr(DecisionTree(1, (leaf(1),))) == \
+        "DecisionTree(feature_count=1, nodes=(('leaf', 1),), root=0)"
+
+
+def test_model_records_refuse_assignment_and_deletion():
+    for obj, name in ((Perceptron((1,), 0), "bias"), (Majority(), "size"),
+                      (DecisionTree(1, (leaf(1),)), "root"),
+                      (ProductDistribution.uniform(1), "probs")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    p = Perceptron((1,), 0)
+    with pytest.raises(AttributeError):
+        del p.weights
+    assert p.weights == (1,)
+
+
+def test_cached_model_views_are_computed_once(monkeypatch):
+    p = Perceptron(("1/2", "1/3"), "-1/6")
+    assert p.scaled is p.scaled == ((3, 2), -1, 6)
+    walks = []
+
+    def walk(t):
+        walks.append(t)
+        return real(t)
+    real = models._walk_arena
+    monkeypatch.setattr(models, "_walk_arena", walk)
+    t = DecisionTree(1, (split(0, 1, 2), leaf(0), leaf(1)))
+    assert t.paths == ((1, 0, 0), (1, 1, 1))
+    assert validate_model(t) == [] and t.paths == ((1, 0, 0), (1, 1, 1))
+    assert walks == [t]
