@@ -1,15 +1,18 @@
 """Exact Shapley attribution and the identities it must satisfy.
 
-Three routes, all exact:
+shap_report is the one place that picks a Shapley route. All are exact:
 * shap_enum: the defining sum over feature subsets, with conditional
-  expectations computed by conditioning the model (exponential in n but
-  polynomial per term; fine for small n)
+  expectations of the conditioned model from the engine runner's expect
+  route takes (exponential in n; fine for small n)
 * the "interpolation" route (shap_interpolation, size_stratified_sums):
   for tree ensembles, one pass over the accepted cylinders yields the
   size-stratified sums H(k) and every Shapley value
 * shap_perceptron_pseudopoly (in .perceptron): one subset-sum table of
   the perceptron gives H(k), and exact division by one feature's factor
   gives the table of the model conditioned on that feature
+* oracle_shap (in .oracle), with oracle_expected_value: the capped
+  brute-force route, the only one for ensembles of perceptrons or of
+  mixed members, which have no polynomial route
 
 The accepted instances of a tree ensemble split into disjoint cylinders
 (M, V): the features in M are fixed to V, the others are free. Given
@@ -40,7 +43,7 @@ from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
     DecisionTree, Ensemble, Instance, Model, Perceptron, ProductDistribution,
     Record, check_dist, check_instance, check_subset, eval_model,
-    is_tree_ensemble, majority_ensemble, subset_mask,
+    is_tree_ensemble, majority_ensemble,
 )
 
 # The engines (trees, perceptron, transforms, oracle) are imported by the
@@ -56,31 +59,28 @@ def _check_tree_query(e: Ensemble, x: Instance, dist: ProductDistribution) -> In
     return x
 
 
-def _cylinder_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
-                   features) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(H, phi) of the game on the ground set `features`, from one cylinder pass.
+def _cylinder_sums(e: Ensemble, x: Instance,
+                   dist: ProductDistribution) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(H, phi) of a tree ensemble at x, from one cylinder pass.
 
-    H[k] sums E[f | z_s = x_s] over the size-k subsets s of `features`;
-    phi[i] is the Shapley value of feature i in that game (0 outside it).
-    With a_i = den_i p_i(V_i) and b_i = den_i [V_i = x_i], a cylinder's
-    factor is a_i + b_i t for a fixed ground feature, a_i for another fixed
-    feature, 1 + t for a free ground feature and 1 otherwise. Packed at
-    t = 2^slot over D = prod(den_i), its product is one integer, added to
-    the total and to its buckets (i, V_i); dividing a bucket exactly by
-    a_i + b_i 2^slot drops i's factor. phi is over D g!, g = |features|.
+    H[k] sums E[f | z_s = x_s] over the size-k subsets s; phi[i] is the
+    Shapley value of feature i. With a_i = den_i p_i(V_i) and
+    b_i = den_i [V_i = x_i], a cylinder's factor is a_i + b_i t for a fixed
+    feature and 1 + t for a free one. Packed at t = 2^slot over
+    D = prod(den_i), its product is one integer, added to the total and to
+    its buckets (i, V_i); dividing a bucket exactly by a_i + b_i 2^slot
+    drops i's factor. phi is over D n!.
     """
     from .trees import _raw_triples, _selections
     n = e.feature_count
-    ground = subset_mask(features)
-    size = ground.bit_count()
     dens = [p.denominator for p in dist.probs]
     factors = []  # 2 i + v -> (a_i, b_i) of feature i fixed to v
     for p, d, xi in zip(dist.probs, dens, x):
         factors += [(d - p.numerator, d * (xi == 0)), (p.numerator, d * (xi == 1))]
     common = prod(dens)
     # every coefficient of the total, of a bucket and of its quotient is
-    # below D 2^size (the cylinders are disjoint), so no slot carries
-    slot = -(-(common.bit_length() + size + 2) // 8) * 8
+    # below D 2^n (the cylinders are disjoint), so no slot carries
+    slot = -(-(common.bit_length() + n + 2) // 8) * 8
     binoms: dict[int, int] = {}  # free count r -> packed (1 + t)^r
     total = 0
     buckets = [0] * (2 * n)  # 2 i + v -> packed sum over the cylinders fixing i to v
@@ -93,12 +93,9 @@ def _cylinder_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
             key = 2 * i + ((vals >> i) & 1)
             a, b = factors[key]
             scale //= dens[i]
-            if (ground >> i) & 1:
-                poly = a * poly + ((b * poly) << slot)
-                keys.append(key)
-            else:
-                scale *= a
-        r = size - len(keys)
+            poly = a * poly + ((b * poly) << slot)
+            keys.append(key)
+        r = n - len(keys)
         binom = binoms.get(r)
         if binom is None:
             binom = binoms[r] = (1 + (1 << slot)) ** r
@@ -107,51 +104,44 @@ def _cylinder_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
         for key in keys:
             buckets[key] += f
     step = slot // 8
-    width = (size + 1) * step
+    width = (n + 1) * step
 
     def unpack(packed: int) -> list[int]:
         raw = packed.to_bytes(width, "little")
         return [int.from_bytes(raw[k:k + step], "little") for k in range(0, width, step)]
 
-    fact = [factorial(j) for j in range(size + 1)]
-    coef = [fact[k] * fact[size - k - 1] for k in range(size)]
+    fact = [factorial(j) for j in range(n + 1)]
+    coef = [fact[k] * fact[n - k - 1] for k in range(n)]
     phi = [0] * n
     for key, packed in enumerate(buckets):
         if packed:
             a, b = factors[key]
             quot = unpack(packed // (a + (b << slot)))
             phi[key >> 1] += (b - a) * sum(c * w for c, w in zip(quot, coef))
-    scaled = common * fact[size]
+    scaled = common * fact[n]
     return (tuple(Fraction(c, common) for c in unpack(total)),
             tuple(Fraction(v, scaled) for v in phi))
 
 
-@lru_cache(maxsize=64)
-def size_stratified_sums(e: Ensemble, x: Instance, dist: ProductDistribution,
-                         features: tuple[int, ...] | None = None) -> HTable:
-    """H(k) = sum over size-k subsets of `features` of E[f | z_s = x_s].
+# the pass of the last (e, x, dist): a loop of shap_interpolation over the
+# features, or one after size_stratified_sums, pays for one pass
+_full_pass = lru_cache(maxsize=1)(_cylinder_sums)
 
-    Tree ensembles only. `features` defaults to all of them; features
-    outside it are never fixed to x and keep their distribution. The H(k)
-    are the coefficients of the summed cylinder polynomials; see
-    _cylinder_sums.
+
+@lru_cache(maxsize=64)
+def size_stratified_sums(e: Ensemble, x: Instance, dist: ProductDistribution) -> HTable:
+    """H(k) = sum over size-k subsets s of E[f | z_s = x_s].
+
+    Tree ensembles only. The H(k) are the coefficients of the summed
+    cylinder polynomials; see _cylinder_sums.
     """
     from .perceptron import HTable
-    x = _check_tree_query(e, x, dist)
-    n = e.feature_count
-    features = range(n) if features is None else check_subset(features, n)
-    h, _ = _cylinder_sums(e, x, dist, features)
-    return HTable(h)
+    return HTable(_full_pass(e, _check_tree_query(e, x, dist), dist)[0])
 
 
 def _shap_coefficients(n: int) -> list[Fraction]:
     fact = [factorial(j) for j in range(n + 1)]
     return [Fraction(fact[k] * fact[n - k - 1], fact[n]) for k in range(n)]
-
-
-@lru_cache(maxsize=1)
-def _full_pass(e: Ensemble, x: Instance, dist: ProductDistribution):
-    return _cylinder_sums(e, x, dist, range(e.feature_count))
 
 
 def shap_interpolation(e: Ensemble, x: Instance, i: int, dist: ProductDistribution) -> Fraction:
@@ -161,38 +151,19 @@ def shap_interpolation(e: Ensemble, x: Instance, i: int, dist: ProductDistributi
     features pays for one pass; see _cylinder_sums.
     """
     x = _check_tree_query(e, x, dist)
-    n = e.feature_count
-    if not (0 <= i < n):
-        raise ValueError(f"feature {i} outside 0..{n - 1}")
+    check_subset((i,), e.feature_count)
     return _full_pass(e, x, dist)[1][i]
 
 
-def _default_expectation(m: Model, dist: ProductDistribution) -> Fraction:
-    if isinstance(m, Perceptron):
-        from .perceptron import expected_value_perceptron
-        return expected_value_perceptron(m, dist)
-    if isinstance(m, DecisionTree):
-        m = majority_ensemble((m,))
-    if is_tree_ensemble(m):
-        from .trees import expected_value_tree_ensemble
-        return expected_value_tree_ensemble(m, dist)
-    if isinstance(m, Ensemble):
-        # Mixed or perceptron ensembles: no polynomial route, but enum is
-        # already exponential so the capped oracle is an honest backend.
-        from .oracle import oracle_expected_value
-        return oracle_expected_value(m, dist)
-    raise UnsupportedModelError(
-        f"no expectation backend for {type(m).__name__}; pass one explicitly")
-
-
-def shap_enum(m: Model, x: Instance, dist: ProductDistribution,
-              backend=None) -> tuple[Fraction, ...]:
+def shap_enum(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fraction, ...]:
     """Shapley values straight from the defining subset sum.
 
-    v(s) is the expectation of the model conditioned on z_s = x_s,
-    computed by `backend(conditioned_model, dist)`. Exponential in the
-    feature count, hence capped.
+    v(s) is the expectation of the model conditioned on z_s = x_s, by the
+    engine run_query's expect takes on the model's family: the oracle for
+    ensembles of perceptrons or of mixed members, so there 2n may not pass
+    the oracle cap. Exponential in the feature count, hence capped.
     """
+    from .runner import _engine
     from .transforms import condition_model
     n = m.feature_count
     cap = _config.shap_enum_cap()
@@ -202,8 +173,13 @@ def shap_enum(m: Model, x: Instance, dist: ProductDistribution,
             f"raise {_config.SHAP_ENUM_CAP_VAR} if you really want this")
     x = check_instance(x, n)
     check_dist(dist, n)
-    if backend is None:
-        backend = _default_expectation
+    route, expectation, m = _engine(m, "expect", "auto", [])
+    cap = _config.oracle_cap()
+    if route == "oracle" and 2 * n > cap:
+        raise ResourceCapError(
+            f"shap_enum refuses n={n} features on the oracle: 2^{n} conditioned "
+            f"models of 2^{n} rows each exceed 2^{cap} rows; "
+            f"raise {_config.ORACLE_CAP_VAR} if you really want this")
 
     v_cache: dict[int, Fraction] = {}
 
@@ -211,7 +187,7 @@ def shap_enum(m: Model, x: Instance, dist: ProductDistribution,
         got = v_cache.get(smask)
         if got is None:
             subset = tuple(i for i in range(n) if (smask >> i) & 1)
-            got = backend(condition_model(m, x, subset), dist)
+            got = expectation(condition_model(m, x, subset), dist)
             v_cache[smask] = got
         return got
 
@@ -254,9 +230,11 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
                 method: str = "auto") -> ShapReport:
     """Compute attributions by the named method and package them up.
 
-    method: auto | interpolation | pseudopoly | enum. auto picks
+    method: auto | interpolation | pseudopoly | enum | oracle. auto picks
     interpolation, the one-pass cylinder route, for tree ensembles (single
-    trees are wrapped) and the pseudo-polynomial route for perceptrons.
+    trees are wrapped), the pseudo-polynomial route for perceptrons, and
+    the capped oracle for any other model: ensembles of perceptrons or of
+    mixed members have no polynomial route.
     """
     if isinstance(m, DecisionTree):
         m = majority_ensemble((m,))
@@ -268,9 +246,9 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
         elif isinstance(m, Perceptron):
             method = "pseudopoly"
         else:
-            method = "enum"
+            method = "oracle"
     if method == "interpolation":
-        h, values = _cylinder_sums(m, _check_tree_query(m, x, dist), dist, range(n))
+        h, values = _cylinder_sums(m, _check_tree_query(m, x, dist), dist)
         expected = h[0]
     elif method == "pseudopoly":
         if not isinstance(m, Perceptron):
@@ -278,9 +256,15 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
         from .perceptron import h_table_perceptron, shap_perceptron_pseudopoly
         values = shap_perceptron_pseudopoly(m, x, dist)
         expected = h_table_perceptron(m, x, dist).values[0]
+    elif method == "oracle":
+        from .oracle import oracle_expected_value, oracle_shap
+        values = oracle_shap(m, x, dist)
+        expected = oracle_expected_value(m, dist)
     elif method == "enum":
+        from .runner import _engine
         values = shap_enum(m, x, dist)
-        expected = _default_expectation(m, dist)
+        _, expectation, m = _engine(m, "expect", "auto", [])
+        expected = expectation(m, dist)
     else:
         raise ValueError(f"unknown attribution method {method!r}")
     return ShapReport(values, eval_model(m, x), expected, method)

@@ -63,6 +63,9 @@ def _frs(value) -> str:
             "to print it") from None
 
 
+_FALLBACK = "no fast algorithm for {} on this model; falling back to the exponential oracle"
+
+
 def _route(m, kind: str, algorithm: str, warnings: list[str]) -> str:
     """The route of a kind in _FAST: 'oracle' or '<family>-<algorithm>'."""
     if algorithm == "oracle":
@@ -77,15 +80,23 @@ def _route(m, kind: str, algorithm: str, warnings: list[str]) -> str:
         raise UnsupportedModelError(
             f"no {algorithm} algorithm for {kind} on this model")
     else:
-        warnings.append(
-            f"no fast algorithm for {kind} on this model; "
-            "falling back to the exponential oracle")
+        warnings.append(_FALLBACK.format(kind))
         return "oracle"
     if algorithm not in ("auto", fast):
         raise UnsupportedModelError(
             f"algorithm {algorithm!r} does not apply to {kind} on this model "
             f"(would use {family}-{fast})")
     return f"{family}-{fast}"
+
+
+def _engine(m, kind: str, algorithm: str, warnings: list[str]):
+    """(route, engine function, model) of a kind in _FAST; the model is a
+    single tree wrapped as an ensemble where the route is tree-fpt."""
+    route = _route(m, kind, algorithm, warnings)
+    if route == "tree-fpt" and isinstance(m, DecisionTree):
+        m = majority_ensemble((m,))
+    module, name = _ENGINES[kind, route]
+    return route, getattr(import_module(f".{module}", __package__), name), m
 
 
 def _dist(dist, n: int) -> ProductDistribution:
@@ -113,22 +124,18 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
         dist = _dist(dist, n)
         if feature is not None and not (type(feature) is int and 0 <= feature < n):
             raise InvalidInstanceError(f"feature {feature!r} outside 0..{n - 1}")
-        if algorithm == "oracle":
-            from . import oracle
-            values = oracle.oracle_shap(model, x, dist)
-            route = "oracle"
-            expected = oracle.oracle_expected_value(model, dist)
-        else:
-            from . import attribution
-            method = {"fpt": "interpolation", "direct": "pseudopoly"}.get(algorithm, algorithm)
-            report = attribution.shap_report(model, x, dist, method=method)
-            values, route, expected = report.values, report.method, report.expected
-        payload.update({"method": route, "expected": _frs(expected),
-                        "total": _frs(sum(values, Fraction(0)))})
+        from . import attribution
+        method = {"fpt": "interpolation", "direct": "pseudopoly"}.get(algorithm, algorithm)
+        report = attribution.shap_report(model, x, dist, method=method)
+        route = report.method
+        if algorithm == "auto" and route == "oracle":
+            warnings.append(_FALLBACK.format(kind))
+        payload.update({"method": route, "expected": _frs(report.expected),
+                        "total": _frs(report.total)})
         if feature is None:
-            payload["values"] = [_frs(v) for v in values]
+            payload["values"] = [_frs(v) for v in report.values]
         else:
-            payload.update({"feature": feature, "answer": _frs(values[feature])})
+            payload.update({"feature": feature, "answer": _frs(report.values[feature])})
 
     elif kind == "enumerate-contrastive":
         if type(minimal_only) is not bool:
@@ -163,11 +170,8 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
                 raise InvalidInstanceError(f"{kind} needs a bound of at least 0")
             payload["bound"] = bound
             args = (x,)
-        route = _route(model, kind, algorithm, warnings)
-        if route == "tree-fpt" and isinstance(model, DecisionTree):
-            model = majority_ensemble((model,))
-        module, name = _ENGINES[kind, route]
-        answer = getattr(import_module(f".{module}", __package__), name)(model, *args)
+        route, engine, model = _engine(model, kind, algorithm, warnings)
+        answer = engine(model, *args)
         if answer is ABSENT:  # mcr/msr with no witness
             payload.update({"answer": False, "size": None, "witness": None})
         elif kind in ("mcr", "msr"):

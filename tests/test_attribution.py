@@ -3,7 +3,6 @@
 import time
 from collections import Counter
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from fpxplain import attribution, transforms
@@ -11,20 +10,18 @@ from fpxplain.attribution import (
     check_efficiency, check_model_count_identity, shap_enum,
     shap_interpolation, shap_report, size_stratified_sums,
 )
-from fpxplain.errors import ResourceCapError, UnsupportedModelError
+from fpxplain.errors import InputShapeError, ResourceCapError, UnsupportedModelError
 from fpxplain.generate import (
     random_instance_bits, random_perceptron, random_product_distribution,
     random_tree, random_tree_ensemble, rng_from_seed,
 )
 from fpxplain.models import (
     DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
-    Weighted, leaf, majority_ensemble, split, subset_mask,
+    Weighted, leaf, majority_ensemble, split,
 )
 from fpxplain.oracle import (
-    _v_table, oracle_expected_value, oracle_h_table, oracle_model_count,
-    oracle_shap,
+    oracle_expected_value, oracle_h_table, oracle_model_count, oracle_shap,
 )
-from fpxplain.transforms import condition_model
 from fpxplain.trees import _raw_triples, _selections, expected_value_tree_ensemble
 from test_cli import _chain_tree
 
@@ -53,6 +50,16 @@ def test_interpolation_matches_oracle_shap():
         want = oracle_shap(e, x, d)
         got = tuple(shap_interpolation(e, x, i, d) for i in range(n))
         assert got == tuple(want)
+
+
+def test_shap_interpolation_refuses_a_feature_that_is_not_an_index():
+    """A bool, a non-int or an index outside 0..n-1 is an input error, as
+    in a subset: True is not feature 1."""
+    e = majority_ensemble((random_tree(rng_from_seed(82), 3, 5),))
+    x, d = (1, 0, 1), ProductDistribution.uniform(3)
+    for i in (True, False, 1.0, "1", None, -1, 3):
+        with pytest.raises(InputShapeError, match=r"outside range 0\.\.2"):
+            shap_interpolation(e, x, i, d)
 
 
 def test_shap_enum_matches_oracle_both_model_kinds():
@@ -161,25 +168,6 @@ def test_cylinder_route_oracle_battery():
             tuple(oracle_h_table(e, x, d)), trial
 
 
-def test_size_stratified_sums_on_a_ground_subset():
-    rng = rng_from_seed(78)
-    for trial in range(60):
-        e, x, d = _battery_case(rng, trial)
-        n = e.feature_count
-        if n < 2:
-            continue
-        left_out = tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1))))
-        features = tuple(i for i in range(n) if i not in left_out)
-        g = condition_model(e, x, left_out)
-        inside = subset_mask(features)
-        want = [F(0)] * (len(features) + 1)
-        for mask, val in enumerate(_v_table(g, x, d)):
-            if mask & ~inside == 0:
-                want[mask.bit_count()] += val
-        assert tuple(size_stratified_sums(g, x, d, features).values) == \
-            tuple(want), trial
-
-
 def test_tree_shap_does_not_condition_the_model(monkeypatch):
     # the ROADMAP hot spot: n = 30, k = 3, m = 16
     rng = rng_from_seed(79)
@@ -202,37 +190,17 @@ def test_tree_shap_does_not_condition_the_model(monkeypatch):
     assert rep.expected == expected_value_tree_ensemble(e, d)
 
 
-def _ground_game(e, x, d, features):
-    """(H, phi) of the game on the ground set `features`, from the oracle's v table."""
-    v = _v_table(e, x, d)
-    ground = list(features)
-    g = len(ground)
-    coef = [F(factorial(k) * factorial(g - k - 1), factorial(g)) for k in range(g)]
-    h = [F(0)] * (g + 1)
-    phi = [F(0)] * e.feature_count
-    for sub in range(1 << g):
-        s = sum(1 << ground[j] for j in range(g) if (sub >> j) & 1)
-        h[sub.bit_count()] += v[s]
-        for i in ground:
-            if not (s >> i) & 1:
-                phi[i] += coef[sub.bit_count()] * (v[s | 1 << i] - v[s])
-    return tuple(h), tuple(phi)
-
-
-def _bucket_branches(e, x, d, features):
+def _bucket_branches(e, x, d):
     """Count the non-empty (feature, value) buckets of the cylinder pass by
     the shape of their divisor a + b t: a = 0, b = 0, or neither zero."""
-    ground = subset_mask(features)
     prob = [(1 - p, p) for p in d.probs]
     keys = set()
     for mask, vals in _selections(_raw_triples(e), e.voting, 1):
         fixed = [(i, (vals >> i) & 1) for i in range(e.feature_count) if (mask >> i) & 1]
-        inside = [(i, v) for i, v in fixed if (ground >> i) & 1]
         # a cylinder adds a zero polynomial when one of its factors is zero
-        if any(prob[i][v] == 0 for i, v in fixed if (i, v) not in inside) or \
-                any(prob[i][v] == 0 and v != x[i] for i, v in inside):
+        if any(prob[i][v] == 0 and v != x[i] for i, v in fixed):
             continue
-        keys.update(inside)
+        keys.update(fixed)
     return Counter("a=0" if prob[i][v] == 0 else "b=0" if v != x[i] else "both"
                    for i, v in keys)
 
@@ -242,15 +210,9 @@ def test_bucket_division_branch_battery():
     branches = Counter()
     for trial in range(200):
         e, x, d = _battery_case(rng, trial)
-        n = e.feature_count
-        if trial % 4 >= 2:
-            features = tuple(sorted(rng.sample(range(n), rng.randint(0, n - 1))))
-            want = _ground_game(e, x, d, features)
-        else:
-            features = tuple(range(n))
-            want = (oracle_h_table(e, x, d), oracle_shap(e, x, d))
-        assert attribution._cylinder_sums(e, x, d, features) == want, trial
-        branches += _bucket_branches(e, x, d, features)
+        want = (oracle_h_table(e, x, d), oracle_shap(e, x, d))
+        assert attribution._cylinder_sums(e, x, d) == want, trial
+        branches += _bucket_branches(e, x, d)
     assert min(branches[key] for key in ("a=0", "b=0", "both")) >= 30, branches
 
 

@@ -317,7 +317,8 @@ def test_query_process_imports_only_what_its_route_runs(tmp_path):
 
 
 def test_perfbench_traced_names_resolve():
-    """Every function perfbench's tracer wraps still exists under its name."""
+    """Every function perfbench's tracer wraps still exists under its name,
+    and size_stratified_sums keeps the lru_cache hooks perfbench calls."""
     spec = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "spec.json")
                       .read_text())
     missing = []
@@ -327,6 +328,9 @@ def test_perfbench_traced_names_resolve():
             if not hasattr(importlib.import_module(f"fpxplain.{module}"), attr):
                 missing.append(qualified)
     assert missing == []
+    sums = importlib.import_module("fpxplain.attribution").size_stratified_sums
+    for hook in ("cache_info", "cache_clear"):
+        assert callable(getattr(sums, hook, None)), hook
 
 
 def test_query_exits_one_exactly_on_a_false_answer(tmp_path):

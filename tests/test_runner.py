@@ -5,9 +5,19 @@ A row is either the payload's `algorithm` label, followed by "warned"
 when the payload carries a warning, or the error class and its message.
 """
 
+import time
 from fractions import Fraction
 
-from fpxplain.models import DecisionTree, Ensemble, Majority, Perceptron, leaf, split
+import pytest
+from fpxplain.errors import ResourceCapError
+from fpxplain.generate import (
+    random_instance_bits, random_perceptron, random_product_distribution, random_tree,
+    rng_from_seed,
+)
+from fpxplain.models import (
+    DecisionTree, Ensemble, Majority, Perceptron, Weighted, leaf, majority_ensemble, split,
+)
+from fpxplain.oracle import oracle_expected_value, oracle_shap
 from fpxplain.runner import ALGORITHMS, QUERY_KINDS, run_query
 
 T0 = DecisionTree(3, (split(0, 1, 2), leaf(0), split(2, 3, 4), leaf(0), leaf(1)), 0)
@@ -205,7 +215,7 @@ shap perceptron
     interpolation UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
     enum          enum
 shap perceptron-ensemble
-    auto          enum
+    auto          oracle warned
     oracle        oracle
     fpt           UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
     direct        UnsupportedModelError: pseudopoly attribution is for perceptrons
@@ -213,7 +223,7 @@ shap perceptron-ensemble
     interpolation UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
     enum          enum
 shap mixed-ensemble
-    auto          enum
+    auto          oracle warned
     oracle        oracle
     fpt           UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
     direct        UnsupportedModelError: pseudopoly attribution is for perceptrons
@@ -332,6 +342,52 @@ def test_every_route_answers_or_refuses_as_listed():
         if got != outcome:
             wrong.append((kind, family, algorithm, got))
     assert wrong == []
+
+
+def test_shap_auto_falls_back_to_the_oracle_without_a_fast_route():
+    """Ensembles of perceptrons, and ensembles mixing trees and
+    perceptrons, have no polynomial Shapley route: auto runs the oracle
+    with the warning every other kind gives, and answers what it does."""
+    rng = rng_from_seed(81)
+    for case in range(48):
+        n = rng.randint(1, 8)
+        if case % 2:  # mixed: at least one tree and one perceptron
+            members = [random_tree(rng, n, 6), random_perceptron(rng, n, 6)]
+            members += [rng.choice((random_tree, random_perceptron))(rng, n, 6)
+                        for _ in range(rng.randint(0, 2))]
+            rng.shuffle(members)
+        else:
+            members = [random_perceptron(rng, n, 6) for _ in range(rng.randint(1, 4))]
+        m = majority_ensemble(members)
+        if case % 4 >= 2:
+            m = Ensemble(m.members, Weighted(
+                tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in members),
+                Fraction(rng.randint(-3, 3), 2)))
+        x = random_instance_bits(rng, n)
+        d = random_product_distribution(rng, n)
+        payload = run_query(m, "shap", x, dist=d)
+        assert payload["algorithm"] == payload["method"] == "oracle", case
+        assert payload["warnings"] == [
+            "no fast algorithm for shap on this model; "
+            "falling back to the exponential oracle"], case
+        values = [Fraction(v) for v in payload["values"]]
+        expected = Fraction(payload["expected"])
+        assert tuple(values) == oracle_shap(m, x, d), case
+        assert expected == oracle_expected_value(m, d), case
+        assert sum(values) == payload["prediction"] - expected, case
+
+
+def test_forced_enum_refuses_fast_where_its_expectation_is_the_oracle():
+    """enum on a perceptron ensemble conditions 2^n models and the oracle
+    reads 2^n rows of each: at n = 11 (2n past the default oracle cap of
+    20) it refuses before conditioning anything."""
+    rng = rng_from_seed(10)
+    e = majority_ensemble([random_perceptron(rng, 11, 8) for _ in range(3)])
+    x = random_instance_bits(rng, 11)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="FPXPLAIN_ORACLE_CAP"):
+        run_query(e, "shap", x, algorithm="enum")
+    assert time.perf_counter() - start < 1
 
 
 def test_arguments_are_checked_before_the_route():
