@@ -16,7 +16,7 @@ from importlib import import_module
 _EXPORTS = {
     "attribution": (
         "ShapReport", "check_efficiency", "check_model_count_identity",
-        "shap_enum", "shap_interpolation", "shap_report",
+        "shap_interpolation", "shap_report",
         "size_stratified_sums",
     ),
     "errors": (
@@ -30,16 +30,15 @@ _EXPORTS = {
         "leaf", "majority_ensemble", "split", "validate_model",
     ),
     "oracle": (
-        "oracle_completion_count", "oracle_expected_value", "oracle_h_sum",
+        "oracle_completion_count", "oracle_expected_value",
         "oracle_is_contrastive", "oracle_is_sufficient",
         "oracle_min_contrastive", "oracle_min_sufficient",
         "oracle_model_count", "oracle_shap",
     ),
     "perceptron": (
         "cc_perceptron_pseudopoly", "csr_perceptron",
-        "expected_value_perceptron", "h_sum_perceptron",
-        "h_table_perceptron", "mcr_perceptron", "min_contrastive_perceptron",
-        "min_sufficient_perceptron", "msr_perceptron",
+        "expected_value_perceptron", "h_table_perceptron",
+        "min_contrastive_perceptron", "min_sufficient_perceptron",
         "shap_perceptron_pseudopoly",
     ),
     "runner": ("run_query",),
@@ -51,9 +50,8 @@ _EXPORTS = {
     "trees": (
         "cc_tree_ensemble", "csr_single_tree", "csr_tree_ensemble",
         "enumerate_candidate_contrastive", "expected_value_tree_ensemble",
-        "greedy_subset_minimal_sufficient", "mcr_tree_ensemble",
-        "min_contrastive_size", "min_sufficient_size", "minimum_hitting_set",
-        "msr_tree_ensemble",
+        "greedy_subset_minimal_sufficient", "min_contrastive_size",
+        "min_sufficient_size", "minimum_hitting_set",
     ),
 }
 

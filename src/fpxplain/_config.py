@@ -18,10 +18,6 @@ ORACLE_CAP_DEFAULT = 20
 SHAP_ORACLE_CAP_VAR = "FPXPLAIN_SHAP_ORACLE_CAP"
 SHAP_ORACLE_CAP_DEFAULT = 14
 
-# cap for the subset-enumerating Shapley route (exponential in n)
-SHAP_ENUM_CAP_VAR = "FPXPLAIN_SHAP_ENUM_CAP"
-SHAP_ENUM_CAP_DEFAULT = 16
-
 # budget for the perceptron subset-sum table, counted in (weight span) x
 # (features) cells, times n + 1 for the H table and Shapley values
 PSEUDO_BUDGET_VAR = "FPXPLAIN_PSEUDO_BUDGET"
@@ -47,10 +43,6 @@ def oracle_cap() -> int:
 
 def shap_oracle_cap() -> int:
     return _read_int(SHAP_ORACLE_CAP_VAR, SHAP_ORACLE_CAP_DEFAULT)
-
-
-def shap_enum_cap() -> int:
-    return _read_int(SHAP_ENUM_CAP_VAR, SHAP_ENUM_CAP_DEFAULT)
 
 
 def pseudo_budget() -> int:

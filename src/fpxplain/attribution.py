@@ -1,9 +1,7 @@
 """Exact Shapley attribution and the identities it must satisfy.
 
-shap_report is the one place that picks a Shapley route. All are exact:
-* shap_enum: the defining sum over feature subsets, with conditional
-  expectations of the conditioned model from the engine runner's expect
-  route takes (exponential in n; fine for small n)
+shap_report is the one place that picks a Shapley route, one per model
+family. All are exact:
 * the "interpolation" route (shap_interpolation, size_stratified_sums):
   for tree ensembles, one pass over the accepted cylinders yields the
   size-stratified sums H(k) and every Shapley value
@@ -38,15 +36,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from . import _config
-from .errors import ResourceCapError, UnsupportedModelError
+from .errors import InvalidInstanceError, UnsupportedModelError
 from .models import (
     DecisionTree, Ensemble, Instance, Model, Perceptron, ProductDistribution,
     Record, check_dist, check_instance, check_subset, eval_model,
     is_tree_ensemble, majority_ensemble,
 )
 
-# The engines (trees, perceptron, transforms, oracle) are imported by the
+# The engines (trees, perceptron, oracle) are imported by the
 # functions that call them, so a query process loads only its route's.
 
 
@@ -129,19 +126,23 @@ _full_pass = lru_cache(maxsize=1)(_cylinder_sums)
 
 
 @lru_cache(maxsize=64)
+def _h_table(e: Ensemble, x: Instance, dist: ProductDistribution) -> HTable:
+    from .perceptron import HTable
+    return HTable(_full_pass(e, x, dist)[0])
+
+
 def size_stratified_sums(e: Ensemble, x: Instance, dist: ProductDistribution) -> HTable:
     """H(k) = sum over size-k subsets s of E[f | z_s = x_s].
 
     Tree ensembles only. The H(k) are the coefficients of the summed
-    cylinder polynomials; see _cylinder_sums.
+    cylinder polynomials; see _cylinder_sums. x is checked and made a
+    tuple before the cache sees it, so any sequence of bits will do.
     """
-    from .perceptron import HTable
-    return HTable(_full_pass(e, _check_tree_query(e, x, dist), dist)[0])
+    return _h_table(e, _check_tree_query(e, x, dist), dist)
 
 
-def _shap_coefficients(n: int) -> list[Fraction]:
-    fact = [factorial(j) for j in range(n + 1)]
-    return [Fraction(fact[k] * fact[n - k - 1], fact[n]) for k in range(n)]
+size_stratified_sums.cache_info = _h_table.cache_info
+size_stratified_sums.cache_clear = _h_table.cache_clear
 
 
 def shap_interpolation(e: Ensemble, x: Instance, i: int, dist: ProductDistribution) -> Fraction:
@@ -153,55 +154,6 @@ def shap_interpolation(e: Ensemble, x: Instance, i: int, dist: ProductDistributi
     x = _check_tree_query(e, x, dist)
     check_subset((i,), e.feature_count)
     return _full_pass(e, x, dist)[1][i]
-
-
-def shap_enum(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fraction, ...]:
-    """Shapley values straight from the defining subset sum.
-
-    v(s) is the expectation of the model conditioned on z_s = x_s, by the
-    engine run_query's expect takes on the model's family: the oracle for
-    ensembles of perceptrons or of mixed members, so there 2n may not pass
-    the oracle cap. Exponential in the feature count, hence capped.
-    """
-    from .runner import _engine
-    from .transforms import condition_model
-    n = m.feature_count
-    cap = _config.shap_enum_cap()
-    if n > cap:
-        raise ResourceCapError(
-            f"shap_enum refuses n={n} features (cap {cap}); "
-            f"raise {_config.SHAP_ENUM_CAP_VAR} if you really want this")
-    x = check_instance(x, n)
-    check_dist(dist, n)
-    route, expectation, m = _engine(m, "expect", "auto", [])
-    cap = _config.oracle_cap()
-    if route == "oracle" and 2 * n > cap:
-        raise ResourceCapError(
-            f"shap_enum refuses n={n} features on the oracle: 2^{n} conditioned "
-            f"models of 2^{n} rows each exceed 2^{cap} rows; "
-            f"raise {_config.ORACLE_CAP_VAR} if you really want this")
-
-    v_cache: dict[int, Fraction] = {}
-
-    def v(smask: int) -> Fraction:
-        got = v_cache.get(smask)
-        if got is None:
-            subset = tuple(i for i in range(n) if (smask >> i) & 1)
-            got = expectation(condition_model(m, x, subset), dist)
-            v_cache[smask] = got
-        return got
-
-    coef = _shap_coefficients(n)
-    phis = []
-    for i in range(n):
-        bit = 1 << i
-        total = Fraction(0)
-        for smask in range(1 << n):
-            if smask & bit:
-                continue
-            total += coef[smask.bit_count()] * (v(smask | bit) - v(smask))
-        phis.append(total)
-    return tuple(phis)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +182,16 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
                 method: str = "auto") -> ShapReport:
     """Compute attributions by the named method and package them up.
 
-    method: auto | interpolation | pseudopoly | enum | oracle. auto picks
+    method: auto | interpolation | pseudopoly | oracle. auto picks
     interpolation, the one-pass cylinder route, for tree ensembles (single
     trees are wrapped), the pseudo-polynomial route for perceptrons, and
     the capped oracle for any other model: ensembles of perceptrons or of
-    mixed members have no polynomial route.
+    mixed members have no polynomial route. Any other method is an
+    InvalidInstanceError, checked first, as run_query checks an unknown
+    algorithm.
     """
+    if method not in ("auto", "interpolation", "pseudopoly", "oracle"):
+        raise InvalidInstanceError(f"unknown attribution method {method!r}")
     if isinstance(m, DecisionTree):
         m = majority_ensemble((m,))
     n = m.feature_count
@@ -256,17 +212,10 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
         from .perceptron import h_table_perceptron, shap_perceptron_pseudopoly
         values = shap_perceptron_pseudopoly(m, x, dist)
         expected = h_table_perceptron(m, x, dist).values[0]
-    elif method == "oracle":
+    else:
         from .oracle import oracle_expected_value, oracle_shap
         values = oracle_shap(m, x, dist)
         expected = oracle_expected_value(m, dist)
-    elif method == "enum":
-        from .runner import _engine
-        values = shap_enum(m, x, dist)
-        _, expectation, m = _engine(m, "expect", "auto", [])
-        expected = expectation(m, dist)
-    else:
-        raise ValueError(f"unknown attribution method {method!r}")
     return ShapReport(values, eval_model(m, x), expected, method)
 
 

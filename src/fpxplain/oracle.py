@@ -21,11 +21,16 @@ from .models import (
 )
 
 
-def _require_cap(n: int, cap: int, what: str):
+def _require_cap(n: int, what: str, shap: bool = False):
+    """Refuse n features past the oracle cap, or the Shapley oracle's."""
+    if shap:
+        cap, var = _config.shap_oracle_cap(), _config.SHAP_ORACLE_CAP_VAR
+    else:
+        cap, var = _config.oracle_cap(), _config.ORACLE_CAP_VAR
     if n > cap:
         raise ResourceCapError(
             f"{what} refuses n={n} features (cap {cap}); "
-            f"raise the cap via environment if you really want this")
+            f"raise {var} if you really want this")
 
 
 @lru_cache(maxsize=64)
@@ -39,7 +44,7 @@ def _truth_table(m: Model) -> bytes:
 def oracle_is_sufficient(m: Model, x: Instance, s) -> bool:
     """True iff every completion that agrees with x on s keeps f(x)."""
     n = feature_count(m)
-    _require_cap(n, _config.oracle_cap(), "oracle_is_sufficient")
+    _require_cap(n, "oracle_is_sufficient")
     x = check_instance(x, n)
     s = check_subset(s, n)
     table = _truth_table(m)
@@ -60,7 +65,7 @@ def oracle_is_sufficient(m: Model, x: Instance, s) -> bool:
 def oracle_is_contrastive(m: Model, x: Instance, s) -> bool:
     """True iff flipping some features inside s changes the prediction."""
     n = feature_count(m)
-    _require_cap(n, _config.oracle_cap(), "oracle_is_contrastive")
+    _require_cap(n, "oracle_is_contrastive")
     x = check_instance(x, n)
     s = check_subset(s, n)
     table = _truth_table(m)
@@ -80,7 +85,7 @@ def oracle_is_contrastive(m: Model, x: Instance, s) -> bool:
 def oracle_min_sufficient(m: Model, x: Instance) -> tuple[int, tuple[int, ...]]:
     """Smallest sufficient reason; lexicographically first witness on ties."""
     n = feature_count(m)
-    _require_cap(n, _config.oracle_cap(), "oracle_min_sufficient")
+    _require_cap(n, "oracle_min_sufficient")
     x = check_instance(x, n)
     for size in range(n + 1):
         for s in combinations(range(n), size):
@@ -95,7 +100,7 @@ def oracle_min_contrastive(m: Model, x: Instance):
     No contrastive set exists exactly when the model is constant.
     """
     n = feature_count(m)
-    _require_cap(n, _config.oracle_cap(), "oracle_min_contrastive")
+    _require_cap(n, "oracle_min_contrastive")
     x = check_instance(x, n)
     for size in range(1, n + 1):
         for s in combinations(range(n), size):
@@ -107,7 +112,7 @@ def oracle_min_contrastive(m: Model, x: Instance):
 def oracle_completion_count(m: Model, x: Instance, s) -> Fraction:
     """Fraction of completions agreeing with x on s that keep f(x)."""
     n = feature_count(m)
-    _require_cap(n, _config.oracle_cap(), "oracle_completion_count")
+    _require_cap(n, "oracle_completion_count")
     x = check_instance(x, n)
     s = check_subset(s, n)
     table = _truth_table(m)
@@ -130,7 +135,7 @@ def oracle_completion_count(m: Model, x: Instance, s) -> Fraction:
 def oracle_expected_value(m: Model, dist: ProductDistribution) -> Fraction:
     """E[f(z)] under the product distribution, by full enumeration."""
     n = feature_count(m)
-    _require_cap(n, _config.oracle_cap(), "oracle_expected_value")
+    _require_cap(n, "oracle_expected_value")
     check_dist(dist, n)
     table = _truth_table(m)
     nums = [p.numerator for p in dist.probs]
@@ -152,7 +157,7 @@ def oracle_expected_value(m: Model, dist: ProductDistribution) -> Fraction:
 def oracle_model_count(m: Model) -> int:
     """|f^{-1}(1)|, the number of accepted instances."""
     n = feature_count(m)
-    _require_cap(n, _config.oracle_cap(), "oracle_model_count")
+    _require_cap(n, "oracle_model_count")
     return sum(_truth_table(m))
 
 
@@ -197,17 +202,13 @@ def _v_table(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fraction
 def oracle_h_table(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fraction, ...]:
     """H[k] = sum over all size-k subsets of E[f | z_s = x_s], k = 0..n."""
     n = feature_count(m)
-    _require_cap(n, _config.shap_oracle_cap(), "oracle_h_table")
+    _require_cap(n, "oracle_h_table", shap=True)
     x = check_instance(x, n)
     v = _v_table(m, x, dist)
     h = [Fraction(0)] * (n + 1)
     for mask, val in enumerate(v):
         h[mask.bit_count()] += val
     return tuple(h)
-
-
-def oracle_h_sum(m: Model, x: Instance, dist: ProductDistribution, k: int) -> Fraction:
-    return oracle_h_table(m, x, dist)[k]
 
 
 def oracle_shap(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fraction, ...]:
@@ -218,7 +219,7 @@ def oracle_shap(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fract
     with v(s) the conditional expectation of f given z_s = x_s.
     """
     n = feature_count(m)
-    _require_cap(n, _config.shap_oracle_cap(), "oracle_shap")
+    _require_cap(n, "oracle_shap", shap=True)
     x = check_instance(x, n)
     check_dist(dist, n)
     v = _v_table(m, x, dist)

@@ -132,12 +132,6 @@ def min_contrastive_perceptron(p: Perceptron, x: Instance):
     return _lex_first_witness(benefits, lambda total: _crosses(score, total, positive))
 
 
-def mcr_perceptron(p: Perceptron, x: Instance, d: int) -> bool:
-    """Is there a contrastive set of size at most d?"""
-    res = min_contrastive_perceptron(p, x)
-    return res is not ABSENT and res[0] <= d
-
-
 def _fix_gains(p: Perceptron, x: Instance) -> tuple[list[Fraction], Fraction, bool]:
     """Per-feature gain toward sufficiency when fixing the feature to x.
 
@@ -179,12 +173,6 @@ def min_sufficient_perceptron(p: Perceptron, x: Instance) -> tuple[int, tuple[in
     assert found is not ABSENT, "the full feature set is always sufficient"
     assert csr_perceptron(p, x, found[1])
     return found
-
-
-def msr_perceptron(p: Perceptron, x: Instance, d: int) -> bool:
-    """Is there a sufficient reason of size at most d?"""
-    size, _ = min_sufficient_perceptron(p, x)
-    return size <= d
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +402,6 @@ def h_table_perceptron(p: Perceptron, x: Instance, dist: ProductDistribution) ->
     sums = table.unpack(table.column(table.threshold), p.feature_count + 1)
     values = tuple(Fraction(c, table.common) for c in sums)
     return HTable(values)
-
-
-def h_sum_perceptron(p: Perceptron, x: Instance, dist: ProductDistribution, k: int) -> Fraction:
-    return h_table_perceptron(p, x, dist).values[k]
 
 
 def shap_perceptron_pseudopoly(p: Perceptron, x: Instance,

@@ -22,7 +22,7 @@ from .models import (
 QUERY_KINDS = ("csr", "mcr", "msr", "cc", "shap", "expect",
                "enumerate-contrastive")
 ALGORITHMS = ("auto", "oracle", "fpt", "direct", "pseudopoly",
-              "interpolation", "enum")
+              "interpolation")
 
 # kind -> its fast algorithm on (tree ensembles, perceptrons); a kind with
 # a "tree-direct" engine runs it on a single tree
@@ -87,16 +87,6 @@ def _route(m, kind: str, algorithm: str, warnings: list[str]) -> str:
             f"algorithm {algorithm!r} does not apply to {kind} on this model "
             f"(would use {family}-{fast})")
     return f"{family}-{fast}"
-
-
-def _engine(m, kind: str, algorithm: str, warnings: list[str]):
-    """(route, engine function, model) of a kind in _FAST; the model is a
-    single tree wrapped as an ensemble where the route is tree-fpt."""
-    route = _route(m, kind, algorithm, warnings)
-    if route == "tree-fpt" and isinstance(m, DecisionTree):
-        m = majority_ensemble((m,))
-    module, name = _ENGINES[kind, route]
-    return route, getattr(import_module(f".{module}", __package__), name), m
 
 
 def _dist(dist, n: int) -> ProductDistribution:
@@ -170,8 +160,11 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
                 raise InvalidInstanceError(f"{kind} needs a bound of at least 0")
             payload["bound"] = bound
             args = (x,)
-        route, engine, model = _engine(model, kind, algorithm, warnings)
-        answer = engine(model, *args)
+        route = _route(model, kind, algorithm, warnings)
+        if route == "tree-fpt" and isinstance(model, DecisionTree):
+            model = majority_ensemble((model,))
+        module, name = _ENGINES[kind, route]
+        answer = getattr(import_module(f".{module}", __package__), name)(model, *args)
         if answer is ABSENT:  # mcr/msr with no witness
             payload.update({"answer": False, "size": None, "witness": None})
         elif kind in ("mcr", "msr"):

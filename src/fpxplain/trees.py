@@ -245,12 +245,6 @@ def min_contrastive_size(e: Ensemble, x: Instance):
     return size, min(_members(m) for m in flips if m.bit_count() == size)
 
 
-def mcr_tree_ensemble(e: Ensemble, x: Instance, d: int) -> bool:
-    """Is there a contrastive set of size at most d?"""
-    res = min_contrastive_size(e, x)
-    return res is not ABSENT and res[0] <= d
-
-
 def _disjoint_packing(masks: list[int]) -> int:
     """Greedy count of pairwise-disjoint members; lower-bounds the hitting set."""
     used = 0
@@ -322,12 +316,6 @@ def min_sufficient_size(e: Ensemble, x: Instance) -> tuple[int, tuple[int, ...]]
     size, witness = minimum_hitting_set(minimal, e.feature_count)
     assert csr_tree_ensemble(e, x, witness), "duality witness must be sufficient"
     return size, witness
-
-
-def msr_tree_ensemble(e: Ensemble, x: Instance, d: int) -> bool:
-    """Is there a sufficient reason of size at most d?"""
-    size, _ = min_sufficient_size(e, x)
-    return size <= d
 
 
 # ---------------------------------------------------------------------------

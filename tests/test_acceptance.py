@@ -23,13 +23,13 @@ from fpxplain import (
     csr_perceptron, csr_single_tree, csr_tree_ensemble, dnf_to_ensemble,
     enumerate_candidate_contrastive, eval_model, expected_value_perceptron,
     expected_value_tree_ensemble, greedy_subset_minimal_sufficient,
-    h_sum_perceptron, indicator_perceptron, indicator_tree, mcr_perceptron,
-    mcr_tree_ensemble, min_contrastive_perceptron, min_contrastive_size,
+    h_table_perceptron, indicator_perceptron, indicator_tree,
+    min_contrastive_perceptron, min_contrastive_size,
     min_sufficient_perceptron, min_sufficient_size, minimum_hitting_set,
-    msr_perceptron, msr_tree_ensemble, negate_model, oracle_completion_count,
-    oracle_expected_value, oracle_h_sum, oracle_is_contrastive,
+    negate_model, oracle_completion_count,
+    oracle_expected_value, oracle_is_contrastive,
     oracle_is_sufficient, oracle_min_contrastive, oracle_min_sufficient,
-    oracle_model_count, oracle_shap, run_query, shap_enum, shap_interpolation,
+    oracle_model_count, oracle_shap, run_query, shap_interpolation,
     shap_perceptron_pseudopoly, shap_report,
 )
 from fpxplain.bench import bench_instances, run_bench
@@ -46,6 +46,7 @@ from fpxplain.generate import (
     sample_kssp_filtered, sample_ssp,
 )
 from fpxplain.models import int_to_bits
+from fpxplain.oracle import oracle_h_table
 from fpxplain.serialize import canonical_dumps, dumps_model
 from fpxplain.transforms import CnfFormula, DnfFormula
 
@@ -85,13 +86,6 @@ def perceptron_cases():
     return tuple(cases)
 
 
-def _decision_bounds(n: int, size) -> list[int]:
-    bounds = {0, n}
-    if size is not None:
-        bounds.update({size, max(0, size - 1)})
-    return sorted(bounds)
-
-
 def test_acceptance_1_fast_paths_equal_oracle():
     started = time.perf_counter()
 
@@ -105,24 +99,13 @@ def test_acceptance_1_fast_paths_equal_oracle():
                 == oracle_expected_value(e, dist))
 
         assert min_sufficient_size(e, x) == oracle_min_sufficient(e, x)
-        ms_size = min_sufficient_size(e, x)[0]
-        for d in _decision_bounds(n, ms_size):
-            assert msr_tree_ensemble(e, x, d) == (ms_size <= d)
-        fast_mc = min_contrastive_size(e, x)
-        want_mc = oracle_min_contrastive(e, x)
-        assert fast_mc == want_mc
-        mc_size = None if want_mc is ABSENT else want_mc[0]
-        for d in _decision_bounds(n, mc_size):
-            assert mcr_tree_ensemble(e, x, d) == (
-                mc_size is not None and mc_size <= d)
+        assert min_contrastive_size(e, x) == oracle_min_contrastive(e, x)
 
         want_phi = oracle_shap(e, x, dist)
         assert tuple(shap_interpolation(e, x, i, dist)
                      for i in range(n)) == want_phi
-        assert shap_enum(e, x, dist) == want_phi
 
     for p, x, s, dist in perceptron_cases():
-        n = p.feature_count
         assert csr_perceptron(p, x, s) == oracle_is_sufficient(p, x, s)
         assert (cc_perceptron_pseudopoly(p, x, s)
                 == oracle_completion_count(p, x, s))
@@ -130,23 +113,10 @@ def test_acceptance_1_fast_paths_equal_oracle():
                 == oracle_expected_value(p, dist))
 
         assert min_sufficient_perceptron(p, x) == oracle_min_sufficient(p, x)
-        ms_size = min_sufficient_perceptron(p, x)[0]
-        for d in _decision_bounds(n, ms_size):
-            assert msr_perceptron(p, x, d) == (ms_size <= d)
-        fast_mc = min_contrastive_perceptron(p, x)
-        want_mc = oracle_min_contrastive(p, x)
-        assert fast_mc == want_mc
-        mc_size = None if want_mc is ABSENT else want_mc[0]
-        for d in _decision_bounds(n, mc_size):
-            assert mcr_perceptron(p, x, d) == (
-                mc_size is not None and mc_size <= d)
+        assert min_contrastive_perceptron(p, x) == oracle_min_contrastive(p, x)
 
-        for k in range(n + 1):
-            assert (h_sum_perceptron(p, x, dist, k)
-                    == oracle_h_sum(p, x, dist, k))
-        want_phi = oracle_shap(p, x, dist)
-        assert shap_perceptron_pseudopoly(p, x, dist) == want_phi
-        assert shap_enum(p, x, dist) == want_phi
+        assert h_table_perceptron(p, x, dist).values == oracle_h_table(p, x, dist)
+        assert shap_perceptron_pseudopoly(p, x, dist) == oracle_shap(p, x, dist)
 
     assert time.perf_counter() - started < 600.0
 

@@ -1,4 +1,4 @@
-"""Shapley attribution: interpolation route, enumeration route, identities."""
+"""Shapley attribution: interpolation route, route choice, identities."""
 
 import time
 from collections import Counter
@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from fpxplain import attribution, transforms
 from fpxplain.attribution import (
-    check_efficiency, check_model_count_identity, shap_enum,
-    shap_interpolation, shap_report, size_stratified_sums,
+    check_efficiency, check_model_count_identity, shap_interpolation,
+    shap_report, size_stratified_sums,
 )
-from fpxplain.errors import InputShapeError, ResourceCapError, UnsupportedModelError
+from fpxplain.errors import InputShapeError, InvalidInstanceError, UnsupportedModelError
 from fpxplain.generate import (
     random_instance_bits, random_perceptron, random_product_distribution,
     random_tree, random_tree_ensemble, rng_from_seed,
@@ -38,6 +38,8 @@ def test_size_stratified_sums_match_oracle():
         table = size_stratified_sums(e, x, d)
         want = oracle_h_table(e, x, d)
         assert tuple(table.values) == tuple(want)
+        # a list instance is checked and made a tuple before the cache
+        assert size_stratified_sums(e, list(x), d) == table
 
 
 def test_interpolation_matches_oracle_shap():
@@ -60,17 +62,6 @@ def test_shap_interpolation_refuses_a_feature_that_is_not_an_index():
     for i in (True, False, 1.0, "1", None, -1, 3):
         with pytest.raises(InputShapeError, match=r"outside range 0\.\.2"):
             shap_interpolation(e, x, i, d)
-
-
-def test_shap_enum_matches_oracle_both_model_kinds():
-    rng = rng_from_seed(73)
-    for trial in range(30):
-        n = rng.randint(1, 6)
-        m = random_tree_ensemble(rng, n, 2, 5) if trial % 2 \
-            else random_perceptron(rng, n, 6)
-        x = random_instance_bits(rng, n)
-        d = random_product_distribution(rng, n)
-        assert tuple(shap_enum(m, x, d)) == tuple(oracle_shap(m, x, d))
 
 
 def test_report_auto_routes_and_identities():
@@ -98,9 +89,21 @@ def test_report_methods_agree():
     x = random_instance_bits(rng, 5)
     d = random_product_distribution(rng, 5)
     a = shap_report(e, x, d, method="interpolation")
-    b = shap_report(e, x, d, method="enum")
-    assert a.values == b.values
-    assert a.method == "interpolation" and b.method == "enum"
+    b = shap_report(e, x, d, method="oracle")
+    assert a.values == b.values and a.expected == b.expected
+    assert a.method == "interpolation" and b.method == "oracle"
+
+
+def test_report_refuses_an_unknown_method():
+    """An unknown method is refused before the instance is checked, as
+    run_query refuses an unknown algorithm."""
+    e = majority_ensemble((random_tree(rng_from_seed(75), 3, 5),))
+    d = ProductDistribution.uniform(3)
+    for method in ("enum", "fpt", ""):
+        for x in ((1, 0, 1), (1, 0)):
+            with pytest.raises(InvalidInstanceError,
+                               match=f"unknown attribution method {method!r}"):
+                shap_report(e, x, d, method=method)
 
 
 def test_single_tree_is_wrapped():
@@ -116,13 +119,6 @@ def test_interpolation_requires_tree_ensemble():
     p = Perceptron((F(1),), F(0))
     with pytest.raises(UnsupportedModelError):
         shap_report(p, (1,), ProductDistribution.uniform(1), method="interpolation")
-
-
-def test_enum_cap(monkeypatch):
-    monkeypatch.setenv("FPXPLAIN_SHAP_ENUM_CAP", "3")
-    p = Perceptron((F(1),) * 4, F(0))
-    with pytest.raises(ResourceCapError):
-        shap_enum(p, (1,) * 4, ProductDistribution.uniform(4))
 
 
 def test_degenerate_probabilities():
@@ -181,7 +177,7 @@ def test_tree_shap_does_not_condition_the_model(monkeypatch):
         calls.append(s)
         return original(m, x, s)
 
-    # attribution imports condition_model from transforms at each call
+    # a route that conditioned the model would call it from transforms
     monkeypatch.setattr(transforms, "condition_model", counting)
     rep = shap_report(e, x, d)
     assert calls == []

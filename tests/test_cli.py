@@ -168,7 +168,7 @@ def test_wrong_length_dist_is_an_input_error():
 def test_cap_variables_are_input_errors(tmp_path, monkeypatch):
     path = write(tmp_path, "and.json", AND_MODEL)
     for var, value, kind, algorithm in (("FPXPLAIN_ORACLE_CAP", "abc", "csr", "oracle"),
-                                        ("FPXPLAIN_SHAP_ENUM_CAP", "-3", "shap", "enum")):
+                                        ("FPXPLAIN_SHAP_ORACLE_CAP", "-3", "shap", "oracle")):
         monkeypatch.setenv(var, value)
         r = run(["query", "--model", path, "--kind", kind, "--instance", "11",
                  "--algorithm", algorithm])
@@ -176,6 +176,22 @@ def test_cap_variables_are_input_errors(tmp_path, monkeypatch):
         assert r.exit_code == 2, (var, r.output)
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert r.output.startswith("error: " + var)
+
+
+def test_readme_lists_every_environment_knob():
+    """The README's knob list names exactly the variables _config reads,
+    each with its default."""
+    from fpxplain import _config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Environment knobs", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        if line.startswith("- `FPXPLAIN_"):
+            name, _, rest = line[3:].partition("` (default ")
+            listed[name] = int(rest.partition(")")[0])
+    read = {getattr(_config, var): getattr(_config, var[:-len("VAR")] + "DEFAULT")
+            for var in dir(_config) if var.endswith("_VAR")}
+    assert listed == read
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path):
@@ -532,6 +548,8 @@ def test_usage_errors_exit_two(tmp_path):
                   "--instance", "11"],
                  ["validate", str(tmp_path)],
                  ["query", "--model", path, "--kind", "csrr", "--instance", "11"],
+                 ["query", "--model", path, "--kind", "shap", "--instance", "11",
+                  "--algorithm", "enum"],
                  ["query", "--model", path, "--kind", "mcr", "--instance", "11",
                   "--bound", "abc"]):
         r = run(args)

@@ -115,14 +115,14 @@ def test_h_table_endpoints():
 def test_oracle_respects_cap(monkeypatch):
     monkeypatch.setenv("FPXPLAIN_ORACLE_CAP", "4")
     p = Perceptron((Fraction(1),) * 5, Fraction(0))
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"\(cap 4\); raise FPXPLAIN_ORACLE_CAP "):
         oracle_is_sufficient(p, (1,) * 5, ())
 
 
 def test_shap_cap(monkeypatch):
     monkeypatch.setenv("FPXPLAIN_SHAP_ORACLE_CAP", "3")
     p = Perceptron((Fraction(1),) * 4, Fraction(0))
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"\(cap 3\); raise FPXPLAIN_SHAP_ORACLE_CAP "):
         oracle_shap(p, (1,) * 4, ProductDistribution.uniform(4))
 
 

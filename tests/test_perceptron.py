@@ -19,10 +19,10 @@ from fpxplain.oracle import (
 )
 from fpxplain.perceptron import (
     cc_perceptron_pseudopoly, csr_perceptron, expected_value_perceptron,
-    h_sum_perceptron, h_table_perceptron, mcr_perceptron,
-    min_contrastive_perceptron, min_sufficient_perceptron, msr_perceptron,
+    h_table_perceptron, min_contrastive_perceptron, min_sufficient_perceptron,
     shap_perceptron_pseudopoly,
 )
+from fpxplain.runner import run_query
 from fpxplain.serialize import dumps_model
 
 from cli_runner import run
@@ -45,15 +45,15 @@ def test_csr_example():
 def test_mcr_example():
     p = P((3, 1, 1), F(-5, 2))
     assert min_contrastive_perceptron(p, (1, 1, 1)) == (1, (0,))
-    assert mcr_perceptron(p, (1, 1, 1), 1)
-    assert not mcr_perceptron(p, (1, 1, 1), 0)
+    assert run_query(p, "mcr", (1, 1, 1), bound=1)["answer"]
+    assert not run_query(p, "mcr", (1, 1, 1), bound=0)["answer"]
 
 
 def test_msr_example():
     p = P((4, 1, 1, 1), F(-7, 2))
     assert min_sufficient_perceptron(p, (1, 1, 1, 1)) == (1, (0,))
-    assert msr_perceptron(p, (1, 1, 1, 1), 1)
-    assert not msr_perceptron(p, (1, 1, 1, 1), 0)
+    assert run_query(p, "msr", (1, 1, 1, 1), bound=1)["answer"]
+    assert not run_query(p, "msr", (1, 1, 1, 1), bound=0)["answer"]
 
 
 def test_cc_examples():
@@ -78,21 +78,19 @@ def test_h_sum_example():
     p = P((1, 1), -2)
     x = (1, 1)
     d = ProductDistribution.uniform(2)
-    assert h_sum_perceptron(p, x, d, 1) == 1
-    assert h_sum_perceptron(p, x, d, 0) == F(1, 4)
-    assert h_sum_perceptron(p, x, d, 2) == 1
+    assert h_table_perceptron(p, x, d).values == (F(1, 4), 1, 1)
 
 
 def test_mcr_absent_on_constant():
     p = P((0, 0), 1)
     assert min_contrastive_perceptron(p, (0, 1)) is ABSENT
-    assert not mcr_perceptron(p, (0, 1), 2)
+    assert not run_query(p, "mcr", (0, 1), bound=2)["answer"]
 
 
 def test_msr_zero_on_constant():
     p = P((0, 0), -1)
     assert min_sufficient_perceptron(p, (1, 1)) == (0, ())
-    assert msr_perceptron(p, (1, 1), 0)
+    assert run_query(p, "msr", (1, 1), bound=0)["answer"]
 
 
 def test_random_agreement_with_oracle():

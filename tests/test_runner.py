@@ -5,11 +5,8 @@ A row is either the payload's `algorithm` label, followed by "warned"
 when the payload carries a warning, or the error class and its message.
 """
 
-import time
 from fractions import Fraction
 
-import pytest
-from fpxplain.errors import ResourceCapError
 from fpxplain.generate import (
     random_instance_bits, random_perceptron, random_product_distribution, random_tree,
     rng_from_seed,
@@ -37,7 +34,6 @@ csr tree
     direct        tree-direct
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to csr on this model (would use tree-direct)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to csr on this model (would use tree-direct)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to csr on this model (would use tree-direct)
 csr tree-ensemble
     auto          tree-fpt
     oracle        oracle
@@ -45,7 +41,6 @@ csr tree-ensemble
     direct        UnsupportedModelError: algorithm 'direct' does not apply to csr on this model (would use tree-fpt)
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to csr on this model (would use tree-fpt)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to csr on this model (would use tree-fpt)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to csr on this model (would use tree-fpt)
 csr perceptron
     auto          perceptron-direct
     oracle        oracle
@@ -53,7 +48,6 @@ csr perceptron
     direct        perceptron-direct
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to csr on this model (would use perceptron-direct)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to csr on this model (would use perceptron-direct)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to csr on this model (would use perceptron-direct)
 csr perceptron-ensemble
     auto          oracle warned
     oracle        oracle
@@ -61,7 +55,6 @@ csr perceptron-ensemble
     direct        UnsupportedModelError: no direct algorithm for csr on this model
     pseudopoly    UnsupportedModelError: no pseudopoly algorithm for csr on this model
     interpolation UnsupportedModelError: no interpolation algorithm for csr on this model
-    enum          UnsupportedModelError: no enum algorithm for csr on this model
 csr mixed-ensemble
     auto          oracle warned
     oracle        oracle
@@ -69,7 +62,6 @@ csr mixed-ensemble
     direct        UnsupportedModelError: no direct algorithm for csr on this model
     pseudopoly    UnsupportedModelError: no pseudopoly algorithm for csr on this model
     interpolation UnsupportedModelError: no interpolation algorithm for csr on this model
-    enum          UnsupportedModelError: no enum algorithm for csr on this model
 mcr tree
     auto          tree-fpt
     oracle        oracle
@@ -77,7 +69,6 @@ mcr tree
     direct        UnsupportedModelError: algorithm 'direct' does not apply to mcr on this model (would use tree-fpt)
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to mcr on this model (would use tree-fpt)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to mcr on this model (would use tree-fpt)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to mcr on this model (would use tree-fpt)
 mcr tree-ensemble
     auto          tree-fpt
     oracle        oracle
@@ -85,7 +76,6 @@ mcr tree-ensemble
     direct        UnsupportedModelError: algorithm 'direct' does not apply to mcr on this model (would use tree-fpt)
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to mcr on this model (would use tree-fpt)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to mcr on this model (would use tree-fpt)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to mcr on this model (would use tree-fpt)
 mcr perceptron
     auto          perceptron-direct
     oracle        oracle
@@ -93,7 +83,6 @@ mcr perceptron
     direct        perceptron-direct
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to mcr on this model (would use perceptron-direct)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to mcr on this model (would use perceptron-direct)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to mcr on this model (would use perceptron-direct)
 mcr perceptron-ensemble
     auto          oracle warned
     oracle        oracle
@@ -101,7 +90,6 @@ mcr perceptron-ensemble
     direct        UnsupportedModelError: no direct algorithm for mcr on this model
     pseudopoly    UnsupportedModelError: no pseudopoly algorithm for mcr on this model
     interpolation UnsupportedModelError: no interpolation algorithm for mcr on this model
-    enum          UnsupportedModelError: no enum algorithm for mcr on this model
 mcr mixed-ensemble
     auto          oracle warned
     oracle        oracle
@@ -109,7 +97,6 @@ mcr mixed-ensemble
     direct        UnsupportedModelError: no direct algorithm for mcr on this model
     pseudopoly    UnsupportedModelError: no pseudopoly algorithm for mcr on this model
     interpolation UnsupportedModelError: no interpolation algorithm for mcr on this model
-    enum          UnsupportedModelError: no enum algorithm for mcr on this model
 msr tree
     auto          tree-fpt
     oracle        oracle
@@ -117,7 +104,6 @@ msr tree
     direct        UnsupportedModelError: algorithm 'direct' does not apply to msr on this model (would use tree-fpt)
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to msr on this model (would use tree-fpt)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to msr on this model (would use tree-fpt)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to msr on this model (would use tree-fpt)
 msr tree-ensemble
     auto          tree-fpt
     oracle        oracle
@@ -125,7 +111,6 @@ msr tree-ensemble
     direct        UnsupportedModelError: algorithm 'direct' does not apply to msr on this model (would use tree-fpt)
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to msr on this model (would use tree-fpt)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to msr on this model (would use tree-fpt)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to msr on this model (would use tree-fpt)
 msr perceptron
     auto          perceptron-direct
     oracle        oracle
@@ -133,7 +118,6 @@ msr perceptron
     direct        perceptron-direct
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to msr on this model (would use perceptron-direct)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to msr on this model (would use perceptron-direct)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to msr on this model (would use perceptron-direct)
 msr perceptron-ensemble
     auto          oracle warned
     oracle        oracle
@@ -141,7 +125,6 @@ msr perceptron-ensemble
     direct        UnsupportedModelError: no direct algorithm for msr on this model
     pseudopoly    UnsupportedModelError: no pseudopoly algorithm for msr on this model
     interpolation UnsupportedModelError: no interpolation algorithm for msr on this model
-    enum          UnsupportedModelError: no enum algorithm for msr on this model
 msr mixed-ensemble
     auto          oracle warned
     oracle        oracle
@@ -149,7 +132,6 @@ msr mixed-ensemble
     direct        UnsupportedModelError: no direct algorithm for msr on this model
     pseudopoly    UnsupportedModelError: no pseudopoly algorithm for msr on this model
     interpolation UnsupportedModelError: no interpolation algorithm for msr on this model
-    enum          UnsupportedModelError: no enum algorithm for msr on this model
 cc tree
     auto          tree-fpt
     oracle        oracle
@@ -157,7 +139,6 @@ cc tree
     direct        UnsupportedModelError: algorithm 'direct' does not apply to cc on this model (would use tree-fpt)
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to cc on this model (would use tree-fpt)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to cc on this model (would use tree-fpt)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to cc on this model (would use tree-fpt)
 cc tree-ensemble
     auto          tree-fpt
     oracle        oracle
@@ -165,7 +146,6 @@ cc tree-ensemble
     direct        UnsupportedModelError: algorithm 'direct' does not apply to cc on this model (would use tree-fpt)
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to cc on this model (would use tree-fpt)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to cc on this model (would use tree-fpt)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to cc on this model (would use tree-fpt)
 cc perceptron
     auto          perceptron-pseudopoly
     oracle        oracle
@@ -173,7 +153,6 @@ cc perceptron
     direct        UnsupportedModelError: algorithm 'direct' does not apply to cc on this model (would use perceptron-pseudopoly)
     pseudopoly    perceptron-pseudopoly
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to cc on this model (would use perceptron-pseudopoly)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to cc on this model (would use perceptron-pseudopoly)
 cc perceptron-ensemble
     auto          oracle warned
     oracle        oracle
@@ -181,7 +160,6 @@ cc perceptron-ensemble
     direct        UnsupportedModelError: no direct algorithm for cc on this model
     pseudopoly    UnsupportedModelError: no pseudopoly algorithm for cc on this model
     interpolation UnsupportedModelError: no interpolation algorithm for cc on this model
-    enum          UnsupportedModelError: no enum algorithm for cc on this model
 cc mixed-ensemble
     auto          oracle warned
     oracle        oracle
@@ -189,7 +167,6 @@ cc mixed-ensemble
     direct        UnsupportedModelError: no direct algorithm for cc on this model
     pseudopoly    UnsupportedModelError: no pseudopoly algorithm for cc on this model
     interpolation UnsupportedModelError: no interpolation algorithm for cc on this model
-    enum          UnsupportedModelError: no enum algorithm for cc on this model
 shap tree
     auto          interpolation
     oracle        oracle
@@ -197,7 +174,6 @@ shap tree
     direct        UnsupportedModelError: pseudopoly attribution is for perceptrons
     pseudopoly    UnsupportedModelError: pseudopoly attribution is for perceptrons
     interpolation interpolation
-    enum          enum
 shap tree-ensemble
     auto          interpolation
     oracle        oracle
@@ -205,7 +181,6 @@ shap tree-ensemble
     direct        UnsupportedModelError: pseudopoly attribution is for perceptrons
     pseudopoly    UnsupportedModelError: pseudopoly attribution is for perceptrons
     interpolation interpolation
-    enum          enum
 shap perceptron
     auto          pseudopoly
     oracle        oracle
@@ -213,7 +188,6 @@ shap perceptron
     direct        pseudopoly
     pseudopoly    pseudopoly
     interpolation UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
-    enum          enum
 shap perceptron-ensemble
     auto          oracle warned
     oracle        oracle
@@ -221,7 +195,6 @@ shap perceptron-ensemble
     direct        UnsupportedModelError: pseudopoly attribution is for perceptrons
     pseudopoly    UnsupportedModelError: pseudopoly attribution is for perceptrons
     interpolation UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
-    enum          enum
 shap mixed-ensemble
     auto          oracle warned
     oracle        oracle
@@ -229,7 +202,6 @@ shap mixed-ensemble
     direct        UnsupportedModelError: pseudopoly attribution is for perceptrons
     pseudopoly    UnsupportedModelError: pseudopoly attribution is for perceptrons
     interpolation UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
-    enum          enum
 expect tree
     auto          tree-fpt
     oracle        oracle
@@ -237,7 +209,6 @@ expect tree
     direct        UnsupportedModelError: algorithm 'direct' does not apply to expect on this model (would use tree-fpt)
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to expect on this model (would use tree-fpt)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to expect on this model (would use tree-fpt)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to expect on this model (would use tree-fpt)
 expect tree-ensemble
     auto          tree-fpt
     oracle        oracle
@@ -245,7 +216,6 @@ expect tree-ensemble
     direct        UnsupportedModelError: algorithm 'direct' does not apply to expect on this model (would use tree-fpt)
     pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to expect on this model (would use tree-fpt)
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to expect on this model (would use tree-fpt)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to expect on this model (would use tree-fpt)
 expect perceptron
     auto          perceptron-pseudopoly
     oracle        oracle
@@ -253,7 +223,6 @@ expect perceptron
     direct        UnsupportedModelError: algorithm 'direct' does not apply to expect on this model (would use perceptron-pseudopoly)
     pseudopoly    perceptron-pseudopoly
     interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to expect on this model (would use perceptron-pseudopoly)
-    enum          UnsupportedModelError: algorithm 'enum' does not apply to expect on this model (would use perceptron-pseudopoly)
 expect perceptron-ensemble
     auto          oracle warned
     oracle        oracle
@@ -261,7 +230,6 @@ expect perceptron-ensemble
     direct        UnsupportedModelError: no direct algorithm for expect on this model
     pseudopoly    UnsupportedModelError: no pseudopoly algorithm for expect on this model
     interpolation UnsupportedModelError: no interpolation algorithm for expect on this model
-    enum          UnsupportedModelError: no enum algorithm for expect on this model
 expect mixed-ensemble
     auto          oracle warned
     oracle        oracle
@@ -269,7 +237,6 @@ expect mixed-ensemble
     direct        UnsupportedModelError: no direct algorithm for expect on this model
     pseudopoly    UnsupportedModelError: no pseudopoly algorithm for expect on this model
     interpolation UnsupportedModelError: no interpolation algorithm for expect on this model
-    enum          UnsupportedModelError: no enum algorithm for expect on this model
 enumerate-contrastive tree
     auto          tree-fpt
     oracle        InvalidInstanceError: algorithm 'oracle' does not apply to enumeration
@@ -277,7 +244,6 @@ enumerate-contrastive tree
     direct        InvalidInstanceError: algorithm 'direct' does not apply to enumeration
     pseudopoly    InvalidInstanceError: algorithm 'pseudopoly' does not apply to enumeration
     interpolation InvalidInstanceError: algorithm 'interpolation' does not apply to enumeration
-    enum          InvalidInstanceError: algorithm 'enum' does not apply to enumeration
 enumerate-contrastive tree-ensemble
     auto          tree-fpt
     oracle        InvalidInstanceError: algorithm 'oracle' does not apply to enumeration
@@ -285,7 +251,6 @@ enumerate-contrastive tree-ensemble
     direct        InvalidInstanceError: algorithm 'direct' does not apply to enumeration
     pseudopoly    InvalidInstanceError: algorithm 'pseudopoly' does not apply to enumeration
     interpolation InvalidInstanceError: algorithm 'interpolation' does not apply to enumeration
-    enum          InvalidInstanceError: algorithm 'enum' does not apply to enumeration
 enumerate-contrastive perceptron
     auto          UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
     oracle        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
@@ -293,7 +258,6 @@ enumerate-contrastive perceptron
     direct        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
     pseudopoly    UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
     interpolation UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    enum          UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
 enumerate-contrastive perceptron-ensemble
     auto          UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
     oracle        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
@@ -301,7 +265,6 @@ enumerate-contrastive perceptron-ensemble
     direct        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
     pseudopoly    UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
     interpolation UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    enum          UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
 enumerate-contrastive mixed-ensemble
     auto          UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
     oracle        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
@@ -309,7 +272,6 @@ enumerate-contrastive mixed-ensemble
     direct        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
     pseudopoly    UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
     interpolation UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    enum          UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
 """
 
 
@@ -377,19 +339,6 @@ def test_shap_auto_falls_back_to_the_oracle_without_a_fast_route():
         assert sum(values) == payload["prediction"] - expected, case
 
 
-def test_forced_enum_refuses_fast_where_its_expectation_is_the_oracle():
-    """enum on a perceptron ensemble conditions 2^n models and the oracle
-    reads 2^n rows of each: at n = 11 (2n past the default oracle cap of
-    20) it refuses before conditioning anything."""
-    rng = rng_from_seed(10)
-    e = majority_ensemble([random_perceptron(rng, 11, 8) for _ in range(3)])
-    x = random_instance_bits(rng, 11)
-    start = time.perf_counter()
-    with pytest.raises(ResourceCapError, match="FPXPLAIN_ORACLE_CAP"):
-        run_query(e, "shap", x, algorithm="enum")
-    assert time.perf_counter() - start < 1
-
-
 def test_arguments_are_checked_before_the_route():
     """Kind and algorithm names first, then the instance, then the
     subset, bound or feature, then (for enumeration) the model family;
@@ -397,11 +346,13 @@ def test_arguments_are_checked_before_the_route():
     cases = [
         (("csr", "tree"), {"x": (1, 0), "algorithm": "fast"},
          "InvalidInstanceError: unknown algorithm 'fast'"),
+        (("shap", "tree"), {"x": (1, 0), "algorithm": "enum"},
+         "InvalidInstanceError: unknown algorithm 'enum'"),
         (("expect", "tree"), {"x": (1, 0), "algorithm": "pseudopoly"},
          "InputShapeError: instance has 2 features, model expects 3"),
         (("csr", "perceptron-ensemble"), {"subset": (7,), "algorithm": "fpt"},
          "InputShapeError: feature index 7 outside range 0..2"),
-        (("cc", "tree"), {"subset": (-1,), "algorithm": "enum"},
+        (("cc", "tree"), {"subset": (-1,), "algorithm": "interpolation"},
          "InputShapeError: feature index -1 outside range 0..2"),
         (("mcr", "perceptron-ensemble"), {"bound": -1, "algorithm": "fpt"},
          "InvalidInstanceError: mcr needs a bound of at least 0"),

@@ -18,12 +18,12 @@ from fpxplain.oracle import (
     oracle_completion_count, oracle_expected_value, oracle_is_contrastive,
     oracle_is_sufficient, oracle_min_contrastive, oracle_min_sufficient,
 )
+from fpxplain.runner import run_query
 from fpxplain.trees import (
     cc_tree_ensemble, csr_single_tree, csr_tree_ensemble,
     cylinder_decomposition, enumerate_candidate_contrastive,
     expected_value_tree_ensemble, greedy_subset_minimal_sufficient,
-    mcr_tree_ensemble, min_contrastive_size, min_sufficient_size,
-    minimum_hitting_set, msr_tree_ensemble,
+    min_contrastive_size, min_sufficient_size, minimum_hitting_set,
 )
 
 
@@ -70,9 +70,9 @@ def test_negative_vote_weights_constant_ensemble():
         assert eval_model(e, int_to_bits(z, 2)) == 0
     assert csr_tree_ensemble(e, (1, 0), ())
     assert min_contrastive_size(e, (1, 0)) is ABSENT
-    assert not mcr_tree_ensemble(e, (1, 0), 2)
+    assert not run_query(e, "mcr", (1, 0), bound=2)["answer"]
     assert min_sufficient_size(e, (1, 0)) == (0, ())
-    assert msr_tree_ensemble(e, (1, 0), 0)
+    assert run_query(e, "msr", (1, 0), bound=0)["answer"]
 
 
 def test_hitting_set_basics():
@@ -122,12 +122,11 @@ def test_candidates_are_contrastive_and_minimal_flip():
 
 
 def test_mcr_msr_decisions():
-    t = or_tree()
-    e = majority_ensemble((t,))
-    assert mcr_tree_ensemble(e, (1, 1), 2)
-    assert not mcr_tree_ensemble(e, (1, 1), 1)
-    assert msr_tree_ensemble(e, (1, 1), 1)
-    assert not msr_tree_ensemble(e, (1, 1), 0)
+    e = majority_ensemble((or_tree(),))
+    assert run_query(e, "mcr", (1, 1), bound=2)["answer"]
+    assert not run_query(e, "mcr", (1, 1), bound=1)["answer"]
+    assert run_query(e, "msr", (1, 1), bound=1)["answer"]
+    assert not run_query(e, "msr", (1, 1), bound=0)["answer"]
 
 
 def test_greedy_or_example():
