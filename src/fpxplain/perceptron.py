@@ -1,7 +1,11 @@
 """Exact explanation queries on a single perceptron.
 
-Sufficiency and contrastiveness reduce to worst-case interval reasoning
-on the weighted sum. Counting and Shapley attribution read one packed
+Sufficiency and contrastiveness read one integer gain vector: how far
+each feature can move the score toward the other side of the threshold,
+against how far it must move. A set is contrastive iff its gains reach
+that need, and sufficient iff its complement is not contrastive, so csr
+is one sum and mcr and msr are each a smallest set whose gains reach a
+target. Counting and Shapley attribution read one packed
 subset-sum table on the integer-scaled weights: completion counts and
 expected values are a single prefix of its t-free form, and Shapley
 values are assembled from size-stratified conditional expectation sums
@@ -19,77 +23,72 @@ from math import factorial, prod
 from typing import NamedTuple
 
 from . import _config
-from .errors import ResourceCapError
+from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
     ABSENT, Instance, Perceptron, ProductDistribution, Record, check_dist,
-    check_instance, check_subset,
+    check_instance, check_subset, eval_perceptron,
 )
 
 
-def _score(p: Perceptron, x: Instance) -> Fraction:
-    total = p.bias
-    for w, xi in zip(p.weights, x):
-        if xi:
-            total += w
-    return total
+def _require_perceptron(p):
+    if not isinstance(p, Perceptron):
+        raise UnsupportedModelError(f"expected a perceptron, got {type(p).__name__}")
 
 
 # ---------------------------------------------------------------------------
-# sufficiency
+# sufficiency and smallest witnesses
+
+
+def _gains(p: Perceptron, x: Instance) -> tuple[list[int], int]:
+    """(gains, need) on the integer-scaled weights.
+
+    gains[i] is how far reassigning feature i can move the score
+    b + sum_{x_i = 1} w_i toward the other side of the threshold, and
+    need how far it must move: score + 1 when f(x) = 1 (to go below 0),
+    -score when f(x) = 0 (to reach 0). A set is contrastive iff its gains
+    sum to at least need, and sufficient iff its complement is not
+    contrastive.
+    """
+    ws, b, _ = p.scaled
+    score = b + sum(w for w, xi in zip(ws, x) if xi)
+    sign = 1 if score >= 0 else -1
+    gains = [max(0, sign * w if xi else -sign * w) for w, xi in zip(ws, x)]
+    return gains, score + 1 if score >= 0 else -score
 
 
 def csr_perceptron(p: Perceptron, x: Instance, s) -> bool:
-    """Worst-case completion check: the fixed part plus adversarial free
-    weights must stay on the prediction's side of the threshold."""
+    """Is fixing x on s enough? Yes iff the free features' gains fall
+    short of need."""
+    _require_perceptron(p)
     n = p.feature_count
     x = check_instance(x, n)
-    s = check_subset(s, n)
-    sset = set(s)
-    fixed = p.bias
-    worst_low = Fraction(0)
-    worst_high = Fraction(0)
-    for i, w in enumerate(p.weights):
-        if i in sset:
-            if x[i]:
-                fixed += w
-        else:
-            if w < 0:
-                worst_low += w
-            elif w > 0:
-                worst_high += w
-    if _score(p, x) >= 0:
-        return fixed + worst_low >= 0
-    return fixed + worst_high < 0
+    sset = set(check_subset(s, n))
+    gains, need = _gains(p, x)
+    return sum(g for i, g in enumerate(gains) if i not in sset) < need
 
 
-# ---------------------------------------------------------------------------
-# smallest witnesses
+def _lex_first_witness(gains: list[int], need: int):
+    """(size, witness) of a smallest feature set whose gains sum to at
+    least need, or ABSENT if even all features fall short.
 
-
-def _lex_first_witness(gains: list[Fraction], passes):
-    """(size, witness) of a smallest feature set whose gain sum passes, or
-    ABSENT if even all features fail.
-
-    `passes` is monotone in the gain sum, so the smallest size is the
-    first r whose top-r gain sum passes, and a prefix of chosen features
-    extends to a passing set of that size exactly when its sum plus the
-    largest remaining gains passes. Scanning indices in order gives the
-    lexicographically first witness.
+    The smallest size is the first r whose top-r gain sum reaches need,
+    and a prefix of chosen features extends to a set of that size exactly
+    when its sum plus the largest remaining gains does. Scanning indices
+    in order gives the lexicographically first witness.
     """
     n = len(gains)
-    ranked = accumulate(sorted(gains, reverse=True), initial=Fraction(0))
-    size = next((r for r, total in enumerate(ranked) if passes(total)), None)
+    ranked = accumulate(sorted(gains, reverse=True), initial=0)
+    size = next((r for r, total in enumerate(ranked) if total >= need), None)
     if size is None:
         return ABSENT
     chosen: list[int] = []
-    acc = Fraction(0)
     start = 0
     while len(chosen) < size:
         for i in range(start, n):
             tail = sorted(gains[i + 1:], reverse=True)[:size - len(chosen) - 1]
-            if passes(acc + gains[i] + sum(tail, Fraction(0))):
+            if gains[i] + sum(tail) >= need:
                 chosen.append(i)
-                acc += gains[i]
+                need -= gains[i]
                 start = i + 1
                 break
         else:  # pragma: no cover
@@ -97,79 +96,25 @@ def _lex_first_witness(gains: list[Fraction], passes):
     return size, tuple(chosen)
 
 
-def _flip_benefits(p: Perceptron, x: Instance) -> tuple[list[Fraction], Fraction, bool]:
-    """Per-feature gain toward overturning the prediction.
-
-    Flipping feature i moves the score by delta_i = (1-2x_i) w_i. With
-    target 1 we need the total score to drop below 0, with target 0 to
-    reach 0; benefit is the helpful direction, clipped at 0.
-    """
-    score = _score(p, x)
-    positive = score >= 0
-    benefits = []
-    for i, w in enumerate(p.weights):
-        delta = -w if x[i] else w
-        benefit = -delta if positive else delta
-        benefits.append(benefit if benefit > 0 else Fraction(0))
-    return benefits, score, positive
-
-
-def _crosses(score: Fraction, benefit_sum: Fraction, positive: bool) -> bool:
-    if positive:
-        return benefit_sum > score
-    return benefit_sum >= -score
-
-
 def min_contrastive_perceptron(p: Perceptron, x: Instance):
-    """(size, witness) of a smallest contrastive set, or ABSENT if none.
-
-    The witness is the lexicographically first among the minimum-size
-    contrastive sets: a set of flips overturns the prediction exactly when
-    its benefit sum crosses the score gap.
-    """
+    """(size, witness) of a smallest contrastive set, or ABSENT if none;
+    the witness is the lexicographically first of that size."""
+    _require_perceptron(p)
     x = check_instance(x, p.feature_count)
-    benefits, score, positive = _flip_benefits(p, x)
-    return _lex_first_witness(benefits, lambda total: _crosses(score, total, positive))
-
-
-def _fix_gains(p: Perceptron, x: Instance) -> tuple[list[Fraction], Fraction, bool]:
-    """Per-feature gain toward sufficiency when fixing the feature to x.
-
-    With target 1, an unfixed feature contributes min(0, w_i) in the worst
-    case and w_i x_i once fixed; the deficit is measured against 0.
-    """
-    score = _score(p, x)
-    positive = score >= 0
-    gains = []
-    base = p.bias
-    for i, w in enumerate(p.weights):
-        if positive:
-            worst = w if w < 0 else Fraction(0)
-            gain = (w if x[i] else Fraction(0)) - worst
-        else:
-            worst = w if w > 0 else Fraction(0)
-            gain = worst - (w if x[i] else Fraction(0))
-        base += worst
-        gains.append(gain)
-    # base is the worst-case score with nothing fixed; fixing a set adds its gains
-    return gains, base, positive
-
-
-def _gains_sufficient(base: Fraction, gain_sum: Fraction, positive: bool) -> bool:
-    if positive:
-        return base + gain_sum >= 0
-    return base - gain_sum < 0
+    return _lex_first_witness(*_gains(p, x))
 
 
 def min_sufficient_perceptron(p: Perceptron, x: Instance) -> tuple[int, tuple[int, ...]]:
-    """(size, witness) of a minimum sufficient reason.
+    """(size, witness) of a minimum sufficient reason, the lexicographically
+    first of that size.
 
-    Sufficiency of a set is monotone in its gain sum against a fixed
-    worst-case base, and the witness is the lexicographically first.
+    s is sufficient iff the gains outside it sum to less than need, that
+    is, iff its own gains sum to at least sum(gains) - need + 1.
     """
+    _require_perceptron(p)
     x = check_instance(x, p.feature_count)
-    gains, base, positive = _fix_gains(p, x)
-    found = _lex_first_witness(gains, lambda total: _gains_sufficient(base, total, positive))
+    gains, need = _gains(p, x)
+    found = _lex_first_witness(gains, sum(gains) - need + 1)
     assert found is not ABSENT, "the full feature set is always sufficient"
     assert csr_perceptron(p, x, found[1])
     return found
@@ -249,6 +194,7 @@ def cc_perceptron_pseudopoly(p: Perceptron, x: Instance, s) -> Fraction:
     moved into the threshold; exact, with cost proportional to the span
     of the free integer-scaled weights.
     """
+    _require_perceptron(p)
     n = p.feature_count
     x = check_instance(x, n)
     s = check_subset(s, n)
@@ -259,12 +205,13 @@ def cc_perceptron_pseudopoly(p: Perceptron, x: Instance, s) -> Fraction:
     span = sum(abs(w) for w in free) + 1
     _check_dp_budget(span * max(1, len(free)), "cc_perceptron_pseudopoly")
     kept = _mass_up_to([(w, 1, 2) for w in free], fixed + sum(free))
-    return kept if _score(p, x) >= 0 else 1 - kept
+    return kept if eval_perceptron(p, x) else 1 - kept
 
 
 def expected_value_perceptron(p: Perceptron, dist: ProductDistribution) -> Fraction:
     """E[f(z)] under a product distribution: the t-free agreement table of
     the instance x = 0, read at its threshold b + sum of w."""
+    _require_perceptron(p)
     n = p.feature_count
     check_dist(dist, n)
     span = sum(abs(w) for w in p.scaled[0]) + 1
@@ -294,6 +241,7 @@ class HTable(Record):
 def _check_h_query(p: Perceptron, x: Instance, dist: ProductDistribution,
                    what: str) -> Instance:
     """Validate the inputs and charge one (span, count) table to the budget."""
+    _require_perceptron(p)
     n = p.feature_count
     x = check_instance(x, n)
     check_dist(dist, n)

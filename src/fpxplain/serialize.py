@@ -245,7 +245,10 @@ def bundle_from_doc(doc) -> QueryGadget:
     model = model_from_obj(doc.get("model"))
     _require(not isinstance(model, (DecisionTree, Perceptron)),
              "bundle model must be an ensemble")
-    x = parse_instance(doc.get("instance", ""))
+    instance = doc.get("instance", "")
+    _require(isinstance(instance, str),
+             f"instance must be a string of 0/1, got a {type(instance).__name__}")
+    x = parse_instance(instance)
     subset = doc.get("subset")
     if subset is not None:
         _require(isinstance(subset, list) and all(isinstance(i, int) for i in subset),

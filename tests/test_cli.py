@@ -437,6 +437,18 @@ def test_gadget_bundle_flow(tmp_path):
     assert json.loads(r2.output)["answer"] is True
 
 
+def test_bundle_instance_that_is_not_a_string_is_an_input_error(tmp_path):
+    out = str(tmp_path / "b.json")
+    assert run(["gadget", "--family", "ssp", "--weights", "3,5,7", "--target",
+                "11", "--out", out]).exit_code == 0
+    doc = json.loads((tmp_path / "b.json").read_text())
+    for instance in (101, [1, 0, 1], None, {"bits": "101"}):
+        path = write(tmp_path, "bad.json", json.dumps(dict(doc, instance=instance)))
+        r = run(["query", "--bundle", path])
+        assert_one_error_line(r, instance)
+        assert "instance" in r.output and "AttributeError" not in r.output, r.output
+
+
 def test_gadget_sampled_families(tmp_path):
     for family in ("ssp", "kssp", "gssp", "kgssp-star"):
         r = run(["gadget", "--family", family, "--seed", "5", "--n", "5",

@@ -1,17 +1,25 @@
 """Perceptron query algorithms: frozen examples and oracle agreement."""
 
+import ast
+import io
+import tokenize
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from fpxplain import perceptron, transforms
 from fpxplain.attribution import check_efficiency, shap_report
-from fpxplain.errors import ResourceCapError
+from fpxplain.errors import ResourceCapError, UnsupportedModelError
 from fpxplain.generate import (
     random_instance_bits, random_perceptron, random_product_distribution,
     rng_from_seed,
 )
-from fpxplain.models import ABSENT, Perceptron, ProductDistribution
+from fpxplain.models import (
+    ABSENT, DecisionTree, Perceptron, ProductDistribution, eval_model, leaf,
+    majority_ensemble, split,
+)
 from fpxplain.oracle import (
     oracle_completion_count, oracle_expected_value, oracle_h_table,
     oracle_is_sufficient, oracle_min_contrastive, oracle_min_sufficient,
@@ -241,3 +249,118 @@ def test_lex_first_witnesses():
     p2 = P((2, 2, 2), -6)
     x2 = (1, 1, 1)
     assert min_contrastive_perceptron(p2, x2) == (1, (0,))
+
+def test_engines_refuse_trees_and_ensembles():
+    """Every perceptron engine names the model it cannot take, before it
+    looks at the instance, subset or distribution (all wrong-sized here)."""
+    tree = DecisionTree(2, (split(0, 1, 2), leaf(0), leaf(1)))
+    ensemble = majority_ensemble([tree, P((1, 1), -1), tree])
+    x, d = (1,) * 5, ProductDistribution.uniform(5)
+    calls = {
+        csr_perceptron: (x, (7,)),
+        min_contrastive_perceptron: (x,),
+        min_sufficient_perceptron: (x,),
+        cc_perceptron_pseudopoly: (x, (7,)),
+        expected_value_perceptron: (d,),
+        h_table_perceptron: (x, d),
+        shap_perceptron_pseudopoly: (x, d),
+    }
+    for model in (tree, ensemble):
+        for engine, args in calls.items():
+            with pytest.raises(UnsupportedModelError, match="expected a perceptron, got "
+                               + type(model).__name__):
+                engine(model, *args)
+
+
+def _tie_perceptron(rng, n):
+    """Half- and third-integer weights, bias = -(sum of a subset of them),
+    so the subset's indicator scores exactly 0."""
+    weights = [F(rng.randint(-9, 9), rng.choice((2, 3))) for _ in range(n)]
+    tie = [int(rng.random() < 0.5) for _ in range(n)]
+    bias = -sum((w for w, t in zip(weights, tie) if t), F(0))
+    return Perceptron(weights, bias), tuple(tie)
+
+
+def _near(rng, tie):
+    """The tie point itself, a neighbour of it, or a random instance."""
+    x = list(tie)
+    roll = rng.random()
+    if roll < 0.3:
+        return tuple(x)
+    if roll < 0.7:
+        i = rng.randrange(len(x))
+        x[i] = 1 - x[i]
+        return tuple(x)
+    return tuple(rng.randint(0, 1) for _ in x)
+
+
+def test_exact_ties_match_oracle():
+    """At an exact tie a set of gains reaches need with nothing to spare:
+    csr on every subset, mcr and msr equal their oracles on both sides."""
+    rng = rng_from_seed(65)
+    sides = {0: 0, 1: 0}
+    at_tie = below_tie = 0  # score exactly 0; one flip short of exactly 0
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        p, tie = _tie_perceptron(rng, n)
+        x = _near(rng, tie)
+        sides[eval_model(p, x)] += 1
+        distance = sum(a != b for a, b in zip(x, tie))
+        at_tie += distance == 0
+        below_tie += distance == 1 and eval_model(p, x) == 0
+        for r in range(n + 1):
+            for s in combinations(range(n), r):
+                assert csr_perceptron(p, x, s) == oracle_is_sufficient(p, x, s), (p, x, s)
+        assert min_contrastive_perceptron(p, x) == oracle_min_contrastive(p, x), (p, x)
+        assert min_sufficient_perceptron(p, x) == oracle_min_sufficient(p, x), (p, x)
+    assert min(sides.values()) >= 150 and min(at_tie, below_tie) >= 60, \
+        (sides, at_tie, below_tie)
+
+
+def test_witnesses_past_the_oracle_cap():
+    """n = 24..40: reassigning the mcr witness flips f(x) and no smaller
+    part of it does; the msr witness is sufficient and no smaller part of
+    it is."""
+    rng = rng_from_seed(66)
+    for _ in range(300):
+        n = rng.randint(24, 40)
+        p, tie = _tie_perceptron(rng, n)
+        x = _near(rng, tie)
+        fx = eval_model(p, x)
+
+        def flipped(c):
+            return tuple(1 - v if i in c else v for i, v in enumerate(x))
+        found = min_contrastive_perceptron(p, x)
+        if found is not ABSENT:
+            size, c = found
+            assert size == len(c) and eval_model(p, flipped(c)) != fx, (p, x, c)
+            for i in c:
+                assert eval_model(p, flipped(set(c) - {i})) == fx, (p, x, c, i)
+        size, s = min_sufficient_perceptron(p, x)
+        assert size == len(s) and csr_perceptron(p, x, s), (p, x, s)
+        for i in s:
+            assert not csr_perceptron(p, x, tuple(j for j in s if j != i)), (p, x, s, i)
+
+
+def test_readme_library_example():
+    """Each `# result` comment in the README's Library block is the repr
+    of the expression it annotates: on the same line, or alone on the
+    next line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {tok.start[0]: tok.string[1:].strip()
+                for tok in tokenize.generate_tokens(io.StringIO(code).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(code).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+            continue
+        want = comments.get(stmt.end_lineno, comments.get(stmt.end_lineno + 1))
+        assert want is not None, ast.unparse(stmt)
+        got = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+        assert repr(got) == want, (ast.unparse(stmt), got)
+        checked += 1
+    assert checked >= 3
