@@ -67,8 +67,13 @@ def _cylinder_sums(e: Ensemble, x: Instance,
     D = prod(den_i), its product is one integer, added to the total and to
     its buckets (i, V_i); dividing a bucket exactly by a_i + b_i 2^slot
     drops i's factor. phi is over D n!.
+
+    The product splits at U, the features the last tree tests (see
+    trees._prefixes): the part outside U is the prefix's and repeats
+    across consecutive prefixes, so it is recomputed only when it changes,
+    and the part inside U is an entry row's, computed once per call.
     """
-    from .trees import _raw_triples, _selections
+    from .trees import _prefixes, _raw_triples, _support
     n = e.feature_count
     dens = [p.denominator for p in dist.probs]
     factors = []  # 2 i + v -> (a_i, b_i) of feature i fixed to v
@@ -78,28 +83,48 @@ def _cylinder_sums(e: Ensemble, x: Instance,
     # every coefficient of the total, of a bucket and of its quotient is
     # below D 2^n (the cylinders are disjoint), so no slot carries
     slot = -(-(common.bit_length() + n + 2) // 8) * 8
-    binoms: dict[int, int] = {}  # free count r -> packed (1 + t)^r
-    total = 0
-    buckets = [0] * (2 * n)  # 2 i + v -> packed sum over the cylinders fixing i to v
-    for mask, vals in _selections(_raw_triples(e), e.voting, 1):
-        scale, poly, keys = common, 1, []
+
+    def part(mask: int, vals: int) -> tuple[int, int, list[int]]:
+        """(product of the denominators, packed product of the factors,
+        bucket keys) of the features in mask fixed to vals."""
+        d, poly, keys = 1, 1, []
         while mask:
             low = mask & -mask
             i = low.bit_length() - 1
             mask ^= low
             key = 2 * i + ((vals >> i) & 1)
             a, b = factors[key]
-            scale //= dens[i]
+            d *= dens[i]
             poly = a * poly + ((b * poly) << slot)
             keys.append(key)
-        r = n - len(keys)
-        binom = binoms.get(r)
-        if binom is None:
-            binom = binoms[r] = (1 + (1 << slot)) ** r
-        f = scale * poly * binom
-        total += f
-        for key in keys:
-            buckets[key] += f
+        return d, poly, keys
+
+    binoms: dict[int, int] = {}  # free count r -> packed (1 + t)^r
+    total = 0
+    buckets = [0] * (2 * n)  # 2 i + v -> packed sum over the cylinders fixing i to v
+    lists = _raw_triples(e)
+    outside = ~_support(lists[-1])
+    inner: dict[tuple[int, int], tuple[int, int, list[int]]] = {}
+    out_key = None
+    for pm, pv, rows in _prefixes(lists, e.voting, 1):
+        key = (pm & outside, pv & outside)
+        if key != out_key:
+            out_key = key
+            d_out, p_out, k_out = part(*key)
+        for row in rows:
+            got = inner.get(row)
+            if got is None:
+                got = inner[row] = part(*row)
+            d_in, p_in, k_in = got
+            keys = k_out + k_in
+            r = n - len(keys)
+            binom = binoms.get(r)
+            if binom is None:
+                binom = binoms[r] = (1 + (1 << slot)) ** r
+            f = common // (d_out * d_in) * (p_out * p_in) * binom
+            total += f
+            for key in keys:
+                buckets[key] += f
     step = slot // 8
     width = (n + 1) * step
 

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .errors import FpxError
-from .models import validate_model
+from .models import check_instance, validate_model
 from .runner import ALGORITHMS, QUERY_KINDS, run_query
 from .serialize import (
     canonical_dumps, dumps_bundle, dumps_model, loads_bundle, loads_json,
@@ -84,6 +84,9 @@ def query(opts):
             opts.usage("--instance is required with --model")
         x = parse_instance(opts.instance)
         subset = parse_subset(opts.subset) if opts.subset is not None else ()
+    # the instance is held to the model first, so the distribution is
+    # built only for as many features as the instance has bits
+    x = check_instance(x, model.feature_count)
     dist = parse_dist_spec(opts.dist, model.feature_count)
     payload = run_query(model, kind, x, subset=subset, bound=bound,
                         feature=opts.feature, dist=dist, algorithm=opts.algorithm,

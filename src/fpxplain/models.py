@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import attrgetter
 from typing import Union
 
 from .errors import InputShapeError, InvalidInstanceError, UnsupportedModelError
@@ -49,8 +50,9 @@ class Record:
     A frozen dataclass would load dataclasses and inspect into every query
     process and generate each class's methods at import. Here the fields
     are the class's annotated names, in order, and its __init__ stores
-    them with _set. Equality and hashing are field-wise, and only
-    between instances of one class; repr is ClassName(field=value, ...).
+    them with _set. Equality and hashing are on the tuple of the field
+    values, read by a per-class attrgetter, and only between instances of
+    one class; repr is ClassName(field=value, ...).
     Assigning or deleting an attribute raises AttributeError. Instances
     keep a __dict__, so functools.cached_property works on them.
     """
@@ -59,13 +61,24 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        # attrgetter returns a bare value for one name and needs at least
+        # one, so those shapes are made tuples here
+        if len(fields) > 1:
+            cls._values = staticmethod(attrgetter(*fields))
+        elif fields:
+            one = attrgetter(fields[0])
+            cls._values = staticmethod(lambda obj: (one(obj),))
+        else:
+            cls._values = staticmethod(lambda obj: ())
 
     def _set(self, **fields):
         self.__dict__.update(fields)
 
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+    @staticmethod
+    def _values(obj) -> tuple:
+        """The field values of obj, in field order."""
+        return ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -75,14 +88,14 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == self._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
-        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({body})"
 
 
@@ -340,7 +353,10 @@ class ProductDistribution(Record):
 
 def check_instance(x, n: int) -> Instance:
     """Validate and canonicalize an instance to a tuple of 0/1 ints."""
-    xt = tuple(x)
+    try:
+        xt = tuple(x)
+    except TypeError:
+        raise InputShapeError(f"instance must be a sequence of 0/1 bits, got {x!r}") from None
     if len(xt) != n:
         raise InputShapeError(f"instance has {len(xt)} features, model expects {n}")
     for i, b in enumerate(xt):

@@ -1,6 +1,6 @@
 """Exact explanation queries on ensembles of decision trees.
 
-The engine behind every query is one generator, _selections, over joint
+The engine behind every query is one generator, _prefixes, over joint
 leaf selections: one root-to-leaf path per member tree, kept only when
 the paths are pairwise non-conflicting. A full selection fixes a partial
 assignment (the union of the path constraints) and determines the
@@ -10,12 +10,20 @@ ceil(k/2), rational weights are scaled to integers), which stays exact
 for weighted voting with negative weights, and a branch is cut as soon
 as the remaining trees cannot bring the sum to the wanted side. Distinct
 selections conflict in at least one tree, so the accepted selections
-partition the accepted instances into disjoint cylinders; expectation
-and counting queries just add up cylinder masses as they stream by.
-Expectation splits each cylinder's fixed features at the last tree's
-features: the part the other trees fix repeats across consecutive
-selections, the part inside is memoised for the call, so a cylinder
-costs one big-integer division.
+partition the accepted instances into disjoint cylinders.
+
+The walk covers the first k - 1 trees; the last tree is read through a
+table local to the call. Which last-tree paths complete a prefix depends
+only on the prefix on U, the features the last tree tests, and on the
+labels its vote accepts, so prefixes that agree there share one entry,
+the list of completions in path order: the separator of bucket
+elimination (Dechter, AIJ 1999) between the last tree and the others.
+Consumers that need every cylinder (the decomposition, Shapley sums)
+expand prefix x entry in row-major order. The flip masks keep each
+entry's row masks and join the prefix's own. Counting and expectation
+keep one integer sum per entry, so a prefix costs one lookup and one
+multiply-add. Sufficiency, which stops at the first selection, walks all
+k trees and builds no table.
 
 The contrastive queries read one set of flip masks, the features on
 which a selection that overturns f(x) disagrees with x. The smallest
@@ -25,10 +33,11 @@ the hitting-set duality (Ignatiev, Narodytska & Marques-Silva, AAAI
 meets every inclusion-minimal one, so the family is reduced to those
 before the search.
 
-Cost is O(m^k) joint selections for k trees with at most m leaves each,
-times cheap bitmask work, so everything here is exponential only in k.
-The walk keeps an explicit stack, so k is not bounded by the recursion
-limit.
+Cost is O(m^(k-1)) prefixes for k trees with at most m leaves each,
+each one table lookup, plus O(m) per distinct table entry; the
+consumers that expand the entries add O(m^k) cheap bitmask steps, so
+everything here is exponential only in k. The walk keeps an explicit
+stack, so k is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -86,19 +95,31 @@ def _conditioned_triples(tree: DecisionTree, xbits: int, smask: int) -> list[tup
 # the joint selection scan
 
 
-def _selections(lists, voting, want: int):
-    """Yield every full joint selection with the given output, as (mask, vals).
+def _prefixes(lists, voting, want: int, fold=None, flat: bool = False):
+    """Yield (mask, vals, entry) for each selection of the first k - 1 trees
+    that some path of the last tree completes to the given output.
 
-    Full selections only (one path in every tree), in row-major order over
-    the per-tree path lists, so the order is deterministic. The vote is
-    kept on the integer view of the voting rule; for want = 0 the weights
-    are negated, so "sum < threshold" becomes "sum >= 1 - threshold" and
-    both sides prune alike. The walk keeps an explicit stack, so the number
-    of trees is not bounded by the recursion limit.
+    The prefixes come in row-major order over the per-tree path lists, the
+    walk keeps an explicit stack, and the vote is kept on the integer view
+    of the voting rule; for want = 0 the weights are negated, so "sum <
+    threshold" becomes "sum >= 1 - threshold" and both sides prune alike.
+
+    The last tree is read through a table local to the call. Its paths test
+    only the features in U, the union of their masks, so which of them
+    complete a prefix depends only on the prefix's (mask, vals) on U and
+    on the labels its vote accepts. An entry lists those completions in
+    path order as rows (mask, vals) on U: the prefix restricted to U joined
+    with the path. The full selections of a prefix are its (mask | row
+    mask, vals | row vals) for the rows of its entry, and the entry is
+    fold(rows) when a fold is given, so a consumer can keep one sum per
+    entry. Entries are built on their first miss.
+
+    flat=True walks all k trees instead and yields every full selection
+    with entry None, so an early exit (csr) builds no table.
 
     Since any partial assignment extends to a full instance, and a full
     instance follows some path in every tree, the scan yields a first
-    selection exactly when some instance gets the wanted output.
+    prefix exactly when some instance gets the wanted output.
     """
     k = len(lists)
     weights, threshold = integer_votes(voting, k)
@@ -111,7 +132,18 @@ def _selections(lists, voting, want: int):
     need = [threshold] * (k + 1)
     for j in range(k - 1, -1, -1):
         need[j] = need[j + 1] - max(weights[j] * lab for _, _, lab in lists[j])
-    stack = [(iter(lists[0]), 0, 0, 0)]
+    if flat:
+        heads, floor = lists, need[1:]
+    else:
+        last, w = lists[k - 1], weights[k - 1]
+        inside = _support(last)
+        # one tree: the only prefix is the empty selection, walked as a
+        # dummy path that fixes nothing and is held to need[0]
+        heads = lists[:k - 1] or [((0, 0, 0),)]
+        floor = need[1:k] or need[:1]
+    depth = len(heads)
+    table: dict[tuple[int, int, bool, bool], object] = {}
+    stack = [(iter(heads[0]), 0, 0, 0)]
     while stack:
         paths, mask, vals, vote = stack[-1]
         j = len(stack)
@@ -119,15 +151,43 @@ def _selections(lists, voting, want: int):
             if (vals ^ v2) & mask & m2:
                 continue
             v = vote + weights[j - 1] if lab else vote
-            if v < need[j]:
+            if v < floor[j - 1]:
                 continue
-            if j == k:
-                yield mask | m2, vals | v2
-            else:
-                stack.append((iter(lists[j]), mask | m2, vals | v2, v))
+            if j < depth:
+                stack.append((iter(heads[j]), mask | m2, vals | v2, v))
                 break
+            pm, pv = mask | m2, vals | v2
+            if flat:
+                yield pm, pv, None
+                continue
+            mu, vu = pm & inside, pv & inside
+            take0, take1 = v >= threshold, v + w >= threshold
+            key = (mu, vu, take0, take1)
+            entry = table.get(key, table)
+            if entry is table:
+                rows = [(mu | lm, vu | lv) for lm, lv, ll in last
+                        if (take1 if ll else take0) and not (vu ^ lv) & mu & lm]
+                entry = table[key] = (fold(rows) if fold else rows) if rows else None
+            if entry is not None:
+                yield pm, pv, entry
         else:
             stack.pop()
+
+
+def _support(paths) -> int:
+    """The union of the path masks: the features a tree tests."""
+    out = 0
+    for m, _, _ in paths:
+        out |= m
+    return out
+
+
+def _selections(lists, voting, want: int):
+    """Every full joint selection with the given output, as (mask, vals),
+    in row-major order over the per-tree path lists (see _prefixes)."""
+    for mask, vals, rows in _prefixes(lists, voting, want):
+        for rm, rv in rows:
+            yield mask | rm, vals | rv
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +204,7 @@ def csr_tree_ensemble(e: Ensemble, x: Instance, s) -> bool:
     xbits = bits_to_int(x)
     smask = subset_mask(s)
     lists = [_conditioned_triples(t, xbits, smask) for t in e.members]
-    return next(_selections(lists, e.voting, 1 - target), None) is None
+    return next(_prefixes(lists, e.voting, 1 - target, flat=True), None) is None
 
 
 def csr_single_tree(tree: DecisionTree, x: Instance, s) -> bool:
@@ -192,8 +252,12 @@ def _flip_masks(e: Ensemble, x: Instance) -> set[int]:
     _require_trees(e)
     x = check_instance(x, e.feature_count)
     xbits = bits_to_int(x)
-    flips = {(vals ^ xbits) & mask for mask, vals
-             in _selections(_raw_triples(e), e.voting, 1 - eval_ensemble(e, x))}
+    flips: set[int] = set()
+    # an entry holds the flip masks of its rows; a prefix adds its own part
+    for mask, vals, row_flips in _prefixes(_raw_triples(e), e.voting, 1 - eval_ensemble(e, x),
+                                           lambda rows: {(rv ^ xbits) & rm for rm, rv in rows}):
+        pf = (vals ^ xbits) & mask
+        flips.update([pf | f for f in row_flips] if pf else row_flips)
     assert 0 not in flips, "a selection consistent with x cannot overturn f(x)"
     return flips
 
@@ -346,13 +410,15 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
 
     A cylinder's mass is the product over its fixed features of
     Pr[z_i = vals_i], kept as an integer over D, the product of all the
-    denominators: D // (d_out * d_in) * (q_out * q_in), where q and d are
-    the products of the numerator factors and of the denominators on the
-    two parts of the fixed features split at U, the union of the last
-    member tree's path masks. The part outside U is fixed by the other
-    trees' paths and repeats across consecutive selections, so it is
-    recomputed only when it changes; the part inside U is memoised for
-    the call on its (mask, vals).
+    denominators. The scan's prefixes fix the features outside U, the
+    features the last tree tests, and its entries the ones inside (see
+    _prefixes), so the mass splits at U: an entry keeps its rows' summed
+    mass on U over D_U, the product of the denominators on U, and a prefix
+    adds D // (D_U d_out) * q_out times it, where q_out and d_out are the
+    products of the numerator factors and of the denominators outside U.
+    Entries share rows, so a row's mass is computed once per call;
+    consecutive prefixes often share the part outside U, so it is
+    recomputed only when it changes.
     """
     _require_trees(e)
     n = e.feature_count
@@ -361,28 +427,42 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
     dens = [p.denominator for p in dist.probs]
     denom = prod(dens)
     lists = _raw_triples(e)
-    inside = 0
-    for m, _, _ in lists[-1]:
-        inside |= m
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    inside = _support(lists[-1])
+    d_in = prod(dens[i] for i in _members(inside))
+    rest = denom // d_in
+    parts: dict[tuple[int, int], int] = {}  # a row's mass on U over D_U
+
+    def mass(rows) -> int:
+        total = 0
+        for row in rows:
+            f = parts.get(row)
+            if f is None:
+                q, d = _mass_factors(*row, nums, dens)
+                f = parts[row] = d_in // d * q
+            total += f
+        return total
+
+    outside = ~inside
     out_key = None
     acc = 0
-    for mask, vals in _selections(lists, e.voting, 1):
-        # vals lies inside mask: _selections only ORs path (mask, vals) pairs
-        key = (mask & ~inside, vals & ~inside)
+    for mask, vals, f in _prefixes(lists, e.voting, 1, mass):
+        # vals lies inside mask: the scan only ORs path (mask, vals) pairs
+        key = (mask & outside, vals & outside)
         if key != out_key:
             out_key = key
             q_out, d_out = _mass_factors(*key, nums, dens)
-        key = (mask & inside, vals & inside)
-        f = memo.get(key)
-        if f is None:
-            f = memo[key] = _mass_factors(*key, nums, dens)
-        acc += denom // (d_out * f[1]) * (q_out * f[0])
+            scale = rest // d_out * q_out
+        acc += scale * f
     return Fraction(acc, denom)
 
 
 def cc_tree_ensemble(e: Ensemble, x: Instance, s) -> Fraction:
-    """Fraction of completions agreeing with x on s that keep the prediction."""
+    """Fraction of completions agreeing with x on s that keep the prediction.
+
+    An entry of the scan keeps the completions over U, the features the
+    last tree tests, that its rows leave free; a prefix multiplies them by
+    the completions outside U that it leaves free (see _prefixes).
+    """
     _require_trees(e)
     n = e.feature_count
     x = check_instance(x, n)
@@ -391,6 +471,13 @@ def cc_tree_ensemble(e: Ensemble, x: Instance, s) -> Fraction:
     xbits = bits_to_int(x)
     smask = subset_mask(s)
     lists = [_conditioned_triples(t, xbits, smask) for t in e.members]
-    accepted = sum(1 << (n - mask.bit_count()) for mask, _ in _selections(lists, e.voting, 1))
+    inside = _support(lists[-1])
+    width = inside.bit_count()
+
+    def count(rows) -> int:
+        return sum(1 << (width - rm.bit_count()) for rm, _ in rows)
+
+    accepted = sum(c << (n - (mask | inside).bit_count())
+                   for mask, _, c in _prefixes(lists, e.voting, 1, count))
     accept_mass = Fraction(accepted, 1 << n)
     return accept_mass if target else 1 - accept_mass

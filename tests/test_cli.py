@@ -152,6 +152,24 @@ def test_over_long_answer_is_an_input_error(tmp_path):
         assert "PYTHONINTMAXSTRDIGITS" in r.output
 
 
+def test_a_feature_count_past_any_instance_is_an_input_error(tmp_path):
+    """A tree declaring 10**40 features, more than any sequence can hold,
+    exits 2 on every kind with an error that names no builtin exception:
+    the instance is held to the model before a distribution is built."""
+    import builtins
+    builtin_errors = [name for name, obj in vars(builtins).items()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)]
+    path = write(tmp_path, "wide.json", json.dumps({
+        "format": "fpxplain-model", "version": 1,
+        "model": {"kind": "tree", "features": 10 ** 40, "nodes": [["leaf", 1]], "root": 0}}))
+    for kind in ("csr", "cc", "mcr", "msr", "expect", "shap", "enumerate-contrastive"):
+        args = ["query", "--model", path, "--kind", kind, "--instance", "101", "--bound", "1"]
+        r = run(args)
+        assert_one_error_line(r, args)
+        assert "instance has 3 features" in r.output, (kind, r.output)
+        assert not [name for name in builtin_errors if name in r.output], (kind, r.output)
+
+
 def test_wrong_length_dist_is_an_input_error():
     """A distribution over the wrong number of features is an FpxError on
     every route that takes one."""

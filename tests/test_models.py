@@ -296,6 +296,37 @@ def test_model_classes_are_records():
         "DecisionTree(feature_count=1, nodes=(('leaf', 1),), root=0)"
 
 
+def test_record_keys_are_field_tuples_per_class():
+    """Equality and hashing read one tuple of the field values, in field
+    order, for classes with no, one and several fields; records of two
+    classes with the same fields and values are never equal."""
+    class Vote(models.Record):
+        pass
+
+    class Probs(models.Record):
+        probs: tuple
+
+        def __init__(self, probs):
+            self._set(probs=probs)
+
+    half = (Fraction(1, 2),) * 2
+    cases = [(Majority(), (), Vote()),
+             (ProductDistribution(half), (half,), Probs(half)),
+             (Weighted((1, -2), 1), ((Fraction(1), Fraction(-2)), Fraction(1)), None)]
+    for record, key, twin in cases:
+        assert record._values(record) == key
+        copy = type(record).__new__(type(record))
+        copy._set(**dict(zip(record._fields, key)))
+        assert copy == record and hash(copy) == hash(record) == hash(key)
+        assert record != key
+        if twin is not None:
+            assert twin._values(twin) == key and hash(twin) == hash(key)
+            assert twin != record and record != twin
+            assert len({twin, record}) == 2
+    assert ProductDistribution(half) != ProductDistribution((Fraction(1, 2), Fraction(1, 3)))
+    assert Weighted((1, -2), 1) != Weighted((1, -2), 2)
+
+
 def test_model_records_refuse_assignment_and_deletion():
     for obj, name in ((Perceptron((1,), 0), "bias"), (Majority(), "size"),
                       (DecisionTree(1, (leaf(1),)), "root"),

@@ -409,3 +409,13 @@ def test_a_dist_or_subset_of_the_wrong_type_is_an_input_error():
                 assert _outcome(kind, family, subset=5, algorithm=algorithm) == (
                     "InputShapeError: subset must be an iterable of feature indices, got 5"), \
                     (kind, family, algorithm)
+
+
+def test_an_instance_that_is_not_a_sequence_is_an_input_error():
+    """None, an int, a bool or a float where the instance belongs is
+    refused for every kind on every family, not a bare TypeError."""
+    for x in (None, 5, True, 1.5):
+        want = f"InputShapeError: instance must be a sequence of 0/1 bits, got {x!r}"
+        for family in FAMILIES:
+            for kind in QUERY_KINDS:
+                assert _outcome(kind, family, x=x, subset=(), bound=1) == want, (x, family, kind)

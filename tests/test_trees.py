@@ -1,7 +1,7 @@
 """Tree-ensemble engine: joint path scans, hitting sets, greedy, counting."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from fpxplain import trees
@@ -13,6 +13,7 @@ from fpxplain.generate import (
 from fpxplain.models import (
     ABSENT, DecisionTree, Ensemble, Majority, ProductDistribution, Weighted,
     constant_tree, eval_model, int_to_bits, leaf, majority_ensemble, split,
+    votes_accept,
 )
 from fpxplain.oracle import (
     oracle_completion_count, oracle_expected_value, oracle_is_contrastive,
@@ -286,6 +287,87 @@ def test_mass_memo_and_minimal_filter_match_oracle():
         seen["filter drops"] += len(minimal) < len(family)
         seen["no flip"] += not family
     assert min(seen.values()) >= 30, seen
+
+
+def _naive_selections(e, want):
+    """Full joint selections with the given output, as (mask, vals), from
+    the row-major product of the members' path lists: no pruning, no
+    table, the vote read from the leaf labels by the voting rule."""
+    out = []
+    for choice in product(*(t.paths for t in e.members)):
+        mask = vals = 0
+        for m, v, _ in choice:
+            if (vals ^ v) & mask & m:
+                break
+            mask, vals = mask | m, vals | v
+        else:
+            if votes_accept(e.voting, [lab for _, _, lab in choice]) == want:
+                out.append((mask, vals))
+    return out
+
+
+def test_table_scan_matches_its_oracle_twins():
+    """The scan that reads the last tree through a table, against the
+    oracles and a naive row-major product: csr and cc on every subset,
+    expect, mcr, msr, and enumeration (its minimal filter is exactly the
+    subset-minimal contrastive sets), on k = 1 to 4 trees under majority
+    and weighted votes with negative weights and exact ties, a last tree
+    that is a single leaf (U empty), and probabilities 0 and 1. The
+    cylinders and the flip masks come in the naive product's order."""
+    rng = rng_from_seed(59)
+    sixths = tuple(Fraction(w, 6) for w in (-4, -3, -2, 2, 3, 4))
+    seen = dict.fromkeys(("k=1", "k=4", "weighted", "tie", "single-leaf last",
+                          "p=0", "p=1", "no flip"), 0)
+    for case in range(160):
+        n = rng.randint(2, 5)
+        k = case % 4 + 1
+        members = [random_tree(rng, n, 6) for _ in range(k)]
+        if case % 5 == 0:
+            members[-1] = constant_tree(n, rng.randint(0, 1))
+            seen["single-leaf last"] += 1
+        if case % 2:
+            # a threshold equal to the sum of some weights ties exactly
+            # when those members vote 1 and the others 0
+            weights = tuple(rng.choice(sixths) for _ in range(k))
+            voting = Weighted(weights, sum((w for w in weights if rng.random() < 0.5),
+                                           Fraction(0)))
+            seen["weighted"] += 1
+        else:
+            voting = Majority()
+        e = Ensemble(tuple(members), voting)
+        x = random_instance_bits(rng, n)
+        probs = tuple(rng.choice((Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4)))
+                      for _ in range(n))
+        d = ProductDistribution(probs)
+        accept = _naive_selections(e, 1)
+        assert cylinder_decomposition(e) == tuple(trees.Cylinder(m, v) for m, v in accept), case
+        xbits = sum(b << i for i, b in enumerate(x))
+        flips = {(v ^ xbits) & m for m, v in _naive_selections(e, 1 - eval_model(e, x))}
+        family = enumerate_candidate_contrastive(e, x)
+        assert family == tuple(sorted(sorted(map(trees._members, flips)), key=len)), case
+        contrastive = [s for r in range(n + 1) for s in combinations(range(n), r)
+                       if oracle_is_contrastive(e, x, s)]
+        minimal = tuple(s for s in contrastive
+                        if not any(set(t) < set(s) for t in contrastive))
+        assert enumerate_candidate_contrastive(e, x, filter_minimal=True) == minimal, case
+        for r in range(n + 1):
+            for s in combinations(range(n), r):
+                assert csr_tree_ensemble(e, x, s) == oracle_is_sufficient(e, x, s), (case, s)
+                assert cc_tree_ensemble(e, x, s) == oracle_completion_count(e, x, s), (case, s)
+        assert expected_value_tree_ensemble(e, d) == oracle_expected_value(e, d), case
+        assert min_contrastive_size(e, x) == oracle_min_contrastive(e, x), case
+        assert min_sufficient_size(e, x) == oracle_min_sufficient(e, x), case
+        seen["k=1"] += k == 1
+        seen["k=4"] += k == 4
+        if isinstance(voting, Weighted):
+            seen["tie"] += any(
+                sum((w for w, t in zip(voting.weights, members)
+                     if eval_model(t, int_to_bits(z, n))), Fraction(0)) == voting.threshold
+                for z in range(1 << n))
+        seen["p=0"] += Fraction(0) in probs
+        seen["p=1"] += Fraction(1) in probs
+        seen["no flip"] += not family
+    assert min(seen.values()) >= 20, seen
 
 
 def test_min_sufficient_on_the_hitting_set_hot_spot():
