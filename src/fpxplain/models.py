@@ -200,8 +200,8 @@ class Perceptron(Record):
         """Integer view (int_weights, int_bias, denom) with w = int_w / denom."""
         denom = lcm(self.bias.denominator, *(w.denominator for w in self.weights)) \
             if self.weights else self.bias.denominator
-        ws = tuple(int(w * denom) for w in self.weights)
-        return ws, int(self.bias * denom), denom
+        ws = tuple(w.numerator * (denom // w.denominator) for w in self.weights)
+        return ws, self.bias.numerator * (denom // self.bias.denominator), denom
 
 
 def eval_perceptron(p: Perceptron, x: Instance) -> int:
@@ -271,7 +271,9 @@ def integer_votes(voting: Voting, k: int) -> tuple[tuple[int, ...], int]:
     if isinstance(voting, Majority):
         return (1,) * k, majority_threshold(k)
     denom = lcm(voting.threshold.denominator, *(w.denominator for w in voting.weights))
-    return tuple(int(w * denom) for w in voting.weights), int(voting.threshold * denom)
+    theta = voting.threshold
+    return (tuple(w.numerator * (denom // w.denominator) for w in voting.weights),
+            theta.numerator * (denom // theta.denominator))
 
 
 def votes_accept(voting: Voting, votes: list[int] | tuple[int, ...]) -> int:
@@ -317,6 +319,9 @@ def is_tree_ensemble(m: Model) -> bool:
 # product distributions
 
 
+_HALF = Fraction(1, 2)
+
+
 class ProductDistribution(Record):
     """Independent per-feature Bernoulli parameters, probs[i] = Pr[z_i = 1]."""
 
@@ -331,8 +336,15 @@ class ProductDistribution(Record):
 
     @classmethod
     def uniform(cls, n: int) -> "ProductDistribution":
-        half = Fraction(1, 2)
-        return cls((half,) * n)
+        return cls._from_checked((_HALF,) * n)
+
+    @classmethod
+    def _from_checked(cls, probs: tuple[Fraction, ...]) -> "ProductDistribution":
+        """The distribution over probs, Fractions the caller has already
+        checked to lie in [0, 1]; __init__ would check them again."""
+        dist = object.__new__(cls)
+        dist._set(probs=probs)
+        return dist
 
     @property
     def feature_count(self) -> int:
@@ -343,8 +355,7 @@ class ProductDistribution(Record):
         return self.probs[i] if bit else 1 - self.probs[i]
 
     def is_uniform(self) -> bool:
-        half = Fraction(1, 2)
-        return all(p == half for p in self.probs)
+        return all(p == _HALF for p in self.probs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import signal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from fpxplain.generate import random_instance_bits, random_tree, rng_from_seed
 from fpxplain.models import (
     ABSENT, DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
     Weighted, bits_to_int, check_instance, check_subset, constant_tree,
-    eval_ensemble, eval_model, eval_perceptron, eval_tree, int_to_bits, leaf,
+    eval_ensemble, eval_model, eval_perceptron, eval_tree, int_to_bits, integer_votes, leaf,
     majority_ensemble, majority_threshold, split, subset_mask, validate_model,
     votes_accept,
 )
@@ -73,6 +74,20 @@ def test_perceptron_scaled_integer_view():
     p = Perceptron((Fraction(1, 2), Fraction(-3, 4)), Fraction(1, 3))
     ws, b, d = p.scaled
     assert d == 12 and ws == (6, -9) and b == 4
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.lists(st.fractions(max_denominator=10**30) | st.sampled_from(
+           [Fraction(0), Fraction(-1, 3**40), Fraction(7, 2**61)]), min_size=1, max_size=6),
+       st.fractions(max_denominator=10**30))
+def test_integer_views_equal_the_fraction_formula(weights, last):
+    """Both integer views read w * denom as numerator * (denom // denominator)."""
+    p = Perceptron(weights, last)
+    ws, b, d = p.scaled
+    assert d == lcm(p.bias.denominator, *(w.denominator for w in p.weights))
+    assert ws == tuple(int(w * d) for w in p.weights) and b == int(p.bias * d)
+    voting = Weighted(weights, last)
+    assert integer_votes(voting, len(weights)) == (ws, b)
 
 
 def test_majority_threshold_values():
