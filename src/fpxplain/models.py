@@ -336,15 +336,7 @@ class ProductDistribution(Record):
 
     @classmethod
     def uniform(cls, n: int) -> "ProductDistribution":
-        return cls._from_checked((_HALF,) * n)
-
-    @classmethod
-    def _from_checked(cls, probs: tuple[Fraction, ...]) -> "ProductDistribution":
-        """The distribution over probs, Fractions the caller has already
-        checked to lie in [0, 1]; __init__ would check them again."""
-        dist = object.__new__(cls)
-        dist._set(probs=probs)
-        return dist
+        return cls((_HALF,) * n)
 
     @property
     def feature_count(self) -> int:

@@ -17,19 +17,6 @@ Rationals are written as strings in p/q form (or bare integers as
 strings). Gadget output uses a bundle document that carries a model plus
 the query parameters.
 
-Loading is built for many queries on few models in one process. A tree
-node that is a list of its tag and exact ints is taken by one type test;
-only a node that fails it is read field by field, which names the bad
-field in the error. A tree whose nodes, features and root all passed
-that test is shared: loading an equal document again returns the same
-DecisionTree, with the arena walk that validated it and listed its
-paths. At most 64 trees are kept, least recently used first out. A tree
-with a bool, float or int subclass anywhere, and any tree built by the
-library, is never shared, because its key would equal that of its int
-twin (True == 1 == 1.0) and it would be served the twin's walk, which
-finds no problem. The values of the last 1024 distinct rational strings
-are kept as well; a string that fails to parse is not.
-
 Formulas and graphs use small line-oriented text formats; see
 parse_dnf_text and parse_graph_text.
 """
@@ -39,7 +26,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ParseError
 from .models import (
@@ -64,24 +50,6 @@ def rational_str(value) -> str:
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-class _NotRational(ValueError):
-    """A string that is neither 'p/q' nor 'p'."""
-
-
-@lru_cache(maxsize=1024)
-def _text_rational(text: str) -> Fraction:
-    """The value of a 'p/q' or 'p' string.
-
-    Documents repeat their rationals (weights, thresholds, probabilities),
-    so the values are kept; a string that fails raises and is not kept.
-    """
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
-        raise _NotRational
-    num, den = match.groups()
-    return Fraction(int(num), int(den or 1))
-
-
 def parse_rational(value, what: str = "rational") -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"{what}: expected a rational, got {value!r}")
@@ -90,10 +58,12 @@ def parse_rational(value, what: str = "rational") -> Fraction:
     if isinstance(value, float):
         raise ParseError(f"{what}: floats are not accepted, write '{value}' as p/q")
     if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ParseError(f"{what}: expected 'p/q' or 'p', got {value!r}")
+        num, den = match.groups()
         try:
-            return _text_rational(value)
-        except _NotRational:
-            raise ParseError(f"{what}: expected 'p/q' or 'p', got {value!r}") from None
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{what}: cannot parse {value!r} ({exc})") from None
     raise ParseError(f"{what}: expected a rational, got {type(value).__name__}")
@@ -168,18 +138,6 @@ def _node(entry) -> tuple:
     raise ParseError(f"tree: unknown node tag {tag!r}")
 
 
-@lru_cache(maxsize=64)
-def _shared_tree(features: int, nodes: tuple[tuple, ...], root: int) -> DecisionTree:
-    """The one tree of a (features, nodes, root) whose every number is an
-    exact int, so that its arena walk is made once per process.
-
-    The key is compared by value, and True == 1 == 1.0, so a tree holding
-    a bool, a float or an int subclass must never be looked up here: it
-    would be handed the walk of its int twin, which has no problems.
-    """
-    return DecisionTree(features, nodes, root)
-
-
 def model_from_obj(obj, check: bool = True) -> DecisionTree | Perceptron | Ensemble:
     """Build a model from the JSON object.
 
@@ -189,17 +147,13 @@ def model_from_obj(obj, check: bool = True) -> DecisionTree | Perceptron | Ensem
     diagnostic list run validate_model themselves. The document is read in
     one pass. A tree node that is a list of its tag and exact ints is taken
     by one test; any other node goes through _node, which formats the
-    message of the first bad field. A tree read entirely by that test is
-    shared (see _shared_tree), so a document loaded again in the same
-    process reuses the tree and its cached arena walk; the check walks each
-    other tree once, leaving its path triples cached for the engines.
+    message of the first bad field. The check walks each tree's arena once,
+    leaving its path triples cached on the tree for the engines.
     """
     _require(isinstance(obj, dict), "model must be an object")
     kind = obj.get("kind")
     if kind == "tree":
-        features = obj.get("features")
-        exact = type(features) is int
-        _int(features, "tree features")
+        features = _int(obj.get("features"), "tree features")
         raw = obj.get("nodes")
         _require(isinstance(raw, list) and raw, "tree: nodes must be a non-empty list")
         nodes = []
@@ -214,14 +168,9 @@ def model_from_obj(obj, check: bool = True) -> DecisionTree | Perceptron | Ensem
                 elif size == 2 and entry[0] == LEAF and type(entry[1]) is int:
                     nodes.append((LEAF, entry[1]))
                     continue
-            exact = False
             nodes.append(_node(entry))
-        root = obj.get("root", 0)
-        _int(root, "tree root")
-        if exact and type(root) is int:
-            model = _shared_tree(features, tuple(nodes), root)
-        else:
-            model = DecisionTree(features, tuple(nodes), root)
+        root = _int(obj.get("root", 0), "tree root")
+        model = DecisionTree(features, tuple(nodes), root)
     elif kind == "perceptron":
         raw = obj.get("weights")
         _require(isinstance(raw, list), "perceptron: weights must be a list")
@@ -354,19 +303,13 @@ def parse_subset(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    parts = text.split(",")
-    try:
-        out = list(map(int, parts))
-    except ValueError:
-        # a bad entry, or one that int() reads only after str.strip() has
-        # cut the \x1c-\x1f separators, which int() does not skip
-        out = []
-        for part in parts:
-            part = part.strip()
-            try:
-                out.append(int(part))
-            except ValueError:
-                raise ParseError(f"subset entries must be ints, got {part!r}") from None
+    out = []
+    for part in text.split(","):
+        part = part.strip()
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise ParseError(f"subset entries must be ints, got {part!r}") from None
     return tuple(sorted(set(out)))
 
 
@@ -381,7 +324,7 @@ def parse_dist_spec(spec: str, n: int) -> ProductDistribution:
     for i, p in enumerate(probs):
         if not 0 <= p.numerator <= p.denominator:  # the denominator is positive
             raise ParseError(f"probability of feature {i} is {p}, outside [0, 1]")
-    return ProductDistribution._from_checked(probs)
+    return ProductDistribution(probs)
 
 
 # ---------------------------------------------------------------------------

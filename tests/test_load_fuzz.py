@@ -2,8 +2,7 @@
 
 Each example mutates one field of a valid tree or ensemble document and
 loads it with serialize.model_from_doc and with a reference copy of the
-per-field loader that reads every node by _int, shares no tree and has no
-fast path. The two must give the same model, down to the type of every
+per-field loader that reads every node by _int and has no fast path. The two must give the same model, down to the type of every
 number, or the same ParseError text; every tree loaded must hold the
 walk a fresh copy of it would make.
 """
@@ -173,7 +172,7 @@ def _reference_load(doc, check):
 @given(st.integers(0, 63), st.sampled_from(_MUTATIONS), st.integers(0, 2**30))
 def test_mutated_documents_load_as_the_reference_loader_does(seed, how, where):
     """The documents come from 64 seeds, so each recurs under several
-    mutations, and a mutated one is loaded after its valid twin was shared."""
+    mutations, and a mutated one is loaded after its valid twin."""
     rng = rng_from_seed(seed)
     n = rng.randint(1, 5)
     model = random_tree(rng, n, 6) if seed % 2 else \
@@ -194,12 +193,12 @@ def test_mutated_documents_load_as_the_reference_loader_does(seed, how, where):
 
 
 def test_an_equal_tree_with_a_bool_float_or_int_subclass_keeps_its_problem():
-    """The tree a valid document loads is shared by value, so a tree equal
-    to it with True, 1.0 or an int subclass must not be handed its walk."""
+    """True == 1 == 1.0, so a tree equal to a loaded valid one but holding
+    True, 1.0 or an int subclass must still be walked on its own."""
     nodes = (leaf(0), leaf(1), split(0, 0, 1))
     doc = model_to_doc(DecisionTree(2, nodes, 2))
-    shared = model_from_doc(doc)
-    assert model_from_doc(copy.deepcopy(doc)) is shared and validate_model(shared) == []
+    valid = model_from_doc(doc)
+    assert validate_model(valid) == []
     for twin, problem in (
             (DecisionTree(2, (leaf(0), leaf(True), split(0, 0, 1)), 2),
              "leaf 1 label True not 0/1"),
@@ -207,13 +206,13 @@ def test_an_equal_tree_with_a_bool_float_or_int_subclass_keeps_its_problem():
              "child index 1.0 is not an int"),
             (DecisionTree(2, (leaf(0), leaf(_Int(1)), split(0, 0, 1)), 2),
              "leaf 1 label 1 not 0/1")):
-        assert twin == shared
+        assert twin == valid
         assert validate_model(twin) == [problem]
         with pytest.raises(InvalidInstanceError, match=problem):
             twin.paths
     doc["model"]["nodes"][1][1] = _Int(1)
     loaded = model_from_doc(doc, check=False)
-    assert loaded == shared and loaded is not shared
+    assert loaded == valid and loaded is not valid
     assert validate_model(loaded) == ["leaf 1 label 1 not 0/1"]
     with pytest.raises(ParseError, match="leaf 1 label 1 not 0/1"):
         model_from_doc(doc)
