@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import InvalidInstanceError, UnsupportedModelError
 from .models import (
@@ -208,7 +208,11 @@ class ShapReport(Record):
 
     @property
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        """The sum of the values, over the lcm of their denominators, so
+        that it is normalised once."""
+        common = lcm(*(v.denominator for v in self.values))
+        return Fraction(sum(v.numerator * (common // v.denominator) for v in self.values),
+                        common)
 
 
 def shap_report(m: Model, x: Instance, dist: ProductDistribution,

@@ -14,15 +14,26 @@ from itertools import combinations
 from math import factorial
 
 from . import _config
-from .errors import ResourceCapError
+from .errors import InvalidInstanceError, ResourceCapError
 from .models import (
     ABSENT, Instance, Model, ProductDistribution, bits_to_int, check_dist,
     check_instance, check_subset, eval_model, feature_count, subset_mask,
+    validate_model,
 )
 
 
-def _require_cap(n: int, what: str, shap: bool = False):
-    """Refuse n features past the oracle cap, or the Shapley oracle's."""
+def _checked_count(m: Model, what: str, shap: bool = False) -> int:
+    """m's feature count, after refusing an invalid model and a count past
+    the oracle cap, or the Shapley oracle's.
+
+    _truth_table and _v_table key on values, and a tree whose leaf label
+    is True equals its twin with label 1, so the model is validated here,
+    before a cache can answer for it.
+    """
+    problems = validate_model(m)
+    if problems:
+        raise InvalidInstanceError("invalid model: " + "; ".join(problems))
+    n = feature_count(m)
     if shap:
         cap, var = _config.shap_oracle_cap(), _config.SHAP_ORACLE_CAP_VAR
     else:
@@ -31,6 +42,7 @@ def _require_cap(n: int, what: str, shap: bool = False):
         raise ResourceCapError(
             f"{what} refuses n={n} features (cap {cap}); "
             f"raise {var} if you really want this")
+    return n
 
 
 @lru_cache(maxsize=64)
@@ -43,8 +55,7 @@ def _truth_table(m: Model) -> bytes:
 
 def oracle_is_sufficient(m: Model, x: Instance, s) -> bool:
     """True iff every completion that agrees with x on s keeps f(x)."""
-    n = feature_count(m)
-    _require_cap(n, "oracle_is_sufficient")
+    n = _checked_count(m, "oracle_is_sufficient")
     x = check_instance(x, n)
     s = check_subset(s, n)
     table = _truth_table(m)
@@ -64,8 +75,7 @@ def oracle_is_sufficient(m: Model, x: Instance, s) -> bool:
 
 def oracle_is_contrastive(m: Model, x: Instance, s) -> bool:
     """True iff flipping some features inside s changes the prediction."""
-    n = feature_count(m)
-    _require_cap(n, "oracle_is_contrastive")
+    n = _checked_count(m, "oracle_is_contrastive")
     x = check_instance(x, n)
     s = check_subset(s, n)
     table = _truth_table(m)
@@ -84,8 +94,7 @@ def oracle_is_contrastive(m: Model, x: Instance, s) -> bool:
 
 def oracle_min_sufficient(m: Model, x: Instance) -> tuple[int, tuple[int, ...]]:
     """Smallest sufficient reason; lexicographically first witness on ties."""
-    n = feature_count(m)
-    _require_cap(n, "oracle_min_sufficient")
+    n = _checked_count(m, "oracle_min_sufficient")
     x = check_instance(x, n)
     for size in range(n + 1):
         for s in combinations(range(n), size):
@@ -99,8 +108,7 @@ def oracle_min_contrastive(m: Model, x: Instance):
 
     No contrastive set exists exactly when the model is constant.
     """
-    n = feature_count(m)
-    _require_cap(n, "oracle_min_contrastive")
+    n = _checked_count(m, "oracle_min_contrastive")
     x = check_instance(x, n)
     for size in range(1, n + 1):
         for s in combinations(range(n), size):
@@ -111,8 +119,7 @@ def oracle_min_contrastive(m: Model, x: Instance):
 
 def oracle_completion_count(m: Model, x: Instance, s) -> Fraction:
     """Fraction of completions agreeing with x on s that keep f(x)."""
-    n = feature_count(m)
-    _require_cap(n, "oracle_completion_count")
+    n = _checked_count(m, "oracle_completion_count")
     x = check_instance(x, n)
     s = check_subset(s, n)
     table = _truth_table(m)
@@ -134,8 +141,7 @@ def oracle_completion_count(m: Model, x: Instance, s) -> Fraction:
 
 def oracle_expected_value(m: Model, dist: ProductDistribution) -> Fraction:
     """E[f(z)] under the product distribution, by full enumeration."""
-    n = feature_count(m)
-    _require_cap(n, "oracle_expected_value")
+    n = _checked_count(m, "oracle_expected_value")
     check_dist(dist, n)
     table = _truth_table(m)
     nums = [p.numerator for p in dist.probs]
@@ -156,8 +162,7 @@ def oracle_expected_value(m: Model, dist: ProductDistribution) -> Fraction:
 
 def oracle_model_count(m: Model) -> int:
     """|f^{-1}(1)|, the number of accepted instances."""
-    n = feature_count(m)
-    _require_cap(n, "oracle_model_count")
+    n = _checked_count(m, "oracle_model_count")
     return sum(_truth_table(m))
 
 
@@ -201,8 +206,7 @@ def _v_table(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fraction
 
 def oracle_h_table(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fraction, ...]:
     """H[k] = sum over all size-k subsets of E[f | z_s = x_s], k = 0..n."""
-    n = feature_count(m)
-    _require_cap(n, "oracle_h_table", shap=True)
+    n = _checked_count(m, "oracle_h_table", shap=True)
     x = check_instance(x, n)
     v = _v_table(m, x, dist)
     h = [Fraction(0)] * (n + 1)
@@ -218,8 +222,7 @@ def oracle_shap(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fract
             |s|! (n-|s|-1)! / n! * (v(s + i) - v(s))
     with v(s) the conditional expectation of f given z_s = x_s.
     """
-    n = feature_count(m)
-    _require_cap(n, "oracle_shap", shap=True)
+    n = _checked_count(m, "oracle_shap", shap=True)
     x = check_instance(x, n)
     check_dist(dist, n)
     v = _v_table(m, x, dist)

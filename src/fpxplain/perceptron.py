@@ -261,6 +261,8 @@ class _AgreementTable(NamedTuple):
     column read as one integer is the polynomial sum_j C_j(s) t^j at
     t = 2^slot, and sums, differences and exact quotients of columns are
     taken cell by cell as long as every resulting cell stays in range.
+    `column` reads one column at the threshold; the sweeps of `conditioned`
+    read the bytes of `cells` in place.
     """
 
     factors: tuple[tuple[int, int, int], ...]  # (w''_i, a_i, d_i)
@@ -294,23 +296,25 @@ class _AgreementTable(NamedTuple):
         runs upward from P = 0 below Q's range [low, high - w]; for w < 0
         the same recurrence holds for the suffix sums, which sweep down
         from 0 above Q's range [low - w, high] and are subtracted from Q's
-        total D / d (1 + t)^(n-1).
+        total D / d (1 + t)^(n-1). Either sweep reads at most width / |w|
+        columns in place, each one slice of `cells` at byte offset
+        (s - low) size, stepping |w| columns at a time; every point lies in
+        [low, high), so none is clamped.
         """
+        cells, low, high, read = self.cells, self.low, self.high, int.from_bytes
+        size = (len(self.factors) + 1) * self.slot // 8
         c0, times = d - a, a + (d << self.slot)
-        if w > 0:
-            points = range(min(self.threshold, self.high) - w, self.low - 1, -w)
-            column = self.column
-        else:
-            total = self.column(self.high)
-            points = range(max(self.threshold - w, self.low - w - 1), self.high, -w)
-
-            def column(s: int) -> int:
-                return total - self.column(s)
         acc = 0
-        for s in reversed(points):
-            acc = (column(s) - times * acc) // c0
         if w > 0:
+            top = (min(self.threshold, high) - w - low) * size
+            for at in range(top % (w * size), top + 1, w * size):
+                acc = (read(cells[at:at + size], "little") - times * acc) // c0
             return acc
+        last = (high - low) * size
+        total = read(cells[last:], "little")
+        start = (max(self.threshold - w, low - w - 1) - low) * size
+        for at in reversed(range(start, last, -w * size)):
+            acc = (total - read(cells[at:at + size], "little") - times * acc) // c0
         return total // (d + (d << self.slot)) - acc
 
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from fpxplain import attribution, transforms
 from fpxplain.attribution import (
-    check_efficiency, check_model_count_identity, shap_interpolation,
-    shap_report, size_stratified_sums,
+    ShapReport, check_efficiency, check_model_count_identity,
+    shap_interpolation, shap_report, size_stratified_sums,
 )
 from fpxplain.errors import InputShapeError, InvalidInstanceError, UnsupportedModelError
 from fpxplain.generate import (
@@ -105,6 +105,21 @@ def test_report_refuses_an_unknown_method():
                                match=f"unknown attribution method {method!r}"):
                 shap_report(e, x, d, method=method)
 
+
+
+def test_report_total_is_the_sum_of_the_values():
+    """total reduces once over the lcm of the denominators; it must equal
+    the Fraction sum on values of either sign, zeros, unequal and shared
+    denominators, and no values at all."""
+    rng = rng_from_seed(79)
+    dens = (1, 2, 3, 4, 6, 7, 12, 2 ** 40, 3 ** 25, 10 ** 12 + 39)
+    for trial in range(300):
+        values = tuple(F(0) if rng.random() < 0.2
+                       else F(rng.randint(-10 ** 6, 10 ** 6), rng.choice(dens))
+                       for _ in range(trial % 12))
+        total = ShapReport(values, 1, F(1, 2), "oracle").total
+        assert type(total) is F and total == sum(values, F(0)), values
+    assert ShapReport((), 0, F(0), "oracle").total == 0
 
 def test_single_tree_is_wrapped():
     rng = rng_from_seed(76)

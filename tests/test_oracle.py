@@ -11,20 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpxplain.errors import ResourceCapError
+from fpxplain import oracle
+from fpxplain.errors import InvalidInstanceError, ResourceCapError
 from fpxplain.generate import (
     random_instance_bits, random_perceptron, random_product_distribution,
     random_tree_ensemble, rng_from_seed,
 )
 from fpxplain.models import (
-    ABSENT, DecisionTree, Perceptron, ProductDistribution, constant_tree,
-    eval_model, int_to_bits, leaf, majority_ensemble, split,
+    ABSENT, DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
+    constant_tree, eval_model, int_to_bits, leaf, majority_ensemble, split,
 )
 from fpxplain.oracle import (
     oracle_completion_count, oracle_expected_value, oracle_h_table,
     oracle_is_contrastive, oracle_is_sufficient, oracle_min_contrastive,
     oracle_min_sufficient, oracle_model_count, oracle_shap,
 )
+from fpxplain.runner import run_query
 from fpxplain.transforms import indicator_tree, negate_model
 
 HALF = Fraction(1, 2)
@@ -125,6 +127,40 @@ def test_shap_cap(monkeypatch):
     with pytest.raises(ResourceCapError, match=r"\(cap 3\); raise FPXPLAIN_SHAP_ORACLE_CAP "):
         oracle_shap(p, (1,) * 4, ProductDistribution.uniform(4))
 
+
+
+@pytest.mark.parametrize("warm", (False, True))
+def test_oracle_refuses_an_invalid_model_its_caches_hold(warm):
+    """A leaf label True equals 1, so the invalid tree and ensembles equal
+    their valid twins as keys of _truth_table and _v_table; every oracle_*
+    function and the oracle route must raise, cold or after the twin. The
+    mixed ensemble reaches the oracle as auto's fallback."""
+    def models(label):
+        t = DecisionTree(2, (leaf(0), leaf(label), split(0, 0, 1)), 2)
+        return t, majority_ensemble((t,)), Ensemble((t, Perceptron((1, 1), -1), t), Majority())
+    x, s, d = (1, 0), (0,), ProductDistribution.uniform(2)
+    calls = (lambda m: oracle_is_sufficient(m, x, s), lambda m: oracle_is_contrastive(m, x, s),
+             lambda m: oracle_min_sufficient(m, x), lambda m: oracle_min_contrastive(m, x),
+             lambda m: oracle_completion_count(m, x, s), lambda m: oracle_expected_value(m, d),
+             oracle_model_count, lambda m: oracle_h_table(m, x, d),
+             lambda m: oracle_shap(m, x, d))
+    queries = [("csr", {"subset": s}), ("cc", {"subset": s}), ("mcr", {"bound": 1}),
+               ("msr", {"bound": 1}), ("expect", {}), ("shap", {})]
+    oracle._truth_table.cache_clear()
+    oracle._v_table.cache_clear()
+    if warm:
+        for m in models(1):
+            for call in calls:
+                call(m)
+    for j, m in enumerate(models(True)):
+        assert m == models(1)[j]
+        for call in calls:
+            with pytest.raises(InvalidInstanceError, match="leaf 1 label True not 0/1"):
+                call(m)
+        for kind, args in queries:
+            for algorithm in ("oracle", "auto") if j == 2 else ("oracle",):
+                with pytest.raises(InvalidInstanceError, match="leaf 1 label True not 0/1"):
+                    run_query(m, kind, x, algorithm=algorithm, **args)
 
 @settings(deadline=None, max_examples=50)
 @given(st.integers(0, 2**30))

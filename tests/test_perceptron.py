@@ -182,7 +182,8 @@ def test_shap_division_branches_match_oracle():
     """Every branch of the exact division: w'' of either sign or 0, q_i of
     0 and 1, fractional weights and biases, n = 1. The t-free tables of cc
     and expect run on the same cases, with no free features for cc and
-    with thresholds below and above the range of the weight sums."""
+    with thresholds below and above the range of the weight sums. A second
+    set, on integer weights, starts the sweeps at every residue."""
     rng = rng_from_seed(65)
     probs = tuple(F(q) for q in ("0", "1", "1/2", "1/3", "2/3", "1/8", "7/8"))
     seen = {"n=1": 0, "w''=0": 0, "w''>0": 0, "w''<0": 0, "q=0": 0, "q=1": 0,
@@ -216,6 +217,33 @@ def test_shap_division_branches_match_oracle():
             agree = q if xi else 1 - q
             seen["q=0"] += w2 != 0 and agree == 0
             seen["q=1"] += w2 != 0 and agree == 1
+    # integer weights up to 20 in size, n <= 10, and thresholds T at the
+    # ends of the range [low, high] of the w'' sums, just outside it, and
+    # inside it: the sweep of each w'' starts at every residue of
+    # (min(T, high) - w'' - low) modulo |w''|
+    residues = set()
+    for case in range(560):
+        n = rng.randint(1, 10)
+        weights = tuple(0 if rng.random() < 0.1 else rng.randint(-20, 20)
+                        for _ in range(n))
+        x = random_instance_bits(rng, n)
+        w2s = [-w if xi else w for w, xi in zip(weights, x)]
+        low, high = sum(w for w in w2s if w < 0), sum(w for w in w2s if w > 0)
+        if case % 8 < 4:
+            where = ("T=low-1", "T=low", "T=high", "T=high+1")[case % 8]
+            threshold = (low - 1, low, high, high + 1)[case % 8]
+        else:
+            where, threshold = "low<=T<=high", rng.randint(low, high)
+        p = Perceptron(weights, threshold - sum(w for w, xi in zip(weights, x) if not xi))
+        d = ProductDistribution(tuple(rng.choice(probs) for _ in range(n)))
+        assert shap_perceptron_pseudopoly(p, x, d) == oracle_shap(p, x, d), case
+        assert h_table_perceptron(p, x, d).values == oracle_h_table(p, x, d), case
+        table = perceptron._agreement_table(p, x, d)
+        assert (table.threshold, table.low, table.high) == (threshold, low, high), case
+        seen[where] = seen.get(where, 0) + 1
+        residues.update((abs(w), (min(threshold, high) - w - low) % abs(w))
+                        for w in w2s if w)
+    assert residues == {(m, r) for m in range(1, 21) for r in range(m)}
     assert min(seen.values()) >= 30, seen
 
 
