@@ -53,52 +53,40 @@ def _truth_table(m: Model) -> bytes:
                  for z in range(1 << n))
 
 
+def _flips(table: bytes, xi: int, vary: int) -> bool:
+    """True iff f(z) != f(x) for some z that agrees with x outside the
+    feature mask vary."""
+    base, target, sub = xi & ~vary, table[xi], vary
+    while True:
+        if table[base | sub] != target:
+            return True
+        if sub == 0:
+            return False
+        sub = (sub - 1) & vary
+
+
 def oracle_is_sufficient(m: Model, x: Instance, s) -> bool:
     """True iff every completion that agrees with x on s keeps f(x)."""
     n = _checked_count(m, "oracle_is_sufficient")
     x = check_instance(x, n)
-    s = check_subset(s, n)
-    table = _truth_table(m)
-    xi = bits_to_int(x)
-    smask = subset_mask(s)
-    base = xi & smask
-    free = ((1 << n) - 1) ^ smask
-    target = table[xi]
-    sub = free
-    while True:
-        if table[base | sub] != target:
-            return False
-        if sub == 0:
-            return True
-        sub = (sub - 1) & free
+    free = ((1 << n) - 1) ^ subset_mask(check_subset(s, n))
+    return not _flips(_truth_table(m), bits_to_int(x), free)
 
 
 def oracle_is_contrastive(m: Model, x: Instance, s) -> bool:
     """True iff flipping some features inside s changes the prediction."""
     n = _checked_count(m, "oracle_is_contrastive")
     x = check_instance(x, n)
-    s = check_subset(s, n)
-    table = _truth_table(m)
-    xi = bits_to_int(x)
-    smask = subset_mask(s)
-    base = xi & ~smask
-    target = table[xi]
-    sub = smask
-    while True:
-        if table[base | sub] != target:
-            return True
-        if sub == 0:
-            return False
-        sub = (sub - 1) & smask
+    return _flips(_truth_table(m), bits_to_int(x), subset_mask(check_subset(s, n)))
 
 
 def oracle_min_sufficient(m: Model, x: Instance) -> tuple[int, tuple[int, ...]]:
     """Smallest sufficient reason; lexicographically first witness on ties."""
     n = _checked_count(m, "oracle_min_sufficient")
-    x = check_instance(x, n)
+    table, xi = _truth_table(m), bits_to_int(check_instance(x, n))
     for size in range(n + 1):
         for s in combinations(range(n), size):
-            if oracle_is_sufficient(m, x, s):
+            if not _flips(table, xi, ((1 << n) - 1) ^ subset_mask(s)):
                 return size, s
     raise AssertionError("the full feature set is always sufficient")
 
@@ -109,10 +97,10 @@ def oracle_min_contrastive(m: Model, x: Instance):
     No contrastive set exists exactly when the model is constant.
     """
     n = _checked_count(m, "oracle_min_contrastive")
-    x = check_instance(x, n)
+    table, xi = _truth_table(m), bits_to_int(check_instance(x, n))
     for size in range(1, n + 1):
         for s in combinations(range(n), size):
-            if oracle_is_contrastive(m, x, s):
+            if _flips(table, xi, subset_mask(s)):
                 return size, s
     return ABSENT
 
