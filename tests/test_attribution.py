@@ -106,7 +106,6 @@ def test_report_refuses_an_unknown_method():
                 shap_report(e, x, d, method=method)
 
 
-
 def test_report_total_is_the_sum_of_the_values():
     """total reduces once over the lcm of the denominators; it must equal
     the Fraction sum on values of either sign, zeros, unequal and shared
@@ -120,6 +119,7 @@ def test_report_total_is_the_sum_of_the_values():
         total = ShapReport(values, 1, F(1, 2), "oracle").total
         assert type(total) is F and total == sum(values, F(0)), values
     assert ShapReport((), 0, F(0), "oracle").total == 0
+
 
 def test_single_tree_is_wrapped():
     rng = rng_from_seed(76)

@@ -128,7 +128,6 @@ def test_shap_cap(monkeypatch):
         oracle_shap(p, (1,) * 4, ProductDistribution.uniform(4))
 
 
-
 @pytest.mark.parametrize("warm", (False, True))
 def test_oracle_refuses_an_invalid_model_its_caches_hold(warm):
     """A leaf label True equals 1, so the invalid tree and ensembles equal
@@ -161,6 +160,7 @@ def test_oracle_refuses_an_invalid_model_its_caches_hold(warm):
             for algorithm in ("oracle", "auto") if j == 2 else ("oracle",):
                 with pytest.raises(InvalidInstanceError, match="leaf 1 label True not 0/1"):
                     run_query(m, kind, x, algorithm=algorithm, **args)
+
 
 @settings(deadline=None, max_examples=50)
 @given(st.integers(0, 2**30))
