@@ -52,7 +52,8 @@ class Record:
     are the class's annotated names, in order, and its __init__ stores
     them with _set. Equality and hashing are on the tuple of the field
     values, read by a per-class attrgetter, and only between instances of
-    one class; repr is ClassName(field=value, ...).
+    one class; the hash is computed once and kept. repr is
+    ClassName(field=value, ...).
     Assigning or deleting an attribute raises AttributeError. Instances
     keep a __dict__, so functools.cached_property works on them.
     """
@@ -92,7 +93,13 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values(self))
+        # kept in __dict__ after the first call: an lru_cache keyed on a
+        # record (a model, a distribution of n Fractions) hashes it again
+        # on every lookup
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._values(self))
+        return h
 
     def __repr__(self):
         body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
@@ -412,6 +419,19 @@ def bits_to_int(x: Instance) -> int:
 
 def int_to_bits(z: int, n: int) -> Instance:
     return tuple((z >> i) & 1 for i in range(n))
+
+
+def packed_dot(packed: int, size: int, weights) -> int:
+    """sum_k weights[k] c_k of a packed polynomial sum_k c_k 2^(8 size k).
+
+    Every c_k must lie in [0, 2^(8 size)) and k in range(len(weights)).
+    The integer is read once, into bytes, and each cell is one slice of
+    them, so the read costs time linear in the number of cells.
+    """
+    raw = packed.to_bytes(len(weights) * size, "little")
+    read = int.from_bytes
+    return sum([w * read(raw[at:at + size], "little")
+                for w, at in zip(weights, range(0, len(raw), size))])
 
 
 # ---------------------------------------------------------------------------

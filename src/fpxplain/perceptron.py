@@ -26,7 +26,7 @@ from . import _config
 from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
     ABSENT, Instance, Perceptron, ProductDistribution, Record, check_dist,
-    check_instance, check_subset, eval_perceptron,
+    check_instance, check_subset, eval_perceptron, packed_dot,
 )
 
 
@@ -371,18 +371,18 @@ def shap_perceptron_pseudopoly(p: Perceptron, x: Instance,
     n = p.feature_count
     x = _check_h_query(p, x, dist, "shap_perceptron_pseudopoly")
     table = _agreement_table(p, x, dist)
-    h_f = table.unpack(table.column(table.threshold), n + 1)
+    size = table.slot // 8
     fact = [factorial(j) for j in range(n + 1)]
     coef = [fact[k] * fact[n - k - 1] for k in range(n)] + [0]
     # sum_k coef_k (P_k + P_{k-1}) = sum_k (coef_k + coef_{k+1}) P_k
     pair = [coef[k] + coef[k + 1] for k in range(n)]
-    base = sum(c * h for c, h in zip(coef, h_f))
+    base = packed_dot(table.column(table.threshold), size, coef)
     scale = table.common * fact[n]
     phis = []
     for w, a, d in table.factors:
         if w == 0 or a == d:
             phis.append(Fraction(0))
             continue
-        sums = table.unpack(table.conditioned(w, a, d), n)
-        phis.append(Fraction(d * sum(c * v for c, v in zip(pair, sums)) - base, scale))
+        dot = packed_dot(table.conditioned(w, a, d), size, pair)
+        phis.append(Fraction(d * dot - base, scale))
     return tuple(phis)

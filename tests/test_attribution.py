@@ -3,6 +3,7 @@
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from fpxplain import attribution, transforms
@@ -17,12 +18,14 @@ from fpxplain.generate import (
 )
 from fpxplain.models import (
     DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
-    Weighted, leaf, majority_ensemble, split,
+    Weighted, constant_tree, leaf, majority_ensemble, split,
 )
 from fpxplain.oracle import (
     oracle_expected_value, oracle_h_table, oracle_model_count, oracle_shap,
 )
-from fpxplain.trees import _raw_triples, _selections, expected_value_tree_ensemble
+from fpxplain.trees import (
+    _prefixes, _raw_triples, _selections, _support, expected_value_tree_ensemble,
+)
 from test_cli import _chain_tree
 
 F = Fraction
@@ -220,17 +223,23 @@ def test_tree_shap_does_not_condition_the_model(monkeypatch):
     assert rep.expected == expected_value_tree_ensemble(e, d)
 
 
-def _bucket_branches(e, x, d):
-    """Count the non-empty (feature, value) buckets of the cylinder pass by
-    the shape of their divisor a + b t: a = 0, b = 0, or neither zero."""
+def _bucket_keys(e, x, d):
+    """The (feature, value) keys of the non-empty buckets of the cylinder pass."""
     prob = [(1 - p, p) for p in d.probs]
     keys = set()
     for mask, vals in _selections(_raw_triples(e), e.voting, 1):
         fixed = [(i, (vals >> i) & 1) for i in range(e.feature_count) if (mask >> i) & 1]
         # a cylinder adds a zero polynomial when one of its factors is zero
-        if any(prob[i][v] == 0 and v != x[i] for i, v in fixed):
-            continue
-        keys.update(fixed)
+        if not any(prob[i][v] == 0 and v != x[i] for i, v in fixed):
+            keys.update(fixed)
+    return keys
+
+
+def _bucket_branches(e, x, d):
+    """Count the non-empty (feature, value) buckets of the cylinder pass by
+    the shape of their divisor a + b t: a = 0, b = 0, or neither zero."""
+    prob = [(1 - p, p) for p in d.probs]
+    keys = _bucket_keys(e, x, d)
     return Counter("a=0" if prob[i][v] == 0 else "b=0" if v != x[i] else "both"
                    for i, v in keys)
 
@@ -244,6 +253,63 @@ def test_bucket_division_branch_battery():
         assert attribution._cylinder_sums(e, x, d) == want, trial
         branches += _bucket_branches(e, x, d)
     assert min(branches[key] for key in ("a=0", "b=0", "both")) >= 30, branches
+
+
+def _support_case(rng, trial):
+    """A _battery_case ensemble spread over n >= its feature count features,
+    each sent to a random position, so that its members test a random
+    subset of them; on every sixth trial every member is a single leaf."""
+    e, _, _ = _battery_case(rng, trial)
+    m = e.feature_count
+    n = m + rng.randint(0, 4)
+    where = rng.sample(range(n), m)
+    if trial % 6:
+        members = tuple(
+            DecisionTree(n, tuple(split(where[nd[1]], nd[2], nd[3]) if nd[0] == "split" else nd
+                                  for nd in t.nodes), t.root)
+            for t in e.members)
+    else:
+        members = tuple(constant_tree(n, rng.randint(0, 1)) for _ in e.members)
+    x = random_instance_bits(rng, n)
+    d = random_product_distribution(rng, n)
+    if trial % 2:
+        d = ProductDistribution(tuple(rng.choice((F(0), F(1), p)) for p in d.probs))
+    return Ensemble(members, e.voting), x, d
+
+
+def _pass_shapes(e, x, d):
+    """The shapes of the cylinder pass that e, x, d reach: a support
+    smaller than n, an empty support, a feature with both buckets
+    non-empty (its read is signed), and a run of several prefixes that
+    agree outside the last tree's features."""
+    lists = _raw_triples(e)
+    support = 0
+    for paths in lists:
+        support |= _support(paths)
+    keys = _bucket_keys(e, x, d)
+    outside = ~_support(lists[-1])
+    runs = groupby(_prefixes(lists, e.voting, 1), lambda p: (p[0] & outside, p[1] & outside))
+    return {
+        "support < n": support.bit_count() < e.feature_count,
+        "empty support": support == 0,
+        "signed read": any((i, 1 - v) in keys for i, v in keys),
+        "run of prefixes": any(len(list(run)) > 1 for _, run in runs),
+    }, support
+
+
+def test_support_and_run_battery():
+    rng = rng_from_seed(81)
+    shapes = Counter()
+    for trial in range(240):
+        e, x, d = _support_case(rng, trial)
+        h, phi = attribution._cylinder_sums(e, x, d)
+        assert h == oracle_h_table(e, x, d), trial
+        assert phi == oracle_shap(e, x, d), trial
+        assert h[0] == oracle_expected_value(e, d), trial
+        seen, support = _pass_shapes(e, x, d)
+        assert all(phi[i] == 0 for i in range(e.feature_count) if not (support >> i) & 1)
+        shapes.update(key for key, hit in seen.items() if hit)
+    assert len(shapes) == 4 and min(shapes.values()) >= 30, shapes
 
 
 def test_deep_chain_tree_shap():

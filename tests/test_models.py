@@ -15,7 +15,7 @@ from fpxplain.models import (
     ABSENT, DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
     Weighted, bits_to_int, check_instance, check_subset, constant_tree,
     eval_ensemble, eval_model, eval_perceptron, eval_tree, int_to_bits, integer_votes, leaf,
-    majority_ensemble, majority_threshold, split, subset_mask, validate_model,
+    majority_ensemble, majority_threshold, packed_dot, split, subset_mask, validate_model,
     votes_accept,
 )
 
@@ -137,6 +137,19 @@ def test_bit_helpers_roundtrip():
     for z in range(16):
         assert bits_to_int(int_to_bits(z, 4)) == z
     assert subset_mask((0, 2)) == 0b101
+
+
+def test_packed_dot_reads_every_cell_once():
+    rng = rng_from_seed(5)
+    for trial in range(200):
+        size, count = rng.randint(1, 9), rng.randint(0, 12)
+        top = (1 << 8 * size) - 1
+        cells = [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]
+        weights = [rng.randint(-10**6, 10**6) for _ in range(count)]
+        packed = sum(c << 8 * size * k for k, c in enumerate(cells))
+        assert packed_dot(packed, size, weights) == sum(map(int.__mul__, weights, cells)), trial
+    with pytest.raises(OverflowError):
+        packed_dot(1 << 16, 1, [1, 1])  # a cell past the last weight
 
 
 def test_product_distribution_validation():
@@ -340,6 +353,23 @@ def test_record_keys_are_field_tuples_per_class():
             assert len({twin, record}) == 2
     assert ProductDistribution(half) != ProductDistribution((Fraction(1, 2), Fraction(1, 3)))
     assert Weighted((1, -2), 1) != Weighted((1, -2), 2)
+
+
+def test_record_hash_is_computed_once(monkeypatch):
+    """The first hash is the field tuple's and is kept; equal records hash
+    alike; later calls do not read the fields again."""
+    t = DecisionTree(2, (split(0, 1, 2), leaf(0), leaf(1)))
+    probs = tuple(Fraction(j, 33) for j in range(33))
+    for make in (lambda: ProductDistribution(probs), lambda: Perceptron((1, "1/2"), -1),
+                 lambda: majority_ensemble([t]), Majority):
+        record, twin = make(), make()
+        assert hash(record) == hash(type(record)._values(record))
+        assert record.__dict__["_hash"] == hash(record) == hash(twin)
+        assert record == twin
+        with monkeypatch.context() as m:
+            m.setattr(type(record), "_values", staticmethod(lambda obj: 1 / 0))
+            assert hash(record) == hash(twin)
+        assert "_hash" not in repr(record)
 
 
 def test_model_records_refuse_assignment_and_deletion():
