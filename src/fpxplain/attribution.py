@@ -61,9 +61,9 @@ from .models import (
 def _check_tree_query(e: Ensemble, x: Instance, dist: ProductDistribution) -> Instance:
     """x as a tuple, after checking the query's arguments and every member.
 
-    _full_pass and _h_table key on values, and a tree whose leaf label is
-    True equals its twin with label 1, so each member's arena is checked
-    here, before a cache can answer for it.
+    _full_pass keys on values, and a tree whose leaf label is True equals
+    its twin with label 1, so each member's arena is checked here, before
+    the cache can answer for it.
     """
     if not is_tree_ensemble(e):
         raise UnsupportedModelError("tree Shapley and H tables expect an ensemble of trees")
@@ -196,12 +196,6 @@ def _cylinder_sums(e: Ensemble, x: Instance,
 _full_pass = lru_cache(maxsize=1)(_cylinder_sums)
 
 
-@lru_cache(maxsize=64)
-def _h_table(e: Ensemble, x: Instance, dist: ProductDistribution) -> HTable:
-    from .perceptron import HTable
-    return HTable(_full_pass(e, x, dist)[0])
-
-
 def size_stratified_sums(e: Ensemble, x: Instance, dist: ProductDistribution) -> HTable:
     """H(k) = sum over size-k subsets s of E[f | z_s = x_s].
 
@@ -209,11 +203,12 @@ def size_stratified_sums(e: Ensemble, x: Instance, dist: ProductDistribution) ->
     cylinder polynomials; see _cylinder_sums. x is checked and made a
     tuple before the cache sees it, so any sequence of bits will do.
     """
-    return _h_table(e, _check_tree_query(e, x, dist), dist)
+    from .perceptron import HTable
+    return HTable(_full_pass(e, _check_tree_query(e, x, dist), dist)[0])
 
 
-size_stratified_sums.cache_info = _h_table.cache_info
-size_stratified_sums.cache_clear = _h_table.cache_clear
+size_stratified_sums.cache_info = _full_pass.cache_info
+size_stratified_sums.cache_clear = _full_pass.cache_clear
 
 
 def shap_interpolation(e: Ensemble, x: Instance, i: int, dist: ProductDistribution) -> Fraction:

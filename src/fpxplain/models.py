@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -451,19 +452,25 @@ def validate_model(m: Model) -> list[str]:
     elif isinstance(m, Perceptron):
         _validate_perceptron(m, problems, prefix="")
     elif isinstance(m, Ensemble):
+        if not isinstance(m.members, tuple):
+            problems.append(f"members of type {type(m.members).__name__} are not a tuple")
+            return problems
         if not m.members:
             problems.append("ensemble has no members")
             return problems
-        n = m.members[0].feature_count
+        n = None  # member 0's feature count, once it is a base model
         for j, sub in enumerate(m.members):
             if not isinstance(sub, (DecisionTree, Perceptron)):
                 problems.append(f"member {j}: unsupported type {type(sub).__name__}")
                 continue
-            if sub.feature_count != n:
+            if j == 0:
+                n = sub.feature_count
+            elif n is not None and sub.feature_count != n:
                 problems.append(
                     f"member {j}: feature count {sub.feature_count} differs from member 0 ({n})")
             if isinstance(sub, DecisionTree):
-                problems.extend(f"member {j}: {p}" for p in sub._arena[0])
+                if sub._arena[0]:
+                    problems.extend(f"member {j}: {p}" for p in sub._arena[0])
             else:
                 _validate_perceptron(sub, problems, prefix=f"member {j}: ")
         if isinstance(m.voting, Weighted):
@@ -477,6 +484,13 @@ def validate_model(m: Model) -> list[str]:
     return problems
 
 
+def check_model(m: Model):
+    """Raise InvalidInstanceError naming the problems validate_model finds."""
+    problems = validate_model(m)
+    if problems:
+        raise InvalidInstanceError("invalid model: " + "; ".join(problems))
+
+
 def _validate_perceptron(p: Perceptron, problems: list[str], prefix: str):
     if p.feature_count == 0:
         problems.append(prefix + "perceptron has no features")
@@ -485,16 +499,24 @@ def _validate_perceptron(p: Perceptron, problems: list[str], prefix: str):
 def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
     """One DFS over the arena, 0-branch first: (problems, path triples).
 
-    Each reachable node is visited once: a node reachable twice, a child
+    A feature count that is not a non-negative int (bools excluded) and
+    nodes that are not a sequence are problems that stop the walk. Each
+    reachable node is visited once: a node reachable twice, a child
     index that is not an int (bools included) or is outside the arena, an
     empty node or one that is not a sequence, an unknown tag, a leaf
     without two entries or a split without four, a feature that is not an
     int, is outside 0..n-1 or is tested twice on a path, and a leaf label
     other than the ints 0 and 1 are problems, and the walk does not
-    descend past them. The triples are DecisionTree.paths, meaningful only
-    when there are no problems.
+    descend past them. An arena with no other problem must hash, as the
+    value-keyed caches hash the tree: a list where a tuple belongs is a
+    problem too. The triples are DecisionTree.paths, meaningful only when
+    there are no problems.
     """
-    nodes = t.nodes
+    nodes, n = t.nodes, t.feature_count
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        return (f"feature count {n!r} is not a non-negative int",), ()
+    if type(nodes) is not tuple and not isinstance(nodes, Sequence):  # the ABC test is slow
+        return (f"nodes of type {type(nodes).__name__} are not a sequence",), ()
     size = len(nodes)
     if not size:
         return ("tree has no nodes",), ()
@@ -505,7 +527,6 @@ def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int,
     problems = []
     out = []
     seen = set()
-    n = t.feature_count
     stack = [(t.root, 0, 0)]  # (node, features tested above it, their values)
     while stack:
         idx, mask, vals = stack.pop()
@@ -523,7 +544,7 @@ def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int,
         # the try blocks cost nothing unless a node is malformed
         try:
             tag = node[0]
-        except (IndexError, TypeError):
+        except (LookupError, TypeError):  # a dict node raises KeyError
             problems.append(f"node {idx} {node!r} is not a tagged tuple")
             continue
         if tag == SPLIT:
@@ -557,4 +578,9 @@ def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int,
                 problems.append(f"leaf {idx} label {label!r} not 0/1")
         else:
             problems.append(f"node {idx} has unknown tag {tag!r}")
+    if not problems:
+        try:
+            hash(nodes)
+        except TypeError as exc:
+            problems.append(f"nodes are not hashable ({exc})")
     return tuple(problems), tuple(out)

@@ -14,11 +14,11 @@ from itertools import combinations
 from math import factorial
 
 from . import _config
-from .errors import InvalidInstanceError, ResourceCapError
+from .errors import ResourceCapError
 from .models import (
     ABSENT, Instance, Model, ProductDistribution, bits_to_int, check_dist,
-    check_instance, check_subset, eval_model, feature_count, subset_mask,
-    validate_model,
+    check_instance, check_model, check_subset, eval_model, feature_count,
+    subset_mask,
 )
 
 
@@ -30,9 +30,7 @@ def _checked_count(m: Model, what: str, shap: bool = False) -> int:
     is True equals its twin with label 1, so the model is validated here,
     before a cache can answer for it.
     """
-    problems = validate_model(m)
-    if problems:
-        raise InvalidInstanceError("invalid model: " + "; ".join(problems))
+    check_model(m)
     n = feature_count(m)
     if shap:
         cap, var = _config.shap_oracle_cap(), _config.SHAP_ORACLE_CAP_VAR

@@ -15,8 +15,8 @@ from importlib import import_module
 from .errors import InvalidInstanceError, ResourceCapError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Perceptron, ProductDistribution, check_dist,
-    check_instance, check_subset, eval_model, feature_count, is_tree_ensemble,
-    majority_ensemble,
+    check_instance, check_model, check_subset, eval_model, feature_count,
+    is_tree_ensemble, majority_ensemble,
 )
 
 QUERY_KINDS = ("csr", "mcr", "msr", "cc", "shap", "expect",
@@ -104,6 +104,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
         raise InvalidInstanceError(f"unknown query kind {kind!r}")
     if algorithm not in ALGORITHMS:
         raise InvalidInstanceError(f"unknown algorithm {algorithm!r}")
+    check_model(model)
     n = feature_count(model)
     x = check_instance(x, n)
     warnings: list[str] = []

@@ -22,8 +22,8 @@ Consumers that need every cylinder (the decomposition, Shapley sums)
 expand prefix x entry in row-major order. The flip masks keep each
 entry's row masks and join the prefix's own. Counting and expectation
 keep one integer sum per entry, so a prefix costs one lookup and one
-multiply-add. Sufficiency, which stops at the first selection, walks all
-k trees and builds no table.
+multiply-add. Sufficiency runs the same walk and stops at the first
+prefix whose entry is non-empty.
 
 The contrastive queries read one set of flip masks, the features on
 which a selection that overturns f(x) disagrees with x. The smallest
@@ -95,7 +95,7 @@ def _conditioned_triples(tree: DecisionTree, xbits: int, smask: int) -> list[tup
 # the joint selection scan
 
 
-def _prefixes(lists, voting, want: int, fold=None, flat: bool = False):
+def _prefixes(lists, voting, want: int, fold=None):
     """Yield (mask, vals, entry) for each selection of the first k - 1 trees
     that some path of the last tree completes to the given output.
 
@@ -112,10 +112,9 @@ def _prefixes(lists, voting, want: int, fold=None, flat: bool = False):
     with the path. The full selections of a prefix are its (mask | row
     mask, vals | row vals) for the rows of its entry, and the entry is
     fold(rows) when a fold is given, so a consumer can keep one sum per
-    entry. Entries are built on their first miss.
-
-    flat=True walks all k trees instead and yields every full selection
-    with entry None, so an early exit (csr) builds no table.
+    entry. Entries are built on their first miss, and a prefix whose entry
+    is empty is not yielded, so a consumer that stops at the first prefix
+    (sufficiency) builds entries only for the prefixes the walk reaches.
 
     Since any partial assignment extends to a full instance, and a full
     instance follows some path in every tree, the scan yields a first
@@ -132,15 +131,12 @@ def _prefixes(lists, voting, want: int, fold=None, flat: bool = False):
     need = [threshold] * (k + 1)
     for j in range(k - 1, -1, -1):
         need[j] = need[j + 1] - max(weights[j] * lab for _, _, lab in lists[j])
-    if flat:
-        heads, floor = lists, need[1:]
-    else:
-        last, w = lists[k - 1], weights[k - 1]
-        inside = _support(last)
-        # one tree: the only prefix is the empty selection, walked as a
-        # dummy path that fixes nothing and is held to need[0]
-        heads = lists[:k - 1] or [((0, 0, 0),)]
-        floor = need[1:k] or need[:1]
+    last, w = lists[k - 1], weights[k - 1]
+    inside = _support(last)
+    # one tree: the only prefix is the empty selection, walked as a
+    # dummy path that fixes nothing and is held to need[0]
+    heads = lists[:k - 1] or [((0, 0, 0),)]
+    floor = need[1:k] or need[:1]
     depth = len(heads)
     table: dict[tuple[int, int, bool, bool], object] = {}
     stack = [(iter(heads[0]), 0, 0, 0)]
@@ -157,9 +153,6 @@ def _prefixes(lists, voting, want: int, fold=None, flat: bool = False):
                 stack.append((iter(heads[j]), mask | m2, vals | v2, v))
                 break
             pm, pv = mask | m2, vals | v2
-            if flat:
-                yield pm, pv, None
-                continue
             mu, vu = pm & inside, pv & inside
             take0, take1 = v >= threshold, v + w >= threshold
             key = (mu, vu, take0, take1)
@@ -194,17 +187,22 @@ def _selections(lists, voting, want: int):
 # sufficiency
 
 
-def csr_tree_ensemble(e: Ensemble, x: Instance, s) -> bool:
-    """Is fixing x on s enough to force the ensemble's prediction?"""
+def _conditioned(e: Ensemble, x: Instance, s) -> tuple[int, list]:
+    """(f(x), each member's paths consistent with x on s), after checking
+    the members, then x, then s."""
     _require_trees(e)
     n = e.feature_count
     x = check_instance(x, n)
-    s = check_subset(s, n)
+    smask = subset_mask(check_subset(s, n))
     target = eval_ensemble(e, x)
     xbits = bits_to_int(x)
-    smask = subset_mask(s)
-    lists = [_conditioned_triples(t, xbits, smask) for t in e.members]
-    return next(_prefixes(lists, e.voting, 1 - target, flat=True), None) is None
+    return target, [_conditioned_triples(t, xbits, smask) for t in e.members]
+
+
+def csr_tree_ensemble(e: Ensemble, x: Instance, s) -> bool:
+    """Is fixing x on s enough to force the ensemble's prediction?"""
+    target, lists = _conditioned(e, x, s)
+    return next(_prefixes(lists, e.voting, 1 - target), None) is None
 
 
 def csr_single_tree(tree: DecisionTree, x: Instance, s) -> bool:
@@ -463,14 +461,8 @@ def cc_tree_ensemble(e: Ensemble, x: Instance, s) -> Fraction:
     last tree tests, that its rows leave free; a prefix multiplies them by
     the completions outside U that it leaves free (see _prefixes).
     """
-    _require_trees(e)
+    target, lists = _conditioned(e, x, s)
     n = e.feature_count
-    x = check_instance(x, n)
-    s = check_subset(s, n)
-    target = eval_ensemble(e, x)
-    xbits = bits_to_int(x)
-    smask = subset_mask(s)
-    lists = [_conditioned_triples(t, xbits, smask) for t in e.members]
     inside = _support(lists[-1])
     width = inside.bit_count()
 

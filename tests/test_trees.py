@@ -313,11 +313,14 @@ def test_table_scan_matches_its_oracle_twins():
     subset-minimal contrastive sets), on k = 1 to 4 trees under majority
     and weighted votes with negative weights and exact ties, a last tree
     that is a single leaf (U empty), and probabilities 0 and 1. The
-    cylinders and the flip masks come in the naive product's order."""
+    cylinders and the flip masks come in the naive product's order. csr
+    answers both ways on one tree and on more: a yes runs the walk to its
+    end, a no stops it at the first prefix with a non-empty entry."""
     rng = rng_from_seed(59)
     sixths = tuple(Fraction(w, 6) for w in (-4, -3, -2, 2, 3, 4))
     seen = dict.fromkeys(("k=1", "k=4", "weighted", "tie", "single-leaf last",
-                          "p=0", "p=1", "no flip"), 0)
+                          "p=0", "p=1", "no flip", "csr yes k=1", "csr no k=1",
+                          "csr yes k>=2", "csr no k>=2"), 0)
     for case in range(160):
         n = rng.randint(2, 5)
         k = case % 4 + 1
@@ -352,7 +355,9 @@ def test_table_scan_matches_its_oracle_twins():
         assert enumerate_candidate_contrastive(e, x, filter_minimal=True) == minimal, case
         for r in range(n + 1):
             for s in combinations(range(n), r):
-                assert csr_tree_ensemble(e, x, s) == oracle_is_sufficient(e, x, s), (case, s)
+                sufficient = csr_tree_ensemble(e, x, s)
+                assert sufficient == oracle_is_sufficient(e, x, s), (case, s)
+                seen[f"csr {'yes' if sufficient else 'no'} k{'=1' if k == 1 else '>=2'}"] += 1
                 assert cc_tree_ensemble(e, x, s) == oracle_completion_count(e, x, s), (case, s)
         assert expected_value_tree_ensemble(e, d) == oracle_expected_value(e, d), case
         assert min_contrastive_size(e, x) == oracle_min_contrastive(e, x), case
