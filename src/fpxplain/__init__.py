@@ -27,7 +27,7 @@ _EXPORTS = {
     "models": (
         "ABSENT", "DecisionTree", "Ensemble", "Majority", "Perceptron",
         "ProductDistribution", "Weighted", "constant_tree", "eval_model",
-        "leaf", "majority_ensemble", "split", "validate_model",
+        "leaf", "majority_ensemble", "split",
     ),
     "oracle": (
         "oracle_completion_count", "oracle_expected_value",

@@ -59,19 +59,12 @@ from .models import (
 
 
 def _check_tree_query(e: Ensemble, x: Instance, dist: ProductDistribution) -> Instance:
-    """x as a tuple, after checking the query's arguments and every member.
-
-    _full_pass keys on values, and a tree whose leaf label is True equals
-    its twin with label 1, so each member's arena is checked here, before
-    the cache can answer for it.
-    """
+    """x as a tuple, after checking the query's arguments."""
     if not is_tree_ensemble(e):
         raise UnsupportedModelError("tree Shapley and H tables expect an ensemble of trees")
     n = e.feature_count
     x = check_instance(x, n)
     check_dist(dist, n)
-    for t in e.members:
-        t.paths  # raises InvalidInstanceError on an invalid arena
     return x
 
 

@@ -17,8 +17,8 @@ import argparse
 import os
 import sys
 
-from .errors import FpxError
-from .models import check_instance, validate_model
+from .errors import FpxError, ParseError
+from .models import check_instance
 from .runner import ALGORITHMS, QUERY_KINDS, run_query
 from .serialize import (
     canonical_dumps, dumps_bundle, dumps_model, loads_bundle, loads_json,
@@ -233,10 +233,15 @@ def validate(opts):
     Exit 0 when valid, 1 when the document parses but violates model
     invariants, 2 when it cannot be parsed at all.
     """
-    model = model_from_doc(loads_json(_read(opts.model)), check=False)
-    problems = validate_model(model)
-    print("\n".join(problems) if problems else "ok")
-    return 1 if problems else 0
+    try:
+        model_from_doc(loads_json(_read(opts.model)))
+    except ParseError as exc:
+        if not exc.problems:
+            raise
+        print("\n".join(exc.problems))
+        return 1
+    print("ok")
+    return 0
 
 
 def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str]]:

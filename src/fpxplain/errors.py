@@ -4,6 +4,8 @@
 class FpxError(Exception):
     """Base class for all errors raised by this package."""
 
+    problems: tuple[str, ...] = ()  # an invalid model's broken invariants, one text each
+
 
 class InputShapeError(FpxError):
     """An instance, subset or index does not fit the model's feature count."""
@@ -21,7 +23,7 @@ class ResourceCapError(FpxError):
 
 
 class InvalidInstanceError(FpxError):
-    """A problem instance (gadget input, graph, formula) violates its invariants."""
+    """A problem instance (model, gadget input, graph, formula) violates its invariants."""
 
 
 class InfeasibleError(FpxError):
@@ -31,8 +33,8 @@ class InfeasibleError(FpxError):
 class ParseError(FpxError):
     """A document could not be parsed. Carries a line number when known."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, problems: tuple[str, ...] = ()):
+        self.line, self.problems = line, problems
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -9,6 +9,10 @@ Conventions used throughout the package:
   and has 0/1 leaf labels
 * ensemble voting is either simple majority (at least ceil(k/2) votes)
   or weighted: output 1 iff sum(phi_i * f_i(x)) >= theta
+
+A model is valid by construction: each constructor checks its invariants
+and raises InvalidInstanceError("invalid model: ...") with the broken ones
+in its problems attribute, and refuses a number that is not exact.
 """
 
 from __future__ import annotations
@@ -108,12 +112,33 @@ class Record:
 
 
 def as_fraction(v) -> Fraction:
-    """Coerce ints, strings like '3/4' and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4' and Fractions to Fraction; a float
+    or anything else Fraction refuses raises InvalidInstanceError."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, float):
-        raise TypeError(f"floats are not exact, got {v!r}; pass a Fraction or 'p/q' string")
-    return Fraction(v)
+        raise InvalidInstanceError(
+            f"floats are not exact, got {v!r}; pass a Fraction or 'p/q' string")
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ArithmeticError):  # '1/0' divides by zero
+        raise InvalidInstanceError(f"expected a rational, got {v!r}") from None
+
+
+def _rationals(values, what: str) -> tuple[Fraction, ...]:
+    """values as a tuple of Fractions, each read by as_fraction."""
+    try:
+        return tuple(map(as_fraction, values))
+    except TypeError:  # as_fraction raises none, so values is not iterable
+        raise InvalidInstanceError(
+            f"{what} of type {type(values).__name__} are not a sequence") from None
+
+
+def invalid_model(problems) -> InvalidInstanceError:
+    """The error for a model with these problems, which it carries."""
+    exc = InvalidInstanceError("invalid model: " + "; ".join(problems))
+    exc.problems = tuple(problems)
+    return exc
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +154,11 @@ class DecisionTree(Record):
     nodes[i] is either ("leaf", label) with label in {0, 1} or
     ("split", feature, child0, child1) where child0/child1 are arena
     indices for the feature=0 / feature=1 branches.
+
+    paths lists the root-to-leaf paths as (mask, vals, label) triples in
+    DFS order, 0-branch first: bit i of mask is set iff feature i is tested
+    on the path, and bit i of vals gives the branch taken there. __init__
+    lists them in the one walk that checks the arena (see _walk_arena).
     """
 
     feature_count: int
@@ -136,28 +166,10 @@ class DecisionTree(Record):
     root: int
 
     def __init__(self, feature_count: int, nodes: tuple[tuple, ...], root: int = 0):
-        self._set(feature_count=feature_count, nodes=nodes, root=root)
-
-    @cached_property
-    def _arena(self) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
-        """(problems, paths) of the arena, from one walk (see _walk_arena)."""
-        return _walk_arena(self)
-
-    @property
-    def paths(self) -> tuple[tuple[int, int, int], ...]:
-        """All root-to-leaf paths as (mask, vals, label) bitmask triples.
-
-        Bit i of mask is set iff feature i is tested on the path; bit i of
-        vals gives the branch taken (only meaningful under mask). Paths are
-        listed in DFS order, 0-branch first, so the order is deterministic.
-        The walk that lists them also validates the arena and is cached on
-        the tree, so validate_model and the engines share it. An arena
-        with problems raises InvalidInstanceError naming them.
-        """
-        problems, triples = self._arena
+        problems, paths = _walk_arena(feature_count, nodes, root)
         if problems:
-            raise InvalidInstanceError("invalid tree: " + "; ".join(problems))
-        return triples
+            raise invalid_model(problems)
+        self._set(feature_count=feature_count, nodes=nodes, root=root, paths=paths)
 
     @cached_property
     def leaf_count(self) -> int:
@@ -197,7 +209,10 @@ class Perceptron(Record):
     bias: Fraction
 
     def __init__(self, weights, bias):
-        self._set(weights=tuple(as_fraction(w) for w in weights), bias=as_fraction(bias))
+        weights = _rationals(weights, "weights")
+        if not weights:
+            raise invalid_model(("perceptron has no features",))
+        self._set(weights=weights, bias=as_fraction(bias))
 
     @property
     def feature_count(self) -> int:
@@ -236,8 +251,7 @@ class Weighted(Record):
     threshold: Fraction
 
     def __init__(self, weights, threshold):
-        self._set(weights=tuple(as_fraction(w) for w in weights),
-                  threshold=as_fraction(threshold))
+        self._set(weights=_rationals(weights, "weights"), threshold=as_fraction(threshold))
 
 
 Voting = Union[Majority, Weighted]
@@ -251,6 +265,9 @@ class Ensemble(Record):
     voting: Voting
 
     def __init__(self, members: tuple[BaseModel, ...], voting: Voting):
+        problems = ensemble_problems(members, voting)
+        if problems:
+            raise invalid_model(problems)
         self._set(members=members, voting=voting)
 
     @property
@@ -336,7 +353,7 @@ class ProductDistribution(Record):
     probs: tuple[Fraction, ...]
 
     def __init__(self, probs):
-        ps = tuple(as_fraction(p) for p in probs)
+        ps = _rationals(probs, "probs")
         for i, p in enumerate(ps):
             if not 0 <= p.numerator <= p.denominator:  # the denominator is positive
                 raise InvalidInstanceError(f"probs[{i}] = {p} outside [0, 1]")
@@ -439,65 +456,45 @@ def packed_dot(packed: int, size: int, weights) -> int:
 # validation
 
 
-def validate_model(m: Model) -> list[str]:
-    """Structural diagnostics for a model; empty list means valid.
-
-    A tree's problems come from its cached arena walk, the walk that also
-    lists its paths, so a tree that passes here already holds the path
-    triples the engines read. Member problems carry a "member j: " prefix.
+def ensemble_problems(members, voting, unbuilt=None) -> list[str]:
+    """The problems of an ensemble, each member's prefixed "member j: ",
+    then its voting rule's. unbuilt maps the index of a member the loader
+    could not build to its (feature count, problems); members holds None there.
     """
-    problems: list[str] = []
-    if isinstance(m, DecisionTree):
-        problems.extend(m._arena[0])
-    elif isinstance(m, Perceptron):
-        _validate_perceptron(m, problems, prefix="")
-    elif isinstance(m, Ensemble):
-        if not isinstance(m.members, tuple):
-            problems.append(f"members of type {type(m.members).__name__} are not a tuple")
-            return problems
-        if not m.members:
-            problems.append("ensemble has no members")
-            return problems
-        n = None  # member 0's feature count, once it is a base model
-        for j, sub in enumerate(m.members):
-            if not isinstance(sub, (DecisionTree, Perceptron)):
-                problems.append(f"member {j}: unsupported type {type(sub).__name__}")
-                continue
-            if j == 0:
-                n = sub.feature_count
-            elif n is not None and sub.feature_count != n:
-                problems.append(
-                    f"member {j}: feature count {sub.feature_count} differs from member 0 ({n})")
-            if isinstance(sub, DecisionTree):
-                if sub._arena[0]:
-                    problems.extend(f"member {j}: {p}" for p in sub._arena[0])
-            else:
-                _validate_perceptron(sub, problems, prefix=f"member {j}: ")
-        if isinstance(m.voting, Weighted):
-            if len(m.voting.weights) != len(m.members):
-                problems.append(
-                    f"voting has {len(m.voting.weights)} weights for {len(m.members)} members")
-        elif not isinstance(m.voting, Majority):
-            problems.append(f"unknown voting rule {type(m.voting).__name__}")
-    else:
-        problems.append(f"unsupported model type {type(m).__name__}")
+    if not isinstance(members, tuple):
+        return [f"members of type {type(members).__name__} are not a tuple"]
+    if not members:
+        return ["ensemble has no members"]
+    problems = []
+    n = None  # member 0's feature count, once it is a base model
+    for j, sub in enumerate(members):
+        if unbuilt and j in unbuilt:
+            count, own = unbuilt[j]
+        elif isinstance(sub, (DecisionTree, Perceptron)):
+            count, own = sub.feature_count, ()
+        else:
+            problems.append(f"member {j}: unsupported type {type(sub).__name__}")
+            continue
+        if j == 0:
+            n = count
+        elif n is not None and count != n:
+            problems.append(f"member {j}: feature count {count} differs from member 0 ({n})")
+        problems.extend(f"member {j}: {p}" for p in own)
+    if isinstance(voting, Weighted) and len(voting.weights) != len(members):
+        problems.append(f"voting has {len(voting.weights)} weights for {len(members)} members")
+    elif not isinstance(voting, (Majority, Weighted)):
+        problems.append(f"unknown voting rule {type(voting).__name__}")
     return problems
 
 
 def check_model(m: Model):
-    """Raise InvalidInstanceError naming the problems validate_model finds."""
-    problems = validate_model(m)
-    if problems:
-        raise InvalidInstanceError("invalid model: " + "; ".join(problems))
+    """Refuse an object that is not a model; a model is valid by construction."""
+    if not isinstance(m, (DecisionTree, Perceptron, Ensemble)):
+        raise invalid_model((f"unsupported model type {type(m).__name__}",))
 
 
-def _validate_perceptron(p: Perceptron, problems: list[str], prefix: str):
-    if p.feature_count == 0:
-        problems.append(prefix + "perceptron has no features")
-
-
-def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
-    """One DFS over the arena, 0-branch first: (problems, path triples).
+def _walk_arena(n, nodes, root) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
+    """One DFS over a tree's arena, 0-branch first: (problems, path triples).
 
     A feature count that is not a non-negative int (bools excluded) and
     nodes that are not a sequence are problems that stop the walk. Each
@@ -512,7 +509,6 @@ def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int,
     problem too. The triples are DecisionTree.paths, meaningful only when
     there are no problems.
     """
-    nodes, n = t.nodes, t.feature_count
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         return (f"feature count {n!r} is not a non-negative int",), ()
     if type(nodes) is not tuple and not isinstance(nodes, Sequence):  # the ABC test is slow
@@ -520,14 +516,14 @@ def _walk_arena(t: DecisionTree) -> tuple[tuple[str, ...], tuple[tuple[int, int,
     size = len(nodes)
     if not size:
         return ("tree has no nodes",), ()
-    if type(t.root) is not int:
-        return (f"root index {t.root!r} is not an int",), ()
-    if not (0 <= t.root < size):
-        return (f"root index {t.root} outside arena",), ()
+    if type(root) is not int:
+        return (f"root index {root!r} is not an int",), ()
+    if not (0 <= root < size):
+        return (f"root index {root} outside arena",), ()
     problems = []
     out = []
     seen = set()
-    stack = [(t.root, 0, 0)]  # (node, features tested above it, their values)
+    stack = [(root, 0, 0)]  # (node, features tested above it, their values)
     while stack:
         idx, mask, vals = stack.pop()
         if type(idx) is not int:  # True and 1.0 would index node 1

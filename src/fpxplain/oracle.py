@@ -23,13 +23,8 @@ from .models import (
 
 
 def _checked_count(m: Model, what: str, shap: bool = False) -> int:
-    """m's feature count, after refusing an invalid model and a count past
-    the oracle cap, or the Shapley oracle's.
-
-    _truth_table and _v_table key on values, and a tree whose leaf label
-    is True equals its twin with label 1, so the model is validated here,
-    before a cache can answer for it.
-    """
+    """m's feature count, after refusing a non-model and a count past the
+    oracle cap, or the Shapley oracle's."""
     check_model(m)
     n = feature_count(m)
     if shap:

@@ -27,10 +27,10 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import InvalidInstanceError, ParseError
 from .models import (
     LEAF, SPLIT, DecisionTree, Ensemble, Majority, Perceptron,
-    ProductDistribution, Weighted, validate_model,
+    ProductDistribution, Weighted, ensemble_problems, invalid_model,
 )
 
 # Gadgets and formulas are imported by the functions that build them, so
@@ -138,18 +138,24 @@ def _node(entry) -> tuple:
     raise ParseError(f"tree: unknown node tag {tag!r}")
 
 
-def model_from_obj(obj, check: bool = True) -> DecisionTree | Perceptron | Ensemble:
+def model_from_obj(obj) -> DecisionTree | Perceptron | Ensemble:
     """Build a model from the JSON object.
 
-    Structural problems (wrong shapes, unknown tags, bad rationals) always
-    raise ParseError. Semantic invariants (read-once, arena bounds, member
-    consistency) raise too unless check=False; callers that want the full
-    diagnostic list run validate_model themselves. The document is read in
-    one pass. A tree node that is a list of its tag and exact ints is taken
-    by one test; any other node goes through _node, which formats the
-    message of the first bad field. The check walks each tree's arena once,
-    leaving its path triples cached on the tree for the engines.
+    Structural problems (wrong shapes, unknown tags, bad rationals) raise
+    ParseError naming the first. Broken invariants, which the model
+    constructors check, raise ParseError("invalid model: ...") listing in
+    problems those of every member, in member order. The document is read
+    in one pass and each member built once. A tree node that is a list of
+    its tag and exact ints is taken by one test; any other node goes
+    through _node, which formats the message of the first bad field.
     """
+    try:
+        return _model_from_obj(obj)
+    except InvalidInstanceError as exc:
+        raise ParseError(str(exc), problems=exc.problems) from None
+
+
+def _model_from_obj(obj) -> DecisionTree | Perceptron | Ensemble:
     _require(isinstance(obj, dict), "model must be an object")
     kind = obj.get("kind")
     if kind == "tree":
@@ -170,47 +176,50 @@ def model_from_obj(obj, check: bool = True) -> DecisionTree | Perceptron | Ensem
                     continue
             nodes.append(_node(entry))
         root = _int(obj.get("root", 0), "tree root")
-        model = DecisionTree(features, tuple(nodes), root)
-    elif kind == "perceptron":
+        return DecisionTree(features, tuple(nodes), root)
+    if kind == "perceptron":
         raw = obj.get("weights")
         _require(isinstance(raw, list), "perceptron: weights must be a list")
         weights = tuple(parse_rational(w, "perceptron weight") for w in raw)
-        model = Perceptron(weights, parse_rational(obj.get("bias", 0), "perceptron bias"))
-    elif kind == "ensemble":
-        raw = obj.get("members")
-        _require(isinstance(raw, list), "ensemble: members must be a list")
-        members = tuple(model_from_obj(b, check=False) for b in raw)
-        for b in members:
-            _require(not isinstance(b, Ensemble), "ensemble: members must be flat")
-        vobj = obj.get("voting", {"rule": "majority"})
-        _require(isinstance(vobj, dict), "ensemble: voting must be an object")
-        rule = vobj.get("rule")
-        if rule == "majority":
-            voting = Majority()
-        elif rule == "weighted":
-            vw = vobj.get("weights")
-            _require(isinstance(vw, list), "weighted voting: weights must be a list")
-            voting = Weighted(tuple(parse_rational(w, "vote weight") for w in vw),
-                              parse_rational(vobj.get("threshold", 0), "threshold"))
-        else:
-            raise ParseError(f"ensemble: unknown voting rule {rule!r}")
-        model = Ensemble(members, voting)
-    else:
+        return Perceptron(weights, parse_rational(obj.get("bias", 0), "perceptron bias"))
+    if kind != "ensemble":
         raise ParseError(f"unknown model kind {kind!r}")
-    if check:
-        problems = validate_model(model)
-        if problems:
-            raise ParseError("invalid model: " + "; ".join(problems))
-    return model
+    raw = obj.get("members")
+    _require(isinstance(raw, list), "ensemble: members must be a list")
+    members, unbuilt = [], {}
+    for j, b in enumerate(raw):
+        try:
+            members.append(_model_from_obj(b))
+        except InvalidInstanceError as exc:  # listed after the structural checks
+            members.append(None)
+            # the feature count the document gives (a nested ensemble is refused below)
+            count = b["features"] if b["kind"] == "tree" else len(b.get("weights", ()))
+            unbuilt[j] = (count, exc.problems)
+    _require(all(b["kind"] != "ensemble" for b in raw), "ensemble: members must be flat")
+    vobj = obj.get("voting", {"rule": "majority"})
+    _require(isinstance(vobj, dict), "ensemble: voting must be an object")
+    rule = vobj.get("rule")
+    if rule == "majority":
+        voting = Majority()
+    elif rule == "weighted":
+        vw = vobj.get("weights")
+        _require(isinstance(vw, list), "weighted voting: weights must be a list")
+        voting = Weighted(tuple(parse_rational(w, "vote weight") for w in vw),
+                          parse_rational(vobj.get("threshold", 0), "threshold"))
+    else:
+        raise ParseError(f"ensemble: unknown voting rule {rule!r}")
+    if unbuilt:
+        raise invalid_model(ensemble_problems(tuple(members), voting, unbuilt))
+    return Ensemble(tuple(members), voting)
 
 
-def model_from_doc(doc, check: bool = True) -> DecisionTree | Perceptron | Ensemble:
+def model_from_doc(doc) -> DecisionTree | Perceptron | Ensemble:
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("format") == MODEL_FORMAT,
              f"format must be {MODEL_FORMAT!r}, got {doc.get('format')!r}")
     _require(doc.get("version") == FORMAT_VERSION,
              f"unsupported version {doc.get('version')!r}")
-    return model_from_obj(doc.get("model"), check=check)
+    return model_from_obj(doc.get("model"))
 
 
 def loads_json(text: str):

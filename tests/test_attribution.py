@@ -141,21 +141,19 @@ def test_interpolation_requires_tree_ensemble():
 
 @pytest.mark.parametrize("warm", (False, True))
 def test_value_keyed_caches_do_not_answer_an_invalid_tree(warm):
-    """A leaf label True equals 1, so the invalid ensemble equals the valid
-    one as a cache key; it must still raise, cold or after its twin."""
+    """A leaf label True equals 1, so a tree holding it would equal the
+    valid one as a cache key; it raises at construction, cold or after
+    its twin has warmed the caches."""
     good = majority_ensemble((DecisionTree(2, (leaf(0), leaf(1), split(0, 0, 1)), 2),))
-    bad = majority_ensemble((DecisionTree(2, (leaf(0), leaf(True), split(0, 0, 1)), 2),))
-    assert bad == good
     x, d = (1, 0), ProductDistribution.uniform(2)
     attribution._full_pass.cache_clear()
     size_stratified_sums.cache_clear()
     if warm:
         assert shap_interpolation(good, x, 0, d) == F(1, 2)
         size_stratified_sums(good, x, d)
-    with pytest.raises(InvalidInstanceError, match="leaf 1 label True not 0/1"):
-        shap_interpolation(bad, x, 0, d)
-    with pytest.raises(InvalidInstanceError, match="leaf 1 label True not 0/1"):
-        size_stratified_sums(bad, x, d)
+    with pytest.raises(InvalidInstanceError) as err:
+        DecisionTree(2, (leaf(0), leaf(True), split(0, 0, 1)), 2)
+    assert str(err.value) == "invalid model: leaf 1 label True not 0/1"
 
 
 def test_degenerate_probabilities():

@@ -1,15 +1,15 @@
 """Mutation fuzz of the library boundary and of `fpxplain query`.
 
 Each library example changes one field of a valid library-built tree,
-ensemble or voting rule, or one run_query argument, to a wrong type, a
-bool, a huge int, a non-sequence or None, and runs one query kind on the
-auto or the oracle route: only FpxError subclasses may escape. Weighted
-and Perceptron build their numbers with as_fraction, which refuses a
-non-number at construction with TypeError or ValueError, so their fields
-take the values the constructors accept. Each CLI example changes one
-argument of a valid `fpxplain query` command and runs cli.main in this
-process: the exit code is 0, 1 or 2, 1 only with a false answer, and no
-`error:` line names a builtin exception, as the catch-all would.
+perceptron, ensemble, voting rule or distribution, or one run_query
+argument, to a wrong type, a bool, a huge int, a non-sequence or None,
+builds the model and runs one query kind on the auto or the oracle
+route: only FpxError subclasses may escape, from the constructors as
+from the query. Each CLI example changes one argument of a valid
+`fpxplain query` command, or one field of a gadget bundle for
+`query --bundle`, and runs cli.main in this process: the exit code is
+0, 1 or 2, 1 only with a false answer, and no `error:` line names a
+builtin exception, as the catch-all would.
 """
 
 import builtins
@@ -23,24 +23,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpxplain.errors import FpxError
+from fpxplain.gadgets import KsspInstance, SspInstance, kssp_mcr_gadget, ssp_csr_gadget
 from fpxplain.generate import (
     random_instance_bits, random_perceptron, random_tree, rng_from_seed,
 )
 from fpxplain.models import (
-    DecisionTree, Ensemble, Majority, ProductDistribution, Weighted,
+    DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution, Weighted,
     majority_ensemble,
 )
 from fpxplain.runner import QUERY_KINDS, run_query
-from fpxplain.serialize import dumps_model
+from fpxplain.serialize import bundle_to_doc, dumps_model
 
 from cli_runner import run
 
 HUGE = 10 ** 30
 _AS_LIST = object()  # stands for the field's own value as a list
 BAD = (None, True, False, HUGE, -HUGE, -1, "x", 1.5, {}, _AS_LIST)
-VOTE_BAD = (True, False, HUGE, -HUGE, "drop one", "add one")
 TREE_FIELDS = ("feature_count", "nodes", "root", "node", "node entry")
-ENSEMBLE_FIELDS = ("members", "member", "voting", "weights", "threshold")
+ENSEMBLE_FIELDS = ("members", "member", "voting", "vote weights", "vote weight", "threshold",
+                   "vote count")
+PERCEPTRON_FIELDS = ("perceptron weights", "perceptron weight", "bias")
+DIST_FIELDS = ("probs", "prob")
 ARGUMENTS = ("kind", "x", "subset", "bound", "feature", "dist", "algorithm",
              "minimal_only")
 
@@ -87,21 +90,48 @@ def _mutate_tree(t: DecisionTree, field: str, value, where: int) -> DecisionTree
     return DecisionTree(fields["feature_count"], fields["nodes"], fields["root"])
 
 
-def _mutate_voting(voting, field: str, value, k: int):
+def _replace(values: tuple, where: int, value) -> tuple:
+    i = where % len(values)
+    return values[:i] + (value,) + values[i + 1:]
+
+
+def _mutate_voting(voting, field: str, value, where: int, k: int):
     weights, threshold = (voting.weights, voting.threshold) if isinstance(voting, Weighted) \
         else ((Fraction(1),) * k, Fraction((k + 1) // 2))
-    if value == "drop one":
-        weights = weights[1:]
-    elif value == "add one":
-        weights += (Fraction(1),)
-    elif field == "weights":
-        weights = weights[:-1] + (value,)
+    if field == "vote count":
+        weights = weights[1:] if where % 2 else weights + (Fraction(1),)
+    elif field == "vote weights":
+        weights = _bad(value, weights)
+    elif field == "vote weight":
+        weights = _replace(weights, where, value)
     else:
         threshold = value
     return Weighted(weights, threshold)
 
 
+def _mutate_perceptron(model, field: str, value, where: int):
+    """Mutate a perceptron member; a model without one gets one in place
+    of a member."""
+    if isinstance(model, DecisionTree):
+        model = majority_ensemble((model,))
+    members = list(model.members)
+    j = where % len(members)
+    p = members[j] if isinstance(members[j], Perceptron) else \
+        Perceptron((1,) * model.feature_count, 0)
+    weights, bias = p.weights, p.bias
+    if field == "perceptron weights":
+        weights = _bad(value, weights)
+    elif field == "perceptron weight":
+        weights = _replace(weights, where // 7, value)
+    else:
+        bias = value
+    members[j] = Perceptron(weights, bias)
+    return Ensemble(tuple(members), model.voting)
+
+
 def _mutate_model(model, field: str, value, where: int):
+    if field in PERCEPTRON_FIELDS:
+        return _mutate_perceptron(model, field, value, where)
     if field in TREE_FIELDS:
         if isinstance(model, DecisionTree):
             return _mutate_tree(model, field, value, where)
@@ -122,7 +152,7 @@ def _mutate_model(model, field: str, value, where: int):
     elif field == "voting":
         voting = value
     else:
-        voting = _mutate_voting(voting, field, VOTE_BAD[where % len(VOTE_BAD)], len(members))
+        voting = _mutate_voting(voting, field, value, where, len(members))
     return Ensemble(members, voting)
 
 
@@ -132,12 +162,16 @@ def _query(model, x, field, value, where, kind, algorithm):
             "feature": where % n if where % 2 else None,
             "dist": ProductDistribution.uniform(n), "algorithm": algorithm,
             "minimal_only": False}
-    if field in ARGUMENTS:
-        args[field] = _bad(value, args[field])
-    else:
-        model = _mutate_model(model, field, value, where)
-    kind, x = args.pop("kind"), args.pop("x")
     try:
+        if field in ARGUMENTS:
+            args[field] = _bad(value, args[field])
+        elif field in DIST_FIELDS:
+            probs = args["dist"].probs
+            args["dist"] = ProductDistribution(
+                _bad(value, probs) if field == "probs" else _replace(probs, where, value))
+        else:
+            model = _mutate_model(model, field, value, where)
+        kind, x = args.pop("kind"), args.pop("x")
         payload = run_query(model, kind, x, **args)
     except FpxError:
         return
@@ -145,7 +179,8 @@ def _query(model, x, field, value, where, kind, algorithm):
 
 
 @settings(deadline=None, max_examples=400, derandomize=True)
-@given(st.integers(0, 39), st.sampled_from(TREE_FIELDS + ENSEMBLE_FIELDS + ARGUMENTS),
+@given(st.integers(0, 39), st.sampled_from(
+    TREE_FIELDS + ENSEMBLE_FIELDS + PERCEPTRON_FIELDS + DIST_FIELDS + ARGUMENTS),
        st.integers(0, 2 ** 20), st.sampled_from(QUERY_KINDS),
        st.sampled_from(("auto", "oracle")))
 def test_a_mutated_model_or_argument_raises_only_package_errors(
@@ -170,7 +205,8 @@ _BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
                        if isinstance(obj, type) and issubclass(obj, BaseException)}
 
 
-def _check_exit(argv, kind):
+def _check_exit(argv, kind=None):
+    """kind is the query the payload must answer; None takes any."""
     r = run(argv)
     assert r.exception is None or isinstance(r.exception, SystemExit), (argv, r.exception)
     assert r.exit_code in (0, 1, 2), (argv, r.output)
@@ -180,7 +216,7 @@ def _check_exit(argv, kind):
         named = re.match(r"error: (\w+): ", line)
         assert not (named and named.group(1) in _BUILTIN_EXCEPTIONS), (argv, line)
     if r.exit_code in (0, 1):
-        assert json.loads(r.output)["query"] == kind
+        assert json.loads(r.output)["query"] == (kind or json.loads(r.output)["query"])
 
 
 @settings(deadline=None, max_examples=16, derandomize=True)
@@ -209,3 +245,41 @@ def test_a_mutated_query_command_keeps_the_exit_code_contract(seed, kind, option
             for name, arg in opts.items():
                 argv += [name] if arg is None else [name, arg]
             _check_exit(argv, kind)
+
+
+_DROP = object()  # stands for removing the field
+BUNDLE_BAD = (None, True, False, 0, -1, HUGE, 1.5, "", "x", "1/0", "-", [], {}, [[]], {"a": 1})
+
+
+def _paths(obj, path=()):
+    """The path of every field and list entry below obj."""
+    for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def test_a_mutated_bundle_keeps_the_exit_code_contract(tmp_path):
+    """Every field of an ssp and a kssp gadget bundle is dropped, then
+    given seven of the bad values, a window that moves by one value from
+    field to field, and `query --bundle` runs on it. Each run builds the
+    argument parser afresh, so all fifteen values would take twice as long."""
+    bundle = tmp_path / "bundle.json"
+    fields = 0
+    for gadget in (ssp_csr_gadget(SspInstance((3, 5, 7), 11)),
+                   kssp_mcr_gadget(KsspInstance((3, 5, 7), 2, 12))):
+        good = json.dumps(bundle_to_doc(gadget))
+        for *parents, key in _paths(json.loads(good)):
+            fields += 1
+            window = [BUNDLE_BAD[(fields + i) % len(BUNDLE_BAD)] for i in range(7)]
+            for value in (_DROP, *window):
+                doc = json.loads(good)
+                field = doc
+                for step in parents:
+                    field = field[step]
+                if value is _DROP:
+                    del field[key]
+                else:
+                    field[key] = value
+                bundle.write_text(json.dumps(doc))
+                _check_exit(["query", "--bundle", str(bundle)])

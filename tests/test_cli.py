@@ -532,6 +532,29 @@ def test_validate_exit_codes(tmp_path):
     assert run(["validate", notjson]).exit_code == 2
 
 
+def test_validate_lists_every_member_problem_in_order(tmp_path):
+    """Golden: validate prints each problem of each member in member order,
+    then the voting rule's, and exits 1; query prints them on one line."""
+    path = write(tmp_path, "bad.json", json.dumps({
+        "format": "fpxplain-model", "version": 1,
+        "model": {"kind": "ensemble",
+                  "members": [{"kind": "tree", "features": 3, "root": 0,
+                               "nodes": [["split", 0, 1, 2], ["leaf", 0], ["leaf", 1]]},
+                              {"kind": "tree", "features": 2, "root": 2,
+                               "nodes": [["leaf", 1], ["leaf", 0], ["split", 2, 0, 1]]},
+                              {"kind": "perceptron", "weights": [], "bias": "0"}],
+                  "voting": {"rule": "weighted", "weights": ["1", "1"], "threshold": "1"}}}))
+    problems = ["member 1: feature count 2 differs from member 0 (3)",
+                "member 1: node 2 tests feature 2 outside 0..1",
+                "member 2: feature count 0 differs from member 0 (3)",
+                "member 2: perceptron has no features",
+                "voting has 2 weights for 3 members"]
+    r = run(["validate", path])
+    assert (r.exit_code, r.output) == (1, "\n".join(problems) + "\n")
+    r = run(["query", "--model", path, "--kind", "csr", "--instance", "101"])
+    assert (r.exit_code, r.output) == (2, "error: invalid model: " + "; ".join(problems) + "\n")
+
+
 def test_bench_csv(tmp_path):
     r = run(["bench", "--suite", "scaling-k", "--seed", "1"])
     assert r.exit_code == 0, r.output

@@ -15,7 +15,7 @@ from fpxplain.models import (
     ABSENT, DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
     Weighted, bits_to_int, check_instance, check_subset, constant_tree,
     eval_ensemble, eval_model, eval_perceptron, eval_tree, int_to_bits, integer_votes, leaf,
-    majority_ensemble, majority_threshold, packed_dot, split, subset_mask, validate_model,
+    majority_ensemble, majority_threshold, packed_dot, split, subset_mask,
     votes_accept,
 )
 
@@ -66,7 +66,7 @@ def test_perceptron_eval_and_ties():
 
 
 def test_perceptron_rejects_floats():
-    with pytest.raises(TypeError):
+    with pytest.raises(InvalidInstanceError, match="floats are not exact"):
         Perceptron((0.5, 1), 0)
 
 
@@ -171,21 +171,33 @@ def test_product_distribution_validation():
         assert str(err.value) == message
 
 
+def _problems(build) -> tuple[str, ...]:
+    """The problems build() raises, () when it builds."""
+    try:
+        build()
+    except InvalidInstanceError as exc:
+        assert str(exc) == "invalid model: " + "; ".join(exc.problems)
+        return exc.problems
+    return ()
+
+
 def test_validate_model_diagnostics():
-    assert validate_model(xor_tree()) == []
+    """The constructors list the problems validate_model used to."""
+    assert _problems(xor_tree) == ()
     # feature read twice on one path
-    bad = DecisionTree(2, (leaf(0), leaf(1), split(0, 0, 1), split(0, 2, 1)), 3)
-    assert any("twice" in p for p in validate_model(bad))
+    bad = (leaf(0), leaf(1), split(0, 0, 1), split(0, 2, 1))
+    assert any("twice" in p for p in _problems(lambda: DecisionTree(2, bad, 3)))
     # child index outside the arena
-    assert any("outside" in p for p in validate_model(DecisionTree(1, (split(0, 0, 5),), 0)))
+    assert any("outside" in p for p in _problems(lambda: DecisionTree(1, (split(0, 0, 5),), 0)))
     # label must be 0/1
-    assert any("label" in p for p in validate_model(DecisionTree(1, (leaf(7),), 0)))
+    assert any("label" in p for p in _problems(lambda: DecisionTree(1, (leaf(7),), 0)))
     # member feature counts must agree
-    e = Ensemble((constant_tree(2, 1), constant_tree(3, 1)), Majority())
-    assert any("feature count" in p for p in validate_model(e))
+    problems = _problems(lambda: Ensemble((constant_tree(2, 1), constant_tree(3, 1)), Majority()))
+    assert any("feature count" in p for p in problems)
     # weighted voting weight count must match member count
-    e2 = Ensemble((constant_tree(2, 1),), Weighted((Fraction(1), Fraction(1)), Fraction(1)))
-    assert any("weights" in p for p in validate_model(e2))
+    problems = _problems(lambda: Ensemble(
+        (constant_tree(2, 1),), Weighted((Fraction(1), Fraction(1)), Fraction(1))))
+    assert any("weights" in p for p in problems)
 
 
 def _within_a_second(fn):
@@ -202,57 +214,57 @@ def _within_a_second(fn):
 
 
 def test_paths_raise_on_an_invalid_arena():
-    """Every invalid arena raises at once, naming its problem; none loops,
-    indexes past the arena or yields a path that fixes a feature twice."""
+    """Building a tree on an invalid arena raises at once, naming its
+    problem; no walk loops, indexes past the arena or yields a path that
+    fixes a feature twice."""
     cases = [
-        (DecisionTree(1, (leaf(7),), 0), "leaf 0 label 7 not 0/1"),
-        (DecisionTree(1, (split(0, 1, 1), leaf(1)), 0),
-         "node 1 reachable twice (arena must be a tree)"),
-        (DecisionTree(1, (split(0, 1, 0), leaf(0)), 0),  # a cycle back to the root
+        ((1, (leaf(7),), 0), "leaf 0 label 7 not 0/1"),
+        ((1, (split(0, 1, 1), leaf(1)), 0), "node 1 reachable twice (arena must be a tree)"),
+        ((1, (split(0, 1, 0), leaf(0)), 0),  # a cycle back to the root
          "node 0 reachable twice (arena must be a tree)"),
-        (DecisionTree(1, (split(0, 1, 5), leaf(0)), 0), "child index 5 outside arena"),
-        (DecisionTree(2, (split(0, 1, 2), split(0, 3, 4), leaf(1), leaf(0), leaf(1)), 0),
+        ((1, (split(0, 1, 5), leaf(0)), 0), "child index 5 outside arena"),
+        ((2, (split(0, 1, 2), split(0, 3, 4), leaf(1), leaf(0), leaf(1)), 0),
          "feature 0 tested twice on a path through node 1"),
     ]
-    for t, problem in cases:
-        assert validate_model(t) == [problem]
+    for fields, problem in cases:
         with pytest.raises(InvalidInstanceError) as err:
-            _within_a_second(lambda: t.paths)
-        assert str(err.value) == "invalid tree: " + problem
+            _within_a_second(lambda: DecisionTree(*fields))
+        assert err.value.problems == (problem,)
+        assert str(err.value) == "invalid model: " + problem
 
 
-def _assert_one_problem(t, problem):
-    """validate_model lists exactly `problem`, and paths raises naming it."""
-    assert validate_model(t) == [problem]
+def _assert_one_problem(nodes, problem, n=2):
+    """Building the tree raises naming exactly `problem`."""
     with pytest.raises(InvalidInstanceError) as err:
-        t.paths
-    assert str(err.value) == "invalid tree: " + problem
+        DecisionTree(n, nodes)
+    assert err.value.problems == (problem,)
+    assert str(err.value) == "invalid model: " + problem
 
 
 def test_a_split_on_a_float_feature_is_a_listed_problem():
-    _assert_one_problem(DecisionTree(2, (split(1.5, 1, 2), leaf(0), leaf(1))),
+    _assert_one_problem((split(1.5, 1, 2), leaf(0), leaf(1)),
                         "node 0 tests feature 1.5, not an int")
 
 
 def test_a_split_without_four_entries_is_a_listed_problem():
-    _assert_one_problem(DecisionTree(2, (("split", 0, 1), leaf(0))),
+    _assert_one_problem((("split", 0, 1), leaf(0)),
                         "node 0 ('split', 0, 1) has 3 entries, not 4")
 
 
 def test_a_float_child_index_is_a_listed_problem():
-    _assert_one_problem(DecisionTree(2, (split(0, 1.0, 2), leaf(0), leaf(1))),
+    _assert_one_problem((split(0, 1.0, 2), leaf(0), leaf(1)),
                         "child index 1.0 is not an int")
 
 
 def test_a_bool_leaf_label_is_a_listed_problem():
-    _assert_one_problem(DecisionTree(1, (split(0, 1, 2), leaf(True), leaf(0))),
-                        "leaf 1 label True not 0/1")
+    _assert_one_problem((split(0, 1, 2), leaf(True), leaf(0)),
+                        "leaf 1 label True not 0/1", n=1)
 
 
 def test_a_node_that_is_not_a_tagged_tuple_is_a_listed_problem():
     for node in ((), 5):
-        _assert_one_problem(DecisionTree(1, (split(0, 1, 2), node, leaf(0))),
-                            f"node 1 {node!r} is not a tagged tuple")
+        _assert_one_problem((split(0, 1, 2), node, leaf(0)),
+                            f"node 1 {node!r} is not a tagged tuple", n=1)
 
 
 def _reference_paths(t):
@@ -271,7 +283,6 @@ def _reference_paths(t):
 def test_validated_tree_holds_the_paths_of_an_unvalidated_copy(seed, n):
     t = random_tree(rng_from_seed(seed), n, 8)
     copy = DecisionTree(t.feature_count, t.nodes, t.root)
-    assert validate_model(t) == []
     assert t.paths == copy.paths == _reference_paths(t)
 
 
@@ -280,7 +291,7 @@ def test_validated_tree_holds_the_paths_of_an_unvalidated_copy(seed, n):
 def test_random_tree_is_valid_and_read_once(seed, n):
     rng = rng_from_seed(seed)
     t = random_tree(rng, n, 8)
-    assert validate_model(t) == []
+    assert _problems(lambda: DecisionTree(t.feature_count, t.nodes, t.root)) == ()
     for mask, _, _ in t.paths:
         assert mask.bit_count() <= n
 
@@ -391,12 +402,13 @@ def test_cached_model_views_are_computed_once(monkeypatch):
     assert p.scaled is p.scaled == ((3, 2), -1, 6)
     walks = []
 
-    def walk(t):
-        walks.append(t)
-        return real(t)
+    def walk(*fields):
+        walks.append(fields)
+        return real(*fields)
     real = models._walk_arena
     monkeypatch.setattr(models, "_walk_arena", walk)
-    t = DecisionTree(1, (split(0, 1, 2), leaf(0), leaf(1)))
+    nodes = (split(0, 1, 2), leaf(0), leaf(1))
+    t = DecisionTree(1, nodes)
     assert t.paths == ((1, 0, 0), (1, 1, 1))
-    assert validate_model(t) == [] and t.paths == ((1, 0, 0), (1, 1, 1))
-    assert walks == [t]
+    assert majority_ensemble((t, t)).members[0].paths == ((1, 0, 0), (1, 1, 1))
+    assert walks == [(1, nodes, 0)]

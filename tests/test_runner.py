@@ -7,6 +7,9 @@ when the payload carries a warning, or the error class and its message.
 
 from fractions import Fraction
 
+import pytest
+
+from fpxplain.errors import InvalidInstanceError
 from fpxplain.generate import (
     random_instance_bits, random_perceptron, random_product_distribution, random_tree,
     rng_from_seed,
@@ -342,15 +345,15 @@ def test_shap_auto_falls_back_to_the_oracle_without_a_fast_route():
 
 
 def test_arguments_are_checked_before_the_route():
-    """Kind and algorithm names first, then the model (validate_model),
-    then the instance, then the subset, bound or feature, then (for
-    enumeration) the model family; a refused route comes last."""
-    invalid = Ensemble((T0, T1), Weighted((Fraction(1),), Fraction(1)))
+    """Kind and algorithm names first, then that the model is one (a
+    model is valid by construction), then the instance, then the subset,
+    bound or feature, then (for enumeration) the model family; a refused
+    route comes last."""
     cases = [
-        (("csr", invalid), {"algorithm": "fast"},
+        (("csr", None), {"algorithm": "fast"},
          "InvalidInstanceError: unknown algorithm 'fast'"),
-        (("cc", invalid), {"x": (1, 0), "subset": (7,)},
-         "InvalidInstanceError: invalid model: voting has 1 weights for 2 members"),
+        (("cc", None), {"x": (1, 0), "subset": (7,)},
+         "InvalidInstanceError: invalid model: unsupported model type NoneType"),
         (("csr", "tree"), {"x": (1, 0), "algorithm": "fast"},
          "InvalidInstanceError: unknown algorithm 'fast'"),
         (("shap", "tree"), {"x": (1, 0), "algorithm": "enum"},
@@ -428,35 +431,44 @@ def test_an_instance_that_is_not_a_sequence_is_an_input_error():
                 assert _outcome(kind, family, x=x, subset=(), bound=1) == want, (x, family, kind)
 
 
-INVALID_MODELS = (
-    (Ensemble((T0, DecisionTree(4, (leaf(1),), 0)), Majority()),
-     "member 1: feature count 4 differs from member 0 (3)"),
-    (Ensemble((), Majority()), "ensemble has no members"),
-    (Ensemble(5, Majority()), "members of type int are not a tuple"),
-    (Ensemble([T0], Majority()), "members of type list are not a tuple"),
-    (Ensemble((None, T1), Majority()), "member 0: unsupported type NoneType"),
-    (Ensemble((T0, T1), Weighted((Fraction(1),), Fraction(1))),
-     "voting has 1 weights for 2 members"),
-    (Ensemble((T0, T1), None), "unknown voting rule NoneType"),
-    (None, "unsupported model type NoneType"),
-    ("x", "unsupported model type str"),
-    (DecisionTree(3, None, 0), "nodes of type NoneType are not a sequence"),
-    (DecisionTree(True, (leaf(1),), 0), "feature count True is not a non-negative int"),
-    (DecisionTree(-1, (leaf(1),), 0), "feature count -1 is not a non-negative int"),
-    (DecisionTree(3, list(T0.nodes), 0), "nodes are not hashable (unhashable type: 'list')"),
-    (DecisionTree(3, (leaf(1), ("leaf", [1])), 0),
-     "nodes are not hashable (unhashable type: 'list')"),
-    (DecisionTree(3, (leaf(0), {}), 1), "node 1 {} is not a tagged tuple"),
-    (Perceptron((), Fraction(0)), "perceptron has no features"),
-)
+def _invalid_models():
+    """(build, problem): build() constructs a model with that one problem."""
+    return (
+        (lambda: Ensemble((T0, DecisionTree(4, (leaf(1),), 0)), Majority()),
+         "member 1: feature count 4 differs from member 0 (3)"),
+        (lambda: Ensemble((), Majority()), "ensemble has no members"),
+        (lambda: Ensemble(5, Majority()), "members of type int are not a tuple"),
+        (lambda: Ensemble([T0], Majority()), "members of type list are not a tuple"),
+        (lambda: Ensemble((None, T1), Majority()), "member 0: unsupported type NoneType"),
+        (lambda: Ensemble((T0, T1), Weighted((Fraction(1),), Fraction(1))),
+         "voting has 1 weights for 2 members"),
+        (lambda: Ensemble((T0, T1), None), "unknown voting rule NoneType"),
+        (lambda: DecisionTree(3, None, 0), "nodes of type NoneType are not a sequence"),
+        (lambda: DecisionTree(True, (leaf(1),), 0),
+         "feature count True is not a non-negative int"),
+        (lambda: DecisionTree(-1, (leaf(1),), 0), "feature count -1 is not a non-negative int"),
+        (lambda: DecisionTree(3, list(T0.nodes), 0),
+         "nodes are not hashable (unhashable type: 'list')"),
+        (lambda: DecisionTree(3, (leaf(1), ("leaf", [1])), 0),
+         "nodes are not hashable (unhashable type: 'list')"),
+        (lambda: DecisionTree(3, (leaf(0), {}), 1), "node 1 {} is not a tagged tuple"),
+        (lambda: Perceptron((), Fraction(0)), "perceptron has no features"),
+    )
 
 
 def test_an_invalid_library_model_is_refused_on_every_kind():
-    """A library-built model is validated before it is used: every kind
-    refuses it with the problem validate_model lists, on auto and on the
-    oracle alike, where it used to be answered on one route (mixed
-    feature counts) or raise IndexError, AttributeError or TypeError."""
-    for model, problem in INVALID_MODELS:
+    """An invalid library-built model raises at construction, naming its
+    problem, where it used to be answered on one route (mixed feature
+    counts) or raise IndexError, AttributeError or TypeError; an object
+    that is not a model is refused by every kind, on auto and on the
+    oracle alike."""
+    for build, problem in _invalid_models():
+        with pytest.raises(InvalidInstanceError) as err:
+            build()
+        assert str(err.value) == f"invalid model: {problem}", problem
+        assert err.value.problems == (problem,), problem
+    for model, problem in ((None, "unsupported model type NoneType"),
+                           ("x", "unsupported model type str")):
         for kind in QUERY_KINDS:
             for algorithm in ("auto", "oracle"):
                 assert _outcome(kind, model, x=(1, 0, 1), bound=1, algorithm=algorithm) == (

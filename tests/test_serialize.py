@@ -95,11 +95,10 @@ def test_model_doc_validation_errors():
     bad = {"format": "fpxplain-model", "version": 1,
            "model": {"kind": "tree", "features": 1, "root": 0,
                      "nodes": [["split", 0, 1, 1], ["leaf", 1]]}}
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         model_from_doc(bad)
-    # but an unchecked parse hands back the object for diagnostics
-    m = model_from_doc(bad, check=False)
-    assert m.feature_count == 1
+    # the error lists the problems for diagnostics
+    assert err.value.problems == ("node 1 reachable twice (arena must be a tree)",)
 
 
 def _tree_doc(nodes) -> dict:
@@ -119,10 +118,10 @@ def test_malformed_node_messages():
         (["node", 1], "tree: unknown node tag 'node'"),
     ]
     for node, message in cases:
-        for check in (True, False):
-            with pytest.raises(ParseError) as err:
-                model_from_doc(_tree_doc([["leaf", 0], node]), check=check)
-            assert str(err.value) == message, node
+        with pytest.raises(ParseError) as err:
+            model_from_doc(_tree_doc([["leaf", 0], node]))
+        assert str(err.value) == message, node
+        assert err.value.problems == (), node
 
 
 class _CountingList(list):
@@ -145,11 +144,11 @@ def test_valid_nodes_format_no_message():
 
 
 def test_loading_and_a_tree_query_walk_each_arena_once(monkeypatch):
-    """The check on load walks each member's arena; the engine then reads
-    the path triples that walk cached and does not walk again."""
+    """Building each member on load walks its arena; the engine then reads
+    the path triples that walk stored and does not walk again."""
     walked = []
     walk = models._walk_arena
-    monkeypatch.setattr(models, "_walk_arena", lambda t: walked.append(t) or walk(t))
+    monkeypatch.setattr(models, "_walk_arena", lambda *t: walked.append(t) or walk(*t))
     e = random_tree_ensemble(rng_from_seed(4), 6, 3, 8)
     for model in (e, e.members[0]):
         walked.clear()
@@ -157,8 +156,8 @@ def test_loading_and_a_tree_query_walk_each_arena_once(monkeypatch):
         for kind in ("csr", "cc"):
             run_query(loaded, kind, (1, 0, 1, 1, 0, 0), subset=(0, 2))
         members = loaded.members if model is e else (loaded,)
-        assert len(walked) == len(members)
-        assert all(a is b for a, b in zip(walked, members))
+        assert walked == [(t.feature_count, t.nodes, t.root) for t in members]
+        assert all(a[1] is t.nodes for a, t in zip(walked, members))
 
 
 def test_parse_instance_and_subset():
