@@ -31,11 +31,6 @@ def payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()[:16]
 
 
-def _clear_caches():
-    oracle._truth_table.cache_clear()
-    oracle._v_table.cache_clear()
-
-
 def bench_instances(suite: str, seed: int):
     """Yield (meta, model, kind, kwargs, policy) deterministically.
 
@@ -97,7 +92,7 @@ def _time_adaptive(fn, min_total: float = 0.05, max_runs: int = 4096):
 def _time_best(fn, count: int = 3):
     best, result = None, None
     for _ in range(count):
-        _clear_caches()
+        oracle.clear_caches()
         t0 = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - t0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from .errors import FpxError, ParseError
 from .models import check_instance
@@ -244,8 +245,10 @@ def validate(opts):
     return 0
 
 
+@lru_cache(maxsize=None)
 def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str]]:
-    """The parser, and the options that take a value."""
+    """The parser, and the options that take a value; built once per
+    program name, since main may run many times in one process."""
     parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False,
         description="Exact explanation queries over tree ensembles and perceptrons.")

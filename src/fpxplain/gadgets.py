@@ -163,14 +163,16 @@ class QueryGadget:
 # brute-force source solvers
 
 
-def _subset_sums(values) -> set[int]:
+def subset_sums(values) -> set[int]:
+    """The sums of every subset of values."""
     sums = {0}
     for v in values:
         sums |= {s + v for s in sums}
     return sums
 
 
-def _subset_sums_by_count(values) -> list[set[int]]:
+def subset_sums_by_count(values) -> list[set[int]]:
+    """table[c]: the sums of the size-c subsets of values, c = 0..n."""
     n = len(values)
     table: list[set[int]] = [set() for _ in range(n + 1)]
     table[0].add(0)
@@ -181,21 +183,21 @@ def _subset_sums_by_count(values) -> list[set[int]]:
 
 
 def solve_ssp_brute(inst: SspInstance) -> bool:
-    return inst.target in _subset_sums(inst.weights)
+    return inst.target in subset_sums(inst.weights)
 
 
 def solve_kssp_brute(inst: KsspInstance) -> bool:
-    return inst.target in _subset_sums_by_count(inst.weights)[inst.k]
+    return inst.target in subset_sums_by_count(inst.weights)[inst.k]
 
 
 def solve_gssp_brute(inst: GsspInstance) -> bool:
-    vsums = _subset_sums(inst.v)
-    return any(inst.target - su not in vsums for su in _subset_sums(inst.u))
+    vsums = subset_sums(inst.v)
+    return any(inst.target - su not in vsums for su in subset_sums(inst.u))
 
 
 def solve_kgssp_brute(inst: KgsspInstance) -> bool:
-    vsums = _subset_sums(inst.v)
-    usums = _subset_sums_by_count(inst.u)[inst.k]
+    vsums = subset_sums(inst.v)
+    usums = subset_sums_by_count(inst.u)[inst.k]
     return any(inst.target - su not in vsums for su in usums)
 
 
@@ -204,7 +206,7 @@ def solve_kgssp_star_brute(inst: KgsspStarInstance) -> bool:
     for s in combinations(inst.s0, inst.k):
         chosen = sum(inst.z[i] for i in s)
         rest = [inst.z[i] for i in range(n) if i not in s]
-        if inst.target - chosen not in _subset_sums(rest):
+        if inst.target - chosen not in subset_sums(rest):
             return True
     return False
 

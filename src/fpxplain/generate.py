@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import InvalidInstanceError
 from .gadgets import (
     ColoredGraph, GsspInstance, KgsspStarInstance, KsspInstance, SspInstance,
-    _subset_sums, _subset_sums_by_count,
+    subset_sums, subset_sums_by_count,
 )
 from .models import (
     DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
@@ -145,7 +145,7 @@ def sample_kssp(rng: random.Random, n: int, weight_bound: int = 40) -> KsspInsta
 def kssp_matches_at_most(inst: KsspInstance) -> bool:
     """True when exact-size-k solvability agrees with size-at-most-k
     solvability, which is what the contrastiveness bound observes."""
-    table = _subset_sums_by_count(inst.weights)
+    table = subset_sums_by_count(inst.weights)
     exact = inst.target in table[inst.k]
     at_most = any(inst.target in table[j] for j in range(inst.k + 1))
     return exact == at_most
@@ -169,7 +169,7 @@ def sample_gssp(rng: random.Random, l: int, m: int,
         v = tuple(rng.randint(1, weight_bound) for _ in range(m))
     if rng.random() < 0.5:
         su = sum(rng.sample(u, rng.randint(1, l)))
-        sv_pool = sorted(_subset_sums(v))
+        sv_pool = sorted(subset_sums(v))
         target = su + rng.choice(sv_pool)
     else:
         target = rng.randint(1, sum(u) + sum(v))

@@ -1,4 +1,4 @@
-"""Core model classes: decision trees, perceptrons, ensembles, distributions.
+"""Core model classes: trees, perceptrons, ensembles, distributions, H tables.
 
 Conventions used throughout the package:
 
@@ -221,8 +221,7 @@ class Perceptron(Record):
     @cached_property
     def scaled(self) -> tuple[tuple[int, ...], int, int]:
         """Integer view (int_weights, int_bias, denom) with w = int_w / denom."""
-        denom = lcm(self.bias.denominator, *(w.denominator for w in self.weights)) \
-            if self.weights else self.bias.denominator
+        denom = lcm(self.bias.denominator, *(w.denominator for w in self.weights))
         ws = tuple(w.numerator * (denom // w.denominator) for w in self.weights)
         return ws, self.bias.numerator * (denom // self.bias.denominator), denom
 
@@ -373,6 +372,21 @@ class ProductDistribution(Record):
 
     def is_uniform(self) -> bool:
         return all(p == _HALF for p in self.probs)
+
+
+class HTable(Record):
+    """H(k) = sum over size-k subsets of E[f | z_s = x_s], for k = 0..n."""
+
+    values: tuple[Fraction, ...]
+
+    def __init__(self, values: tuple[Fraction, ...]):
+        self._set(values=values)
+
+    def __getitem__(self, k: int) -> Fraction:
+        return self.values[k]
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 # ---------------------------------------------------------------------------

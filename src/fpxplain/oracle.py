@@ -185,6 +185,12 @@ def _v_table(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fraction
     return tuple(fold(start, n))
 
 
+def clear_caches() -> None:
+    """Empty the truth-table and conditional-expectation caches."""
+    _truth_table.cache_clear()
+    _v_table.cache_clear()
+
+
 def oracle_h_table(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fraction, ...]:
     """H[k] = sum over all size-k subsets of E[f | z_s = x_s], k = 0..n."""
     n = _checked_count(m, "oracle_h_table", shap=True)

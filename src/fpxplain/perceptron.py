@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import _config
 from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
-    ABSENT, Instance, Perceptron, ProductDistribution, Record, check_dist,
+    ABSENT, HTable, Instance, Perceptron, ProductDistribution, check_dist,
     check_instance, check_subset, eval_perceptron, packed_dot,
 )
 
@@ -215,27 +215,12 @@ def expected_value_perceptron(p: Perceptron, dist: ProductDistribution) -> Fract
     n = p.feature_count
     check_dist(dist, n)
     span = sum(abs(w) for w in p.scaled[0]) + 1
-    _check_dp_budget(span * max(1, n), "expected_value_perceptron")
+    _check_dp_budget(span * n, "expected_value_perceptron")
     return _mass_up_to(*_agreement_factors(p, (0,) * n, dist))
 
 
 # ---------------------------------------------------------------------------
 # size-stratified conditional expectation sums and Shapley values
-
-
-class HTable(Record):
-    """H(k) = sum over size-k subsets of E[f | z_s = x_s], for k = 0..n."""
-
-    values: tuple[Fraction, ...]
-
-    def __init__(self, values: tuple[Fraction, ...]):
-        self._set(values=values)
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _check_h_query(p: Perceptron, x: Instance, dist: ProductDistribution,
@@ -246,7 +231,7 @@ def _check_h_query(p: Perceptron, x: Instance, dist: ProductDistribution,
     x = check_instance(x, n)
     check_dist(dist, n)
     span = sum(abs(w) for w in p.scaled[0]) + 1
-    _check_dp_budget(span * max(1, n) * (n + 1), what)
+    _check_dp_budget(span * n * (n + 1), what)
     return x
 
 

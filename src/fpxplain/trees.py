@@ -18,12 +18,14 @@ only on the prefix on U, the features the last tree tests, and on the
 labels its vote accepts, so prefixes that agree there share one entry,
 the list of completions in path order: the separator of bucket
 elimination (Dechter, AIJ 1999) between the last tree and the others.
-Consumers that need every cylinder (the decomposition, Shapley sums)
-expand prefix x entry in row-major order. The flip masks keep each
-entry's row masks and join the prefix's own. Counting and expectation
-keep one integer sum per entry, so a prefix costs one lookup and one
-multiply-add. Sufficiency runs the same walk and stops at the first
-prefix whose entry is non-empty.
+A prefix comes with its part outside U only, since its entry's rows
+already hold its part inside U. Consumers that need every cylinder (the
+decomposition, and cylinder_sums, the pass that gives the size-stratified
+sums H(k) and every Shapley value) expand prefix x entry in row-major
+order. The flip masks keep each entry's row masks and join the prefix's
+own. Counting and expectation keep one integer sum per entry, so a prefix
+costs one lookup and one multiply-add. Sufficiency runs the same walk and
+stops at the first prefix whose entry is non-empty.
 
 The contrastive queries read one set of flip masks, the features on
 which a selection that overturns f(x) disagrees with x. The smallest
@@ -43,14 +45,16 @@ stack, so k is not bounded by the recursion limit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from itertools import groupby
+from math import factorial, prod
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import InfeasibleError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Ensemble, Instance, ProductDistribution, bits_to_int,
     check_dist, check_instance, check_subset, eval_ensemble, eval_tree,
-    integer_votes, subset_mask,
+    integer_votes, packed_dot, subset_mask,
 )
 
 
@@ -97,7 +101,8 @@ def _conditioned_triples(tree: DecisionTree, xbits: int, smask: int) -> list[tup
 
 def _prefixes(lists, voting, want: int, fold=None):
     """Yield (mask, vals, entry) for each selection of the first k - 1 trees
-    that some path of the last tree completes to the given output.
+    that some path of the last tree completes to the given output, with
+    (mask, vals) the selection's part outside U (see below).
 
     The prefixes come in row-major order over the per-tree path lists, the
     walk keeps an explicit stack, and the vote is kept on the integer view
@@ -109,8 +114,9 @@ def _prefixes(lists, voting, want: int, fold=None):
     complete a prefix depends only on the prefix's (mask, vals) on U and
     on the labels its vote accepts. An entry lists those completions in
     path order as rows (mask, vals) on U: the prefix restricted to U joined
-    with the path. The full selections of a prefix are its (mask | row
-    mask, vals | row vals) for the rows of its entry, and the entry is
+    with the path. So a row holds the prefix's part inside U, the prefix is
+    yielded by its part outside U, and its full selections are its (mask |
+    row mask, vals | row vals) for the rows of its entry. The entry is
     fold(rows) when a fold is given, so a consumer can keep one sum per
     entry. Entries are built on their first miss, and a prefix whose entry
     is empty is not yielded, so a consumer that stops at the first prefix
@@ -162,7 +168,7 @@ def _prefixes(lists, voting, want: int, fold=None):
                         if (take1 if ll else take0) and not (vu ^ lv) & mu & lm]
                 entry = table[key] = (fold(rows) if fold else rows) if rows else None
             if entry is not None:
-                yield pm, pv, entry
+                yield pm ^ mu, pv ^ vu, entry
         else:
             stack.pop()
 
@@ -413,10 +419,10 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
     _prefixes), so the mass splits at U: an entry keeps its rows' summed
     mass on U over D_U, the product of the denominators on U, and a prefix
     adds D // (D_U d_out) * q_out times it, where q_out and d_out are the
-    products of the numerator factors and of the denominators outside U.
-    Entries share rows, so a row's mass is computed once per call;
-    consecutive prefixes often share the part outside U, so it is
-    recomputed only when it changes.
+    products of the numerator factors and of the denominators on the
+    prefix. Entries share rows, so a row's mass is computed once per call;
+    consecutive prefixes are often equal, so a prefix's mass is recomputed
+    only when it changes.
     """
     _require_trees(e)
     n = e.feature_count
@@ -440,18 +446,142 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
             total += f
         return total
 
-    outside = ~inside
     out_key = None
     acc = 0
     for mask, vals, f in _prefixes(lists, e.voting, 1, mass):
         # vals lies inside mask: the scan only ORs path (mask, vals) pairs
-        key = (mask & outside, vals & outside)
-        if key != out_key:
-            out_key = key
-            q_out, d_out = _mass_factors(*key, nums, dens)
+        if (mask, vals) != out_key:
+            out_key = mask, vals
+            q_out, d_out = _mass_factors(mask, vals, nums, dens)
             scale = rest // d_out * q_out
         acc += scale * f
     return Fraction(acc, denom)
+
+
+def cylinder_sums(e: Ensemble, x: Instance,
+                  dist: ProductDistribution) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(H, phi) of a tree ensemble at x, from one pass over the accepted
+    cylinders: H[k] sums E[f | z_s = x_s] over the size-k subsets s, and
+    phi[i] is the Shapley value of feature i. The caller checks the
+    arguments: e is an ensemble of trees, x a tuple of n bits, dist over n.
+
+    A cylinder (M, V) fixes the features in M to V and leaves the others
+    free. Given z_s = x_s it has probability prod_{i in M} of [V_i = x_i]
+    for i in s and p_i(V_i) otherwise, so its generating polynomial in t
+    (t marking membership in s) is
+
+        prod_{i in M} (p_i(V_i) + t [V_i = x_i]) * (1 + t)^(n - |M|),
+
+    and the coefficients of the sum over cylinders are the H(k). phi_i
+    takes from each cylinder fixing i the factor [V_i = x_i] - p_i(V_i)
+    times the same polynomial without i's factor, with t^k weighted by
+    k! (n-k-1)! / n!.
+
+    The pass works over S, the s features some member tests: the others
+    are free in every cylinder. With a_i = den_i p_i(V_i) and
+    b_i = den_i [V_i = x_i], a cylinder's factor is a_i + b_i t for a fixed
+    feature and 1 + t for a free one of S. Packed at t = 2^slot over D_S,
+    the product of the denominators on S, its product is one integer. H is
+    the total times (1 + t)^(n - s), over D_S. For phi,
+    L_m(R) = sum_k R_k k! (m-1-k)! satisfies
+    L_n(R (1 + t)^(n - s)) = (n! / s!) L_s(R), so phi is over D_S s!, and
+    phi_i = 0 outside S.
+
+    The product splits at U, the features the last tree tests (see
+    _prefixes): a prefix factor over S minus U, computed once per run of
+    consecutive equal prefixes, and a row factor over U, computed once per
+    row and call. A cylinder costs their one product, added to the buckets
+    (i, V_i) of its features in U; a run adds its summed products to the
+    total and to the buckets of its features outside U once.
+
+    Feature i has two buckets, and i's factor is the same throughout each.
+    The one with V_i != x_i has b_i = 0, so its factor is the constant a_i
+    and it adds -L_s(bucket). The other is divided exactly by
+    a_i + b_i 2^slot into Q, and (b_i - a_i) Q minus the first bucket is
+    read once, with 2^(slot-1) added to every cell. A bucket coefficient is
+    below D_S 2^s, and so is (b_i - a_i) Q_k <= b_i Q_k, which is at most
+    coefficient k + 1 of its bucket. The slot, sized for H, has
+    2^(slot-1) > D_S 2^(n+1), so every biased cell lies in (0, 2^slot).
+    """
+    n = e.feature_count
+    dens = [p.denominator for p in dist.probs]
+    factors = []  # 2 i + v -> (a_i, b_i) of feature i fixed to v
+    for p, d, xi in zip(dist.probs, dens, x):
+        factors += [(d - p.numerator, d * (xi == 0)), (p.numerator, d * (xi == 1))]
+    lists = _raw_triples(e)
+    inside = _support(lists[-1])
+    support = inside
+    for paths in lists[:-1]:
+        support |= _support(paths)
+    feats = _members(support)
+    s, u = len(feats), inside.bit_count()
+    d_in = prod(dens[i] for i in _members(inside))
+    d_out = prod(dens[i] for i in _members(support & ~inside))
+    common = d_in * d_out
+    # every coefficient of the total times (1 + t)^(n - s), of a bucket
+    # and of its quotient is below D_S 2^n (the cylinders are disjoint),
+    # so no slot carries
+    slot = -(-(common.bit_length() + n + 2) // 8) * 8
+    one = 1 << slot
+    binoms: dict[int, int] = {}  # free count r -> packed (1 + t)^r
+
+    def part(mask: int, vals: int, free: int, scale: int) -> tuple[int, list[int]]:
+        """(packed scale / d_M prod_{i in M} (a_i + b_i t) (1 + t)^(free - |M|),
+        bucket keys) of the features M in mask fixed to vals."""
+        r = free - mask.bit_count()
+        poly = binoms.get(r)
+        if poly is None:
+            poly = binoms[r] = (1 + one) ** r
+        d, keys = 1, []
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            mask ^= low
+            key = 2 * i + ((vals >> i) & 1)
+            a, b = factors[key]
+            d *= dens[i]
+            poly = a * poly + ((b * poly) << slot) if b else a * poly
+            keys.append(key)
+        return scale // d * poly, keys
+
+    total = 0
+    buckets = [0] * (2 * n)  # 2 i + v -> packed sum over the cylinders fixing i to v
+    rows_seen: dict[tuple[int, int], tuple[int, list[int]]] = {}
+    for (om, ov), run in groupby(_prefixes(lists, e.voting, 1), itemgetter(0, 1)):
+        head, k_out = part(om, ov, s - u, d_out)
+        acc = 0
+        for _, _, rows in run:
+            for row in rows:
+                got = rows_seen.get(row)
+                if got is None:
+                    got = rows_seen[row] = part(*row, u, d_in)
+                tail, k_in = got
+                f = head * tail
+                acc += f
+                for key in k_in:
+                    buckets[key] += f
+        total += acc
+        for key in k_out:
+            buckets[key] += acc
+    step = slot // 8
+    raw = (total * (1 + one) ** (n - s)).to_bytes((n + 1) * step, "little")
+    h = tuple(Fraction(int.from_bytes(raw[at:at + step], "little"), common)
+              for at in range(0, len(raw), step))
+
+    fact = [factorial(j) for j in range(s + 1)]
+    coef = [fact[k] * fact[s - k - 1] for k in range(s)]
+    bias = int.from_bytes((bytes(step - 1) + b"\x80") * s, "little")
+    offset = (one >> 1) * sum(coef)
+    scaled = common * fact[s]
+    zero = Fraction(0)
+    phi = [zero] * n
+    for i in feats:
+        a, b = factors[2 * i + x[i]]
+        near, far = buckets[2 * i + x[i]], buckets[2 * i + 1 - x[i]]
+        if near or far:
+            signed = (b - a) * (near // (a + (b << slot))) - far
+            phi[i] = Fraction(packed_dot(signed + bias, step, coef) - offset, scaled)
+    return h, tuple(phi)
 
 
 def cc_tree_ensemble(e: Ensemble, x: Instance, s) -> Fraction:
@@ -463,13 +593,13 @@ def cc_tree_ensemble(e: Ensemble, x: Instance, s) -> Fraction:
     """
     target, lists = _conditioned(e, x, s)
     n = e.feature_count
-    inside = _support(lists[-1])
-    width = inside.bit_count()
+    width = _support(lists[-1]).bit_count()
+    rest = n - width
 
     def count(rows) -> int:
         return sum(1 << (width - rm.bit_count()) for rm, _ in rows)
 
-    accepted = sum(c << (n - (mask | inside).bit_count())
+    accepted = sum(c << (rest - mask.bit_count())
                    for mask, _, c in _prefixes(lists, e.voting, 1, count))
     accept_mass = Fraction(accepted, 1 << n)
     return accept_mass if target else 1 - accept_mass

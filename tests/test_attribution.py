@@ -24,7 +24,8 @@ from fpxplain.oracle import (
     oracle_expected_value, oracle_h_table, oracle_model_count, oracle_shap,
 )
 from fpxplain.trees import (
-    _prefixes, _raw_triples, _selections, _support, expected_value_tree_ensemble,
+    _prefixes, _raw_triples, _selections, _support, cylinder_sums,
+    expected_value_tree_ensemble,
 )
 from test_cli import _chain_tree
 
@@ -248,7 +249,7 @@ def test_bucket_division_branch_battery():
     for trial in range(200):
         e, x, d = _battery_case(rng, trial)
         want = (oracle_h_table(e, x, d), oracle_shap(e, x, d))
-        assert attribution._cylinder_sums(e, x, d) == want, trial
+        assert cylinder_sums(e, x, d) == want, trial
         branches += _bucket_branches(e, x, d)
     assert min(branches[key] for key in ("a=0", "b=0", "both")) >= 30, branches
 
@@ -285,8 +286,7 @@ def _pass_shapes(e, x, d):
     for paths in lists:
         support |= _support(paths)
     keys = _bucket_keys(e, x, d)
-    outside = ~_support(lists[-1])
-    runs = groupby(_prefixes(lists, e.voting, 1), lambda p: (p[0] & outside, p[1] & outside))
+    runs = groupby(_prefixes(lists, e.voting, 1), lambda p: p[:2])
     return {
         "support < n": support.bit_count() < e.feature_count,
         "empty support": support == 0,
@@ -300,7 +300,7 @@ def test_support_and_run_battery():
     shapes = Counter()
     for trial in range(240):
         e, x, d = _support_case(rng, trial)
-        h, phi = attribution._cylinder_sums(e, x, d)
+        h, phi = cylinder_sums(e, x, d)
         assert h == oracle_h_table(e, x, d), trial
         assert phi == oracle_shap(e, x, d), trial
         assert h[0] == oracle_expected_value(e, d), trial

@@ -261,9 +261,7 @@ def _paths(obj, path=()):
 
 def test_a_mutated_bundle_keeps_the_exit_code_contract(tmp_path):
     """Every field of an ssp and a kssp gadget bundle is dropped, then
-    given seven of the bad values, a window that moves by one value from
-    field to field, and `query --bundle` runs on it. Each run builds the
-    argument parser afresh, so all fifteen values would take twice as long."""
+    given each of the bad values, and `query --bundle` runs on it."""
     bundle = tmp_path / "bundle.json"
     fields = 0
     for gadget in (ssp_csr_gadget(SspInstance((3, 5, 7), 11)),
@@ -271,8 +269,7 @@ def test_a_mutated_bundle_keeps_the_exit_code_contract(tmp_path):
         good = json.dumps(bundle_to_doc(gadget))
         for *parents, key in _paths(json.loads(good)):
             fields += 1
-            window = [BUNDLE_BAD[(fields + i) % len(BUNDLE_BAD)] for i in range(7)]
-            for value in (_DROP, *window):
+            for value in (_DROP, *BUNDLE_BAD):
                 doc = json.loads(good)
                 field = doc
                 for step in parents:
@@ -283,3 +280,4 @@ def test_a_mutated_bundle_keeps_the_exit_code_contract(tmp_path):
                     field[key] = value
                 bundle.write_text(json.dumps(doc))
                 _check_exit(["query", "--bundle", str(bundle)])
+    assert fields == 55

@@ -264,7 +264,12 @@ from fpxplain.runner import run_query
 family, kind, algorithm = sys.argv[1:]
 model = (Perceptron((1, 1), -2) if family == "perceptron"
          else DecisionTree(2, (split(0, 1, 2), leaf(0), leaf(1)), 0))
-run_query(model, kind, (1, 1), subset=(0,), bound=1, algorithm=algorithm)
+if kind == "size_stratified_sums":
+    from fpxplain.attribution import size_stratified_sums
+    from fpxplain.models import ProductDistribution, majority_ensemble
+    size_stratified_sums(majority_ensemble((model,)), (1, 1), ProductDistribution.uniform(2))
+else:
+    run_query(model, kind, (1, 1), subset=(0,), bound=1, algorithm=algorithm)
 after_query = loaded("fpxplain." + m for m in ENGINES)
 import fpxplain
 wrong = []
@@ -293,18 +298,21 @@ def test_cli_import_loads_only_the_query_path():
     """A fresh `import fpxplain.cli` loads neither click nor any engine,
     gadget, generator, bench or oracle module; a csr, mcr, msr, cc or
     expect query on a tree or a perceptron, or a forced oracle query, then
-    loads only the engine of its route; and the package's lazy names still
-    resolve."""
+    loads only the engine of its route; size_stratified_sums on a tree
+    ensemble loads trees and attribution, not perceptron; and the
+    package's lazy names still resolve."""
     env = _src_env()
-    probes = [(family, kind, "auto", engine)
+    probes = [(family, kind, "auto", [engine])
               for family, engine in (("perceptron", "fpxplain.perceptron"),
                                      ("tree", "fpxplain.trees"))
               for kind in ("csr", "mcr", "msr", "cc", "expect")]
-    probes.append(("tree", "csr", "oracle", "fpxplain.oracle"))
-    for family, kind, algorithm, engine in probes:
+    probes.append(("tree", "csr", "oracle", ["fpxplain.oracle"]))
+    probes.append(("tree", "size_stratified_sums", "auto",
+                   ["fpxplain.trees", "fpxplain.attribution"]))
+    for family, kind, algorithm, engines in probes:
         out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, family, kind, algorithm],
                              env=env, capture_output=True, text=True, check=True).stdout
-        assert json.loads(out) == {"at_import": [], "after_query": [engine],
+        assert json.loads(out) == {"at_import": [], "after_query": engines,
                                    "wrong": [], "missing": []}, (family, kind, algorithm)
 
 

@@ -147,8 +147,7 @@ def test_oracle_refuses_an_invalid_model_its_caches_hold(warm):
              lambda m: oracle_shap(m, x, d))
     queries = [("csr", {"subset": s}), ("cc", {"subset": s}), ("mcr", {"bound": 1}),
                ("msr", {"bound": 1}), ("expect", {}), ("shap", {})]
-    oracle._truth_table.cache_clear()
-    oracle._v_table.cache_clear()
+    oracle.clear_caches()
     if warm:
         for j, m in enumerate(models(1)):
             for call in calls:
