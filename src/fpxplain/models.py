@@ -252,6 +252,15 @@ class Weighted(Record):
     def __init__(self, weights, threshold):
         self._set(weights=_rationals(weights, "weights"), threshold=as_fraction(threshold))
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """Integer view (int_weights, int_threshold), both scaled by the lcm
+        of their denominators, as in Perceptron.scaled."""
+        theta = self.threshold
+        denom = lcm(theta.denominator, *(w.denominator for w in self.weights))
+        return (tuple(w.numerator * (denom // w.denominator) for w in self.weights),
+                theta.numerator * (denom // theta.denominator))
+
 
 Voting = Union[Majority, Weighted]
 
@@ -290,25 +299,23 @@ def integer_votes(voting: Voting, k: int) -> tuple[tuple[int, ...], int]:
     """Integer view (weights, threshold) of the voting rule over k members.
 
     Majority is unit weights with threshold ceil(k/2); weighted voting is
-    scaled by the lcm of its denominators, as in Perceptron.scaled.
+    its Weighted.scaled view.
     """
     if isinstance(voting, Majority):
         return (1,) * k, majority_threshold(k)
-    denom = lcm(voting.threshold.denominator, *(w.denominator for w in voting.weights))
-    theta = voting.threshold
-    return (tuple(w.numerator * (denom // w.denominator) for w in voting.weights),
-            theta.numerator * (denom // theta.denominator))
+    return voting.scaled
 
 
 def votes_accept(voting: Voting, votes: list[int] | tuple[int, ...]) -> int:
-    """Apply the voting rule to a 0/1 vote vector."""
+    """Apply the voting rule to a 0/1 vote vector, on its integer view."""
     if isinstance(voting, Majority):
         return 1 if sum(votes) >= majority_threshold(len(votes)) else 0
-    total = Fraction(0)
-    for w, v in zip(voting.weights, votes):
+    weights, threshold = voting.scaled
+    total = 0
+    for w, v in zip(weights, votes):
         if v:
             total += w
-    return 1 if total >= voting.threshold else 0
+    return 1 if total >= threshold else 0
 
 
 def eval_ensemble(e: Ensemble, x: Instance) -> int:

@@ -143,7 +143,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
         from . import trees
         cands = trees.enumerate_candidate_contrastive(model, x, filter_minimal=minimal_only)
         payload.update({"minimal_only": minimal_only,
-                        "candidates": [list(c) for c in cands],
+                        "candidates": list(map(list, cands)),
                         "count": len(cands)})
         route = "tree-fpt"
 

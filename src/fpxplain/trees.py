@@ -22,18 +22,26 @@ A prefix comes with its part outside U only, since its entry's rows
 already hold its part inside U. Consumers that need every cylinder (the
 decomposition, and cylinder_sums, the pass that gives the size-stratified
 sums H(k) and every Shapley value) expand prefix x entry in row-major
-order. The flip masks keep each entry's row masks and join the prefix's
-own. Counting and expectation keep one integer sum per entry, so a prefix
-costs one lookup and one multiply-add. Sufficiency runs the same walk and
-stops at the first prefix whose entry is non-empty.
+order. The other consumers fold each entry's rows, given the prefix's
+part inside U too. The flip masks keep each entry's row masks and join
+the prefix's own. Counting and expectation keep one integer sum per
+entry, so a prefix costs one lookup and one multiply-add. An entry's mass
+factors at the prefix's part inside U: one factor for that part, times,
+for each row, the factor of the row's features outside it, memoised per
+call. Sufficiency runs the same walk and stops at the first prefix whose
+entry is non-empty.
 
 The contrastive queries read one set of flip masks, the features on
 which a selection that overturns f(x) disagrees with x. The smallest
-contrastive set is a smallest mask. Minimum sufficient reasons come from
-the hitting-set duality (Ignatiev, Narodytska & Marques-Silva, AAAI
-2019): a set is sufficient iff it meets every flip mask, and iff it
-meets every inclusion-minimal one, so the family is reduced to those
-before the search.
+contrastive set is a smallest mask. Candidates come by size, then by
+member tuple: the masks are sorted before any tuple is built, by a bytes
+key under which equal-size masks compare as their tuples do (_lex_key),
+and each tuple is then joined once from memoised tuples of its low and
+high halves. Minimum sufficient reasons come from the hitting-set
+duality (Ignatiev, Narodytska & Marques-Silva, AAAI 2019): a set is
+sufficient iff it meets every flip mask, and iff it meets every
+inclusion-minimal one, so the family is reduced to those before the
+search.
 
 Cost is O(m^(k-1)) prefixes for k trees with at most m leaves each,
 each one table lookup, plus O(m) per distinct table entry; the
@@ -113,14 +121,15 @@ def _prefixes(lists, voting, want: int, fold=None):
     only the features in U, the union of their masks, so which of them
     complete a prefix depends only on the prefix's (mask, vals) on U and
     on the labels its vote accepts. An entry lists those completions in
-    path order as rows (mask, vals) on U: the prefix restricted to U joined
-    with the path. So a row holds the prefix's part inside U, the prefix is
-    yielded by its part outside U, and its full selections are its (mask |
-    row mask, vals | row vals) for the rows of its entry. The entry is
-    fold(rows) when a fold is given, so a consumer can keep one sum per
-    entry. Entries are built on their first miss, and a prefix whose entry
-    is empty is not yielded, so a consumer that stops at the first prefix
-    (sufficiency) builds entries only for the prefixes the walk reaches.
+    path order as rows (mask, vals) on U: the prefix's part (mu, vu)
+    inside U joined with the path. So a row holds the prefix's part inside
+    U, the prefix is yielded by its part outside U, and its full selections
+    are its (mask | row mask, vals | row vals) for the rows of its entry.
+    The entry is fold(rows, mu, vu) when a fold is given, so a consumer
+    can keep one sum per entry and factor it at (mu, vu). Entries are
+    built on their first miss, and a prefix whose entry is empty is not
+    yielded, so a consumer that stops at the first prefix (sufficiency)
+    builds entries only for the prefixes the walk reaches.
 
     Since any partial assignment extends to a full instance, and a full
     instance follows some path in every tree, the scan yields a first
@@ -166,7 +175,7 @@ def _prefixes(lists, voting, want: int, fold=None):
             if entry is table:
                 rows = [(mu | lm, vu | lv) for lm, lv, ll in last
                         if (take1 if ll else take0) and not (vu ^ lv) & mu & lm]
-                entry = table[key] = (fold(rows) if fold else rows) if rows else None
+                entry = table[key] = (fold(rows, mu, vu) if fold else rows) if rows else None
             if entry is not None:
                 yield pm ^ mu, pv ^ vu, entry
         else:
@@ -257,9 +266,13 @@ def _flip_masks(e: Ensemble, x: Instance) -> set[int]:
     x = check_instance(x, e.feature_count)
     xbits = bits_to_int(x)
     flips: set[int] = set()
+
+    def entry_flips(rows, mu, vu) -> set[int]:
+        return {(rv ^ xbits) & rm for rm, rv in rows}
+
     # an entry holds the flip masks of its rows; a prefix adds its own part
     for mask, vals, row_flips in _prefixes(_raw_triples(e), e.voting, 1 - eval_ensemble(e, x),
-                                           lambda rows: {(rv ^ xbits) & rm for rm, rv in rows}):
+                                           entry_flips):
         pf = (vals ^ xbits) & mask
         flips.update([pf | f for f in row_flips] if pf else row_flips)
     assert 0 not in flips, "a selection consistent with x cannot overturn f(x)"
@@ -289,6 +302,64 @@ def _inclusion_minimal(masks) -> list[int]:
     return kept
 
 
+def _byte_table() -> bytes:
+    """Byte b -> 255 minus b with its bits reversed, which is ~b reversed:
+    the bytes of ~b for every b, bit-reversed in three swaps of halves
+    (nibbles, bit pairs, bits) on all 256 lanes at once."""
+    lanes = int.from_bytes(bytes(range(255, -1, -1)), "little")
+    for shift, pattern in ((4, b"\x0f"), (2, b"\x33"), (1, b"\x55")):
+        low = int.from_bytes(pattern * 256, "little")
+        lanes = (lanes >> shift) & low | (lanes & low) << shift
+    return lanes.to_bytes(256, "little")
+
+
+_LEX_TABLE = _byte_table()
+
+
+def _lex_key(n: int) -> Callable[[int], bytes]:
+    """A key under which masks over n features of one size sort as their
+    member tuples do.
+
+    Of two distinct sets of one size, the lexicographically first member
+    tuple is the one holding the lowest feature of their symmetric
+    difference. The key writes a mask in little-endian bytes, so that
+    feature's byte is the first that differs, and maps each byte to 255
+    minus its bit reversal, so within that byte the lower feature is the
+    more significant bit and the set holding it gets the smaller byte.
+    """
+    width = (n + 7) // 8
+    return lambda m: m.to_bytes(width, "little").translate(_LEX_TABLE)
+
+
+def _lex_order(masks, n: int) -> list[int]:
+    """The masks by size, then by member tuple (see _lex_key)."""
+    out = sorted(masks, key=_lex_key(n))
+    out.sort(key=int.bit_count)  # stable: each size keeps the key order
+    return out
+
+
+class _HalfMembers(dict):
+    """Half mask -> its member tuple, the mask shifted up by shift bits;
+    each tuple is built on its first lookup."""
+
+    def __init__(self, shift: int):
+        super().__init__()
+        self.shift = shift
+
+    def __missing__(self, half: int) -> tuple[int, ...]:
+        got = self[half] = _members(half << self.shift)
+        return got
+
+
+def _member_tuples(masks, n: int) -> list[tuple[int, ...]]:
+    """_members of each mask over n features, each joined from the tuples
+    of its low and high halves, which repeat across a family."""
+    h = n // 2
+    low = (1 << h) - 1
+    lows, highs = _HalfMembers(0), _HalfMembers(h)
+    return [lows[m & low] + highs[m >> h] for m in masks]
+
+
 def enumerate_candidate_contrastive(e: Ensemble, x: Instance,
                                     filter_minimal: bool = False) -> tuple[tuple[int, ...], ...]:
     """Flip sets extracted from joint selections that overturn f(x).
@@ -301,7 +372,8 @@ def enumerate_candidate_contrastive(e: Ensemble, x: Instance,
     flips = _flip_masks(e, x)
     if filter_minimal:
         flips = _inclusion_minimal(flips)
-    return tuple(sorted(sorted(map(_members, flips)), key=len))  # by size, then lex
+    n = e.feature_count
+    return tuple(_member_tuples(_lex_order(flips, n), n))
 
 
 def min_contrastive_size(e: Ensemble, x: Instance):
@@ -310,7 +382,8 @@ def min_contrastive_size(e: Ensemble, x: Instance):
     if not flips:
         return ABSENT
     size = min(map(int.bit_count, flips))
-    return size, min(_members(m) for m in flips if m.bit_count() == size)
+    witness = min((m for m in flips if m.bit_count() == size), key=_lex_key(e.feature_count))
+    return size, _members(witness)
 
 
 def _disjoint_packing(masks: list[int]) -> int:
@@ -420,9 +493,12 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
     mass on U over D_U, the product of the denominators on U, and a prefix
     adds D // (D_U d_out) * q_out times it, where q_out and d_out are the
     products of the numerator factors and of the denominators on the
-    prefix. Entries share rows, so a row's mass is computed once per call;
-    consecutive prefixes are often equal, so a prefix's mass is recomputed
-    only when it changes.
+    prefix's part outside U, memoised per call.
+
+    An entry's rows all hold the prefix's part (mu, vu) inside U, so its
+    mass factors there: with head = D_U // d(mu) * q(mu, vu), a completing
+    path adds head // d(S) * q(S), S the path's features outside mu, and
+    (q(S), d(S)) is memoised per call by the row's part outside mu.
     """
     _require_trees(e)
     n = e.feature_count
@@ -434,26 +510,32 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
     inside = _support(lists[-1])
     d_in = prod(dens[i] for i in _members(inside))
     rest = denom // d_in
-    parts: dict[tuple[int, int], int] = {}  # a row's mass on U over D_U
+    tails: dict[tuple[int, int], tuple[int, int]] = {}  # (S, vals on S) -> (q, d) on S
 
-    def mass(rows) -> int:
+    def mass(rows, mu, vu) -> int:
+        q, d = _mass_factors(mu, vu, nums, dens)
+        # exact: d is the product of the denominators on mu, inside U. So
+        # head carries those on U minus mu, of which each d(S) below, a
+        # product over S inside U minus mu, is a divisor
+        head = d_in // d * q
         total = 0
-        for row in rows:
-            f = parts.get(row)
-            if f is None:
-                q, d = _mass_factors(*row, nums, dens)
-                f = parts[row] = d_in // d * q
-            total += f
+        for rm, rv in rows:
+            key = rm ^ mu, rv ^ vu  # the row minus the prefix's part
+            got = tails.get(key)
+            if got is None:
+                got = tails[key] = _mass_factors(*key, nums, dens)
+            total += head // got[1] * got[0]
         return total
 
-    out_key = None
+    scales: dict[tuple[int, int], int] = {}  # a prefix part outside U -> its mass over D // D_U
     acc = 0
     for mask, vals, f in _prefixes(lists, e.voting, 1, mass):
-        # vals lies inside mask: the scan only ORs path (mask, vals) pairs
-        if (mask, vals) != out_key:
-            out_key = mask, vals
-            q_out, d_out = _mass_factors(mask, vals, nums, dens)
-            scale = rest // d_out * q_out
+        scale = scales.get((mask, vals))
+        if scale is None:
+            # exact: mask lies outside U, and rest is the product of the
+            # denominators there
+            q, d = _mass_factors(mask, vals, nums, dens)
+            scale = scales[mask, vals] = rest // d * q
         acc += scale * f
     return Fraction(acc, denom)
 
@@ -596,7 +678,7 @@ def cc_tree_ensemble(e: Ensemble, x: Instance, s) -> Fraction:
     width = _support(lists[-1]).bit_count()
     rest = n - width
 
-    def count(rows) -> int:
+    def count(rows, mu, vu) -> int:
         return sum(1 << (width - rm.bit_count()) for rm, _ in rows)
 
     accepted = sum(c << (rest - mask.bit_count())

@@ -412,3 +412,18 @@ def test_cached_model_views_are_computed_once(monkeypatch):
     assert t.paths == ((1, 0, 0), (1, 1, 1))
     assert majority_ensemble((t, t)).members[0].paths == ((1, 0, 0), (1, 1, 1))
     assert walks == [(1, nodes, 0)]
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.lists(st.tuples(st.fractions(max_denominator=10**12), st.integers(0, 1)),
+                min_size=1, max_size=6),
+       st.fractions(max_denominator=10**12))
+def test_weighted_votes_accept_reads_the_cached_integer_view(pairs, threshold):
+    """votes_accept on Weighted equals the Fraction sum of the accepting
+    members' weights against the threshold, read from the one cached
+    integer view that integer_votes also returns."""
+    voting = Weighted([w for w, _ in pairs], threshold)
+    votes = [v for _, v in pairs]
+    total = sum((w for w, v in pairs if v), Fraction(0))
+    assert votes_accept(voting, votes) == (1 if total >= voting.threshold else 0)
+    assert integer_votes(voting, len(pairs)) is voting.scaled is voting.scaled

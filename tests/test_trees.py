@@ -393,10 +393,11 @@ def _cylinder_mass(d, c):
     return mass
 
 
-def test_expect_computes_each_mass_part_once(monkeypatch):
-    """expect splits each cylinder at the last tree's features: the part
-    outside is recomputed only when it differs from the previous
-    cylinder's, and each distinct part inside once per call."""
+def test_expect_factors_each_part_once(monkeypatch):
+    """expect factors each scan entry: one factor for the prefix's part
+    inside the last tree's features per table entry, one per distinct
+    part of a row outside that, and one per distinct prefix part outside
+    the last tree's features, each once per call."""
     calls = []
     factors = trees._mass_factors
     monkeypatch.setattr(trees, "_mass_factors",
@@ -405,14 +406,13 @@ def test_expect_computes_each_mass_part_once(monkeypatch):
     for k in (1, 3):
         e = majority_ensemble(tuple(random_tree_exact(rng, 20, 10) for _ in range(k)))
         d = random_product_distribution(rng, 20)
-        inside = 0
-        for mask, _, _ in e.members[-1].paths:
-            inside |= mask
+        entries = []
+        outside = {(mask, vals) for mask, vals, _ in trees._prefixes(
+            [t.paths for t in e.members], e.voting, 1,
+            lambda rows, mu, vu: entries.append((rows, mu, vu)) or len(entries))}
+        tails = {(rm ^ mu, rv ^ vu) for rows, mu, vu in entries for rm, rv in rows}
         cylinders = cylinder_decomposition(e)
-        outside = [(c.mask & ~inside, c.vals & ~inside) for c in cylinders]
-        changes = sum(1 for i, key in enumerate(outside) if i == 0 or key != outside[i - 1])
-        parts = {(c.mask & inside, c.vals & inside) for c in cylinders}
         calls.clear()
         assert expected_value_tree_ensemble(e, d) == sum(
             (_cylinder_mass(d, c) for c in cylinders), Fraction(0))
-        assert len(calls) == changes + len(parts), k
+        assert len(calls) == len(entries) + len(tails) + len(outside), k
