@@ -17,14 +17,17 @@ in its problems attribute, and refuses a number that is not exact.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Union
 
-from .errors import InputShapeError, InvalidInstanceError, UnsupportedModelError
+from .errors import (
+    InputShapeError, InvalidInstanceError, ResourceCapError, UnsupportedModelError,
+)
 
 Instance = tuple[int, ...]
 
@@ -111,6 +114,28 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
+def rational_str(value) -> str:
+    """value as 'p/q', or 'p' for an integer: the form of rationals in
+    payloads and documents. A numerator or denominator past the
+    interpreter's int-to-str digit limit raises ResourceCapError."""
+    try:
+        return str(Fraction(value))
+    except ValueError:
+        raise ResourceCapError(
+            f"a numerator or denominator has more than {sys.get_int_max_str_digits()} "
+            "digits; raise PYTHONINTMAXSTRDIGITS to print it") from None
+
+
+def shown(value) -> str:
+    """value as an error message shows it: a Fraction as p/q, anything
+    else by repr. A value that cannot be printed, an int past the digit
+    limit or one holding such an int, is named by its type."""
+    try:
+        return str(value) if isinstance(value, Fraction) else repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def as_fraction(v) -> Fraction:
     """Coerce ints, strings like '3/4' and Fractions to Fraction; a float
     or anything else Fraction refuses raises InvalidInstanceError."""
@@ -122,7 +147,7 @@ def as_fraction(v) -> Fraction:
     try:
         return Fraction(v)
     except (TypeError, ValueError, ArithmeticError):  # '1/0' divides by zero
-        raise InvalidInstanceError(f"expected a rational, got {v!r}") from None
+        raise InvalidInstanceError(f"expected a rational, got {shown(v)}") from None
 
 
 def _rationals(values, what: str) -> tuple[Fraction, ...]:
@@ -338,10 +363,6 @@ def eval_model(m: Model, x: Instance) -> int:
     return eval_base(m, x)
 
 
-def feature_count(m: Model) -> int:
-    return m.feature_count
-
-
 def is_tree_ensemble(m: Model) -> bool:
     return isinstance(m, Ensemble) and all(isinstance(t, DecisionTree) for t in m.members)
 
@@ -362,7 +383,7 @@ class ProductDistribution(Record):
         ps = _rationals(probs, "probs")
         for i, p in enumerate(ps):
             if not 0 <= p.numerator <= p.denominator:  # the denominator is positive
-                raise InvalidInstanceError(f"probs[{i}] = {p} outside [0, 1]")
+                raise InvalidInstanceError(f"probs[{i}] = {shown(p)} outside [0, 1]")
         self._set(probs=ps)
 
     @classmethod
@@ -405,12 +426,13 @@ def check_instance(x, n: int) -> Instance:
     try:
         xt = tuple(x)
     except TypeError:
-        raise InputShapeError(f"instance must be a sequence of 0/1 bits, got {x!r}") from None
+        raise InputShapeError(
+            f"instance must be a sequence of 0/1 bits, got {shown(x)}") from None
     if len(xt) != n:
-        raise InputShapeError(f"instance has {len(xt)} features, model expects {n}")
+        raise InputShapeError(f"instance has {len(xt)} features, model expects {shown(n)}")
     for i, b in enumerate(xt):
         if not isinstance(b, int) or b not in (0, 1):  # 1.0 == 1, but indexes no branch
-            raise InputShapeError(f"instance bit {i} is {b!r}, expected 0 or 1")
+            raise InputShapeError(f"instance bit {i} is {shown(b)}, expected 0 or 1")
     return xt
 
 
@@ -424,10 +446,10 @@ def check_subset(s, n: int) -> tuple[int, ...]:
         st = tuple(s)
     except TypeError:
         raise InputShapeError(
-            f"subset must be an iterable of feature indices, got {s!r}") from None
+            f"subset must be an iterable of feature indices, got {shown(s)}") from None
     for i in st:
         if type(i) is not int or i < 0 or i >= n:
-            raise InputShapeError(f"feature index {i!r} outside range 0..{n - 1}")
+            raise InputShapeError(f"feature index {shown(i)} outside range 0..{shown(n - 1)}")
     return tuple(sorted(set(st)))
 
 
@@ -438,7 +460,7 @@ def check_dist(dist: ProductDistribution, n: int):
             f"distribution must be a ProductDistribution, got {type(dist).__name__}")
     if dist.feature_count != n:
         raise InputShapeError(
-            f"distribution over {dist.feature_count} features, model has {n}")
+            f"distribution over {dist.feature_count} features, model has {shown(n)}")
 
 
 def subset_mask(s) -> int:
@@ -460,17 +482,21 @@ def int_to_bits(z: int, n: int) -> Instance:
     return tuple((z >> i) & 1 for i in range(n))
 
 
-def packed_dot(packed: int, size: int, weights) -> int:
-    """sum_k weights[k] c_k of a packed polynomial sum_k c_k 2^(8 size k).
+def packed_cells(packed: int, size: int, count: int) -> list[int]:
+    """The cells c_0..c_(count-1) of a packed polynomial sum_k c_k 2^(8 size k).
 
-    Every c_k must lie in [0, 2^(8 size)) and k in range(len(weights)).
-    The integer is read once, into bytes, and each cell is one slice of
-    them, so the read costs time linear in the number of cells.
+    Every c_k must lie in [0, 2^(8 size)). The integer is read once, into
+    bytes, and each cell is one slice of them, so the read costs time
+    linear in the number of cells.
     """
-    raw = packed.to_bytes(len(weights) * size, "little")
+    raw = packed.to_bytes(count * size, "little")
     read = int.from_bytes
-    return sum([w * read(raw[at:at + size], "little")
-                for w, at in zip(weights, range(0, len(raw), size))])
+    return [read(raw[at:at + size], "little") for at in range(0, len(raw), size)]
+
+
+def packed_dot(packed: int, size: int, weights) -> int:
+    """sum_k weights[k] c_k over the cells of packed_cells."""
+    return sum(map(mul, weights, packed_cells(packed, size, len(weights))))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +525,8 @@ def ensemble_problems(members, voting, unbuilt=None) -> list[str]:
         if j == 0:
             n = count
         elif n is not None and count != n:
-            problems.append(f"member {j}: feature count {count} differs from member 0 ({n})")
+            problems.append(f"member {j}: feature count {shown(count)} differs "
+                            f"from member 0 ({shown(n)})")
         problems.extend(f"member {j}: {p}" for p in own)
     if isinstance(voting, Weighted) and len(voting.weights) != len(members):
         problems.append(f"voting has {len(voting.weights)} weights for {len(members)} members")
@@ -525,56 +552,80 @@ def _walk_arena(n, nodes, root) -> tuple[tuple[str, ...], tuple[tuple[int, int, 
     without two entries or a split without four, a feature that is not an
     int, is outside 0..n-1 or is tested twice on a path, and a leaf label
     other than the ints 0 and 1 are problems, and the walk does not
-    descend past them. An arena with no other problem must hash, as the
+    descend past them. Then each node the walk did not reach, in index
+    order, gets the same checks on its own, its child indices checked but
+    not followed. An arena with no other problem must hash, as the
     value-keyed caches hash the tree: a list where a tuple belongs is a
     problem too. The triples are DecisionTree.paths, meaningful only when
     there are no problems.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        return (f"feature count {n!r} is not a non-negative int",), ()
+        return (f"feature count {shown(n)} is not a non-negative int",), ()
     if type(nodes) is not tuple and not isinstance(nodes, Sequence):  # the ABC test is slow
         return (f"nodes of type {type(nodes).__name__} are not a sequence",), ()
     size = len(nodes)
     if not size:
         return ("tree has no nodes",), ()
     if type(root) is not int:
-        return (f"root index {root!r} is not an int",), ()
+        return (f"root index {shown(root)} is not an int",), ()
     if not (0 <= root < size):
-        return (f"root index {root} outside arena",), ()
+        return (f"root index {shown(root)} outside arena",), ()
     problems = []
     out = []
     seen = set()
-    stack = [(root, 0, 0)]  # (node, features tested above it, their values)
+    _walk(n, nodes, [(root, 0, 0)], seen, problems, out)
+    if len(seen) < size:  # every tree generate builds reaches all its nodes
+        # the lowest first; vals -1 marks them (mask 0) and their children
+        unreached = [(idx, 0, -1) for idx in range(size - 1, -1, -1) if idx not in seen]
+        _walk(n, nodes, unreached, set(range(size)), problems, [])
+    if not problems:
+        try:
+            hash(nodes)
+        except TypeError as exc:
+            problems.append(f"nodes are not hashable ({exc})")
+    return tuple(problems), tuple(out)
+
+
+def _walk(n, nodes, stack, seen, problems, out):
+    """The DFS of _walk_arena from the (node, features tested above it,
+    their values) on stack, adding to seen, problems and the path triples
+    out. With vals -1 a node is checked on its own: its children are
+    checked as indices only, being seen already."""
+    size = len(nodes)
     while stack:
         idx, mask, vals = stack.pop()
         if type(idx) is not int:  # True and 1.0 would index node 1
-            problems.append(f"child index {idx!r} is not an int")
+            problems.append(f"child index {shown(idx)} is not an int")
             continue
         if not (0 <= idx < size):
-            problems.append(f"child index {idx} outside arena")
+            problems.append(f"child index {shown(idx)} outside arena")
             continue
         if idx in seen:
-            problems.append(f"node {idx} reachable twice (arena must be a tree)")
-            continue
+            if vals >= 0:
+                problems.append(f"node {idx} reachable twice (arena must be a tree)")
+                continue
+            if mask:  # a child of a node checked on its own
+                continue
         seen.add(idx)
         node = nodes[idx]
         # the try blocks cost nothing unless a node is malformed
         try:
             tag = node[0]
         except (LookupError, TypeError):  # a dict node raises KeyError
-            problems.append(f"node {idx} {node!r} is not a tagged tuple")
+            problems.append(f"node {idx} {shown(node)} is not a tagged tuple")
             continue
         if tag == SPLIT:
             try:
                 _, feat, c0, c1 = node
             except ValueError:
-                problems.append(f"node {idx} {node!r} has {len(node)} entries, not 4")
+                problems.append(f"node {idx} {shown(node)} has {len(node)} entries, not 4")
                 continue
             if type(feat) is not int:
-                problems.append(f"node {idx} tests feature {feat!r}, not an int")
+                problems.append(f"node {idx} tests feature {shown(feat)}, not an int")
                 continue
             if not (0 <= feat < n):
-                problems.append(f"node {idx} tests feature {feat} outside 0..{n - 1}")
+                problems.append(
+                    f"node {idx} tests feature {shown(feat)} outside 0..{shown(n - 1)}")
                 continue
             bit = 1 << feat
             if mask & bit:
@@ -587,17 +638,11 @@ def _walk_arena(n, nodes, root) -> tuple[tuple[str, ...], tuple[tuple[int, int, 
             try:
                 _, label = node
             except ValueError:
-                problems.append(f"node {idx} {node!r} has {len(node)} entries, not 2")
+                problems.append(f"node {idx} {shown(node)} has {len(node)} entries, not 2")
                 continue
             if label in (0, 1) and type(label) is int:  # True == 1, but is no label
                 out.append((mask, vals, label))
             else:
-                problems.append(f"leaf {idx} label {label!r} not 0/1")
+                problems.append(f"leaf {idx} label {shown(label)} not 0/1")
         else:
-            problems.append(f"node {idx} has unknown tag {tag!r}")
-    if not problems:
-        try:
-            hash(nodes)
-        except TypeError as exc:
-            problems.append(f"nodes are not hashable ({exc})")
-    return tuple(problems), tuple(out)
+            problems.append(f"node {idx} has unknown tag {shown(tag)}")

@@ -17,8 +17,7 @@ from . import _config
 from .errors import ResourceCapError
 from .models import (
     ABSENT, Instance, Model, ProductDistribution, bits_to_int, check_dist,
-    check_instance, check_model, check_subset, eval_model, feature_count,
-    subset_mask,
+    check_instance, check_model, check_subset, eval_model, shown, subset_mask,
 )
 
 
@@ -26,14 +25,14 @@ def _checked_count(m: Model, what: str, shap: bool = False) -> int:
     """m's feature count, after refusing a non-model and a count past the
     oracle cap, or the Shapley oracle's."""
     check_model(m)
-    n = feature_count(m)
+    n = m.feature_count
     if shap:
         cap, var = _config.shap_oracle_cap(), _config.SHAP_ORACLE_CAP_VAR
     else:
         cap, var = _config.oracle_cap(), _config.ORACLE_CAP_VAR
     if n > cap:
         raise ResourceCapError(
-            f"{what} refuses n={n} features (cap {cap}); "
+            f"{what} refuses n={shown(n)} features (cap {cap}); "
             f"raise {var} if you really want this")
     return n
 
@@ -41,7 +40,7 @@ def _checked_count(m: Model, what: str, shap: bool = False) -> int:
 @lru_cache(maxsize=64)
 def _truth_table(m: Model) -> bytes:
     """f(z) for every z in 0..2^n-1, indexed by the bit encoding of z."""
-    n = feature_count(m)
+    n = m.feature_count
     return bytes(eval_model(m, tuple((z >> i) & 1 for i in range(n)))
                  for z in range(1 << n))
 
@@ -160,7 +159,7 @@ def _v_table(m: Model, x: Instance, dist: ProductDistribution) -> tuple[Fraction
     parameter; this yields all 2^n conditional expectations in O(n 2^n)
     exact operations instead of 3^n.
     """
-    n = feature_count(m)
+    n = m.feature_count
     table = _truth_table(m)
 
     def fold(values: list[Fraction], feats: int) -> list[Fraction]:

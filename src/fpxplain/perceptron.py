@@ -26,7 +26,7 @@ from . import _config
 from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
     ABSENT, HTable, Instance, Perceptron, ProductDistribution, check_dist,
-    check_instance, check_subset, eval_perceptron, packed_dot,
+    check_instance, check_subset, eval_perceptron, packed_cells, packed_dot,
 )
 
 
@@ -124,26 +124,30 @@ def min_sufficient_perceptron(p: Perceptron, x: Instance) -> tuple[int, tuple[in
 # the packed subset-sum table
 
 
-def _check_dp_budget(cells: int, what: str):
-    budget = _config.pseudo_budget()
+def _packed_product(factors, with_t: bool) -> tuple[int, int, int, int, int]:
+    """(G, low, width, slot, D) for G = prod_i F_i over the factors
+    (w_i, a_i, d_i), F_i = (d_i - a_i) + u^{w_i} (a_i + d_i t), or G(u, 0)
+    without t.
+
+    G is one integer, cell (j, s) at bit ((s - low) rows + j) slot with
+    rows = n + 1 (1 without t), so multiplying by a factor is a few
+    whole-integer operations. Its w sums span width = sum |w_i| + 1
+    columns from low. A slot holds D 2^(rows - 1) + 1, more than any
+    prefix sum of a row.
+
+    The table is charged width * max(1, n) * rows cells against
+    FPXPLAIN_PSEUDO_BUDGET before it is built; over the budget raises
+    ResourceCapError.
+    """
+    rows = len(factors) + 1 if with_t else 1
+    width = sum(abs(w) for w, _, _ in factors) + 1
+    cells, budget = width * max(1, len(factors)) * rows, _config.pseudo_budget()
     if cells > budget:
         # an integer past the 4,300-digit str limit cannot be printed
         about = cells if cells < 10 ** 30 else f"2^{cells.bit_length() - 1}"
         raise ResourceCapError(
-            f"{what} needs about {about} DP cells, over the budget {budget}; "
-            f"raise {_config.PSEUDO_BUDGET_VAR} to allow it")
-
-
-def _packed_product(factors, with_t: bool) -> tuple[int, int, int, int]:
-    """(G, low, slot, D) for G = prod_i F_i over the factors (w_i, a_i, d_i),
-    F_i = (d_i - a_i) + u^{w_i} (a_i + d_i t), or G(u, 0) without t.
-
-    G is one integer, cell (j, s) at bit ((s - low) rows + j) slot with
-    rows = n + 1 (1 without t), so multiplying by a factor is a few
-    whole-integer operations. A slot holds D 2^(rows - 1) + 1, more than
-    any prefix sum of a row.
-    """
-    rows = len(factors) + 1 if with_t else 1
+            f"the subset-sum table needs about {about} DP cells, over the budget "
+            f"{budget}; raise {_config.PSEUDO_BUDGET_VAR} to allow it")
     common = prod(d for _, _, d in factors)
     slot = -(-((common << rows - 1) + 1).bit_length() // 8) * 8
     col = rows * slot
@@ -156,7 +160,7 @@ def _packed_product(factors, with_t: bool) -> tuple[int, int, int, int]:
         else:
             g = ((d - a) * g << -w * col) + moved
             low += w
-    return g, low, slot, common
+    return g, low, width, slot, common
 
 
 def _agreement_factors(p: Perceptron, x: Instance,
@@ -177,8 +181,8 @@ def _mass_up_to(factors, threshold: int) -> Fraction:
     sum as its remainder modulo 2^slot - 1: 2^slot is 1 modulo 2^slot - 1,
     and the sum is at most D < 2^slot - 1.
     """
-    g, low, slot, common = _packed_product(factors, with_t=False)
-    cells = min(max(threshold - low + 1, 0), sum(abs(w) for w, _, _ in factors) + 1)
+    g, low, width, slot, common = _packed_product(factors, with_t=False)
+    cells = min(max(threshold - low + 1, 0), width)
     return Fraction((g & ((1 << cells * slot) - 1)) % ((1 << slot) - 1), common)
 
 
@@ -202,8 +206,6 @@ def cc_perceptron_pseudopoly(p: Perceptron, x: Instance, s) -> Fraction:
     ws, b, _ = p.scaled
     fixed = b + sum(w for i, w in enumerate(ws) if i in sset and x[i])
     free = [ws[i] for i in range(n) if i not in sset]
-    span = sum(abs(w) for w in free) + 1
-    _check_dp_budget(span * max(1, len(free)), "cc_perceptron_pseudopoly")
     kept = _mass_up_to([(w, 1, 2) for w in free], fixed + sum(free))
     return kept if eval_perceptron(p, x) else 1 - kept
 
@@ -214,8 +216,6 @@ def expected_value_perceptron(p: Perceptron, dist: ProductDistribution) -> Fract
     _require_perceptron(p)
     n = p.feature_count
     check_dist(dist, n)
-    span = sum(abs(w) for w in p.scaled[0]) + 1
-    _check_dp_budget(span * n, "expected_value_perceptron")
     return _mass_up_to(*_agreement_factors(p, (0,) * n, dist))
 
 
@@ -223,15 +223,12 @@ def expected_value_perceptron(p: Perceptron, dist: ProductDistribution) -> Fract
 # size-stratified conditional expectation sums and Shapley values
 
 
-def _check_h_query(p: Perceptron, x: Instance, dist: ProductDistribution,
-                   what: str) -> Instance:
-    """Validate the inputs and charge one (span, count) table to the budget."""
+def _check_h_query(p: Perceptron, x: Instance, dist: ProductDistribution) -> Instance:
+    """x as a tuple, after checking the query's arguments."""
     _require_perceptron(p)
     n = p.feature_count
     x = check_instance(x, n)
     check_dist(dist, n)
-    span = sum(abs(w) for w in p.scaled[0]) + 1
-    _check_dp_budget(span * n * (n + 1), what)
     return x
 
 
@@ -264,11 +261,6 @@ class _AgreementTable(NamedTuple):
         size = (len(self.factors) + 1) * self.slot // 8
         start = (min(s, self.high) - self.low) * size
         return int.from_bytes(self.cells[start:start + size], "little")
-
-    def unpack(self, packed: int, count: int) -> list[int]:
-        size = self.slot // 8
-        raw = packed.to_bytes(count * size, "little")
-        return [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
 
     def conditioned(self, w: int, a: int, d: int) -> int:
         """Column T - w of the prefix sums P of Q = G / F, F = (w, a, d) a factor.
@@ -311,9 +303,8 @@ def _agreement_table(p: Perceptron, x: Instance, dist: ProductDistribution) -> _
     value (through h_table_perceptron) from the same table.
     """
     factors, threshold = _agreement_factors(p, x, dist)
-    g, low, slot, common = _packed_product(factors, with_t=True)
+    g, low, width, slot, common = _packed_product(factors, with_t=True)
     col = (len(factors) + 1) * slot
-    width = sum(abs(w) for w, _, _ in factors) + 1
     step = 1
     while step < width:  # prefix sums along s by doubling
         g += g << step * col
@@ -334,11 +325,10 @@ def h_table_perceptron(p: Perceptron, x: Instance, dist: ProductDistribution) ->
     factor F_i of _AgreementTable. D H(k) is the prefix sum of row k up
     to T.
     """
-    x = _check_h_query(p, x, dist, "h_table_perceptron")
+    x = _check_h_query(p, x, dist)
     table = _agreement_table(p, x, dist)
-    sums = table.unpack(table.column(table.threshold), p.feature_count + 1)
-    values = tuple(Fraction(c, table.common) for c in sums)
-    return HTable(values)
+    sums = packed_cells(table.column(table.threshold), table.slot // 8, p.feature_count + 1)
+    return HTable(tuple(Fraction(c, table.common) for c in sums))
 
 
 def shap_perceptron_pseudopoly(p: Perceptron, x: Instance,
@@ -354,7 +344,7 @@ def shap_perceptron_pseudopoly(p: Perceptron, x: Instance,
     H_g(k) + H_g(k-1) = H_f(k) and phi_i = 0.
     """
     n = p.feature_count
-    x = _check_h_query(p, x, dist, "shap_perceptron_pseudopoly")
+    x = _check_h_query(p, x, dist)
     table = _agreement_table(p, x, dist)
     size = table.slot // 8
     fact = [factorial(j) for j in range(n + 1)]

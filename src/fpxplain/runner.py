@@ -8,15 +8,13 @@ bytes stay deterministic.
 
 from __future__ import annotations
 
-import sys
-from fractions import Fraction
 from importlib import import_module
 
-from .errors import InvalidInstanceError, ResourceCapError, UnsupportedModelError
+from .errors import InvalidInstanceError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Perceptron, ProductDistribution, check_dist,
-    check_instance, check_model, check_subset, eval_model, feature_count,
-    is_tree_ensemble, majority_ensemble,
+    check_instance, check_model, check_subset, eval_model, is_tree_ensemble,
+    majority_ensemble, rational_str, shown,
 )
 
 QUERY_KINDS = ("csr", "mcr", "msr", "cc", "shap", "expect",
@@ -51,16 +49,6 @@ _ENGINES = {
     ("expect", "tree-fpt"): ("trees", "expected_value_tree_ensemble"),
     ("expect", "perceptron-pseudopoly"): ("perceptron", "expected_value_perceptron"),
 }
-
-
-def _frs(value) -> str:
-    try:
-        return str(Fraction(value))
-    except ValueError:  # a numerator or denominator past the int digit limit
-        raise ResourceCapError(
-            f"the answer's numerator or denominator has more than "
-            f"{sys.get_int_max_str_digits()} digits; raise PYTHONINTMAXSTRDIGITS "
-            "to print it") from None
 
 
 _FALLBACK = "no fast algorithm for {} on this model; falling back to the exponential oracle"
@@ -101,11 +89,11 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
               dist: ProductDistribution | None = None,
               algorithm: str = "auto", minimal_only: bool = False) -> dict:
     if kind not in QUERY_KINDS:
-        raise InvalidInstanceError(f"unknown query kind {kind!r}")
+        raise InvalidInstanceError(f"unknown query kind {shown(kind)}")
     if algorithm not in ALGORITHMS:
-        raise InvalidInstanceError(f"unknown algorithm {algorithm!r}")
+        raise InvalidInstanceError(f"unknown algorithm {shown(algorithm)}")
     check_model(model)
-    n = feature_count(model)
+    n = model.feature_count
     x = check_instance(x, n)
     warnings: list[str] = []
     payload: dict = {"query": kind, "features": n,
@@ -114,24 +102,24 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
     if kind == "shap":
         dist = _dist(dist, n)
         if feature is not None and not (type(feature) is int and 0 <= feature < n):
-            raise InvalidInstanceError(f"feature {feature!r} outside 0..{n - 1}")
+            raise InvalidInstanceError(f"feature {shown(feature)} outside 0..{shown(n - 1)}")
         from . import attribution
         method = {"fpt": "interpolation", "direct": "pseudopoly"}.get(algorithm, algorithm)
         report = attribution.shap_report(model, x, dist, method=method)
         route = report.method
         if algorithm == "auto" and route == "oracle":
             warnings.append(_FALLBACK.format(kind))
-        payload.update({"method": route, "expected": _frs(report.expected),
-                        "total": _frs(report.total)})
+        payload.update({"method": route, "expected": rational_str(report.expected),
+                        "total": rational_str(report.total)})
         if feature is None:
-            payload["values"] = [_frs(v) for v in report.values]
+            payload["values"] = [rational_str(v) for v in report.values]
         else:
-            payload.update({"feature": feature, "answer": _frs(report.values[feature])})
+            payload.update({"feature": feature, "answer": rational_str(report.values[feature])})
 
     elif kind == "enumerate-contrastive":
         if type(minimal_only) is not bool:
             raise InvalidInstanceError(
-                f"minimal_only must be true or false, got {minimal_only!r}")
+                f"minimal_only must be true or false, got {shown(minimal_only)}")
         if isinstance(model, DecisionTree):
             model = majority_ensemble((model,))
         if not is_tree_ensemble(model):
@@ -156,7 +144,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
             args = (_dist(dist, n),)
         else:  # mcr, msr
             if bound is not None and type(bound) is not int:
-                raise InvalidInstanceError(f"{kind} needs an integer bound, got {bound!r}")
+                raise InvalidInstanceError(f"{kind} needs an integer bound, got {shown(bound)}")
             if bound is None or bound < 0:
                 raise InvalidInstanceError(f"{kind} needs a bound of at least 0")
             payload["bound"] = bound
@@ -173,7 +161,7 @@ def run_query(model, kind: str, x, *, subset=None, bound=None, feature=None,
             payload.update({"answer": size <= bound, "size": size,
                             "witness": list(witness)})
         else:
-            payload["answer"] = answer if kind == "csr" else _frs(answer)
+            payload["answer"] = answer if kind == "csr" else rational_str(answer)
 
     payload["algorithm"] = route
     payload["warnings"] = warnings

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import InvalidInstanceError, ParseError
 from .models import (
     LEAF, SPLIT, DecisionTree, Ensemble, Majority, Perceptron,
-    ProductDistribution, Weighted, ensemble_problems, invalid_model,
+    ProductDistribution, Weighted, ensemble_problems, invalid_model, rational_str,
 )
 
 # Gadgets and formulas are imported by the functions that build them, so
@@ -39,10 +39,6 @@ from .models import (
 MODEL_FORMAT = "fpxplain-model"
 BUNDLE_FORMAT = "fpxplain-bundle"
 FORMAT_VERSION = 1
-
-
-def rational_str(value) -> str:
-    return str(Fraction(value))
 
 
 # "p/q" or "p" in ASCII digits, optionally signed, surrounding whitespace
@@ -79,14 +75,8 @@ def canonical_dumps(obj) -> str:
 
 def model_to_obj(m) -> dict:
     if isinstance(m, DecisionTree):
-        nodes = []
-        for node in m.nodes:
-            if node[0] == "leaf":
-                nodes.append(["leaf", node[1]])
-            else:
-                nodes.append(["split", node[1], node[2], node[3]])
         return {"kind": "tree", "features": m.feature_count,
-                "nodes": nodes, "root": m.root}
+                "nodes": [list(node) for node in m.nodes], "root": m.root}
     if isinstance(m, Perceptron):
         return {"kind": "perceptron",
                 "weights": [rational_str(w) for w in m.weights],

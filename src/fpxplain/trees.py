@@ -62,7 +62,7 @@ from .errors import InfeasibleError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Ensemble, Instance, ProductDistribution, bits_to_int,
     check_dist, check_instance, check_subset, eval_ensemble, eval_tree,
-    integer_votes, packed_dot, subset_mask,
+    integer_votes, packed_cells, packed_dot, subset_mask,
 )
 
 
@@ -402,17 +402,20 @@ def minimum_hitting_set(family, n: int) -> tuple[int, tuple[int, ...]]:
 
     The family is first reduced to its inclusion-minimal members: a set
     meets every member iff it meets every minimal one, so neither the size
-    nor the witness changes, and the search sees far fewer sets. Then
-    iterative deepening with a disjoint-packing lower bound; element
-    candidates are taken in increasing order, so the first solution found
-    at the optimal size is the lexicographically smallest one.
+    nor the witness changes, and the search sees far fewer sets, ordered
+    by _lex_order. Then iterative deepening with a disjoint-packing lower
+    bound; element candidates are taken in increasing order, so the first
+    solution found at the optimal size is the lexicographically smallest
+    one. A member holding anything but an int in 0..n-1 raises
+    InputShapeError.
     """
-    masks = {subset_mask(t) for t in family}
+    masks = {subset_mask(check_subset(t, n)) for t in family}
     if not masks:
         return 0, ()
     if 0 in masks:
         raise InfeasibleError("family contains the empty set; no hitting set exists")
-    masks = sorted(_inclusion_minimal(masks), key=lambda m: (m.bit_count(), _members(m)))
+    # keyed on the bits the masks use, not on n, which can be far larger
+    masks = _lex_order(_inclusion_minimal(masks), max(masks).bit_length())
     lower = _disjoint_packing(masks)
 
     def search(size: int, start: int, chosen: list[int], unhit: list[int]):
@@ -437,7 +440,7 @@ def minimum_hitting_set(family, n: int) -> tuple[int, tuple[int, ...]]:
         res = search(size, 0, [], masks)
         if res is not None:
             return size, res
-    raise InfeasibleError("no hitting set within the ground set")  # pragma: no cover
+    raise AssertionError("the ground set hits every member")  # pragma: no cover
 
 
 def min_sufficient_size(e: Ensemble, x: Instance) -> tuple[int, tuple[int, ...]]:
@@ -646,9 +649,8 @@ def cylinder_sums(e: Ensemble, x: Instance,
         for key in k_out:
             buckets[key] += acc
     step = slot // 8
-    raw = (total * (1 + one) ** (n - s)).to_bytes((n + 1) * step, "little")
-    h = tuple(Fraction(int.from_bytes(raw[at:at + step], "little"), common)
-              for at in range(0, len(raw), step))
+    h = tuple(Fraction(c, common)
+              for c in packed_cells(total * (1 + one) ** (n - s), step, n + 1))
 
     fact = [factorial(j) for j in range(s + 1)]
     coef = [fact[k] * fact[s - k - 1] for k in range(s)]

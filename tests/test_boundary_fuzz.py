@@ -2,9 +2,9 @@
 
 Each library example changes one field of a valid library-built tree,
 perceptron, ensemble, voting rule or distribution, or one run_query
-argument, to a wrong type, a bool, a huge int, a non-sequence or None,
-builds the model and runs one query kind on the auto or the oracle
-route: only FpxError subclasses may escape, from the constructors as
+argument, to a wrong type, a bool, a huge int, an int too long to print,
+a non-sequence or None, builds the model and runs one query kind on the
+auto or the oracle route: only FpxError subclasses may escape, from the constructors as
 from the query. Each CLI example changes one argument of a valid
 `fpxplain query` command, or one field of a gadget bundle for
 `query --bundle`, and runs cli.main in this process: the exit code is
@@ -37,8 +37,9 @@ from fpxplain.serialize import bundle_to_doc, dumps_model
 from cli_runner import run
 
 HUGE = 10 ** 30
+OVER_LONG = 10 ** 5000  # past the int-to-str digit limit: no message may print it
 _AS_LIST = object()  # stands for the field's own value as a list
-BAD = (None, True, False, HUGE, -HUGE, -1, "x", 1.5, {}, _AS_LIST)
+BAD = (None, True, False, HUGE, -HUGE, -1, "x", 1.5, {}, _AS_LIST, OVER_LONG)
 TREE_FIELDS = ("feature_count", "nodes", "root", "node", "node entry")
 ENSEMBLE_FIELDS = ("members", "member", "voting", "vote weights", "vote weight", "threshold",
                    "vote count")

@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import fpxplain
-from fpxplain.errors import FpxError
-from fpxplain.generate import generate_model, random_instance_bits, rng_from_seed
+from fpxplain.bench import bench_instances, run_bench
+from fpxplain.errors import FpxError, InvalidInstanceError
+from fpxplain.generate import (
+    generate_model, random_instance_bits, random_tree_exact, rng_from_seed,
+)
 from fpxplain.models import (
     DecisionTree, Perceptron, ProductDistribution, leaf, majority_ensemble, split,
 )
@@ -570,6 +573,86 @@ def test_bench_csv(tmp_path):
     assert lines[0] == "suite,n,k,m,W,query,algorithm,wall_seconds,answer_digest"
     assert len(lines) == 5
     assert all(line.startswith("scaling-k,16,") for line in lines[1:])
+
+
+def test_bench_and_gen_refusals():
+    with pytest.raises(InvalidInstanceError) as err:
+        next(bench_instances("scaling-x", 0))
+    assert str(err.value) == "unknown bench suite 'scaling-x'"
+    with pytest.raises(InvalidInstanceError) as err:
+        generate_model("forest", rng_from_seed(1), 3)
+    assert str(err.value) == "unknown model family 'forest'"
+    with pytest.raises(InvalidInstanceError) as err:
+        random_tree_exact(rng_from_seed(1), 1, 3)
+    assert str(err.value) == "cannot fit 3 leaves in 1 read-once features"
+    # a spent budget ends the rows with one truncation row
+    assert run_bench("scaling-k", 1, budget_seconds=-1) == [
+        {"suite": "scaling-k", "n": "", "k": "", "m": "", "W": "", "query": "cc",
+         "algorithm": "truncated", "wall_seconds": "", "answer_digest": ""}]
+
+
+def assert_refused(args, message):
+    """Exit 2 with one `error:` line, ending in message: the command's own
+    refusal, or argparse's for a usage error, not the catch-all's."""
+    r = run(args)
+    assert r.exit_code == 2, (args, r.output)
+    assert r.exception is None or isinstance(r.exception, SystemExit), args
+    lines = [line for line in r.output.splitlines() if "error: " in line]
+    assert len(lines) == 1 and lines[0].endswith("error: " + message), (args, r.output)
+
+
+def test_gadget_and_transform_refusals(tmp_path):
+    for family, given, message in (
+            ("kssp", ["--weights", "3,5,7", "--k", "4", "--target", "12"], "k=4 outside 1..3"),
+            ("gssp", ["--u", "2,0", "--v", "5", "--target", "3"],
+             "u must be positive integers, got 0"),
+            ("kgssp-star", ["--z", "1,2,3", "--s0", "1,0", "--k", "1", "--target", "4"],
+             "s0 must be strictly increasing"),
+            ("kgssp-star", ["--z", "1,2,3", "--s0", "0,1", "--k", "3", "--target", "4"],
+             "k=3 exceeds |s0|=2; the construction needs k <= |s0|"),
+            ("ssp", ["--weights", "3,x", "--target", "4"],
+             "--weights must be comma-separated ints, got '3,x'"),
+            ("ssp", ["--weights", "3"], "ssp needs --weights and --target, or --seed"),
+            ("kssp", ["--weights", "3", "--target", "4"],
+             "kssp needs --weights, --k and --target, or --seed"),
+            ("gssp", ["--u", "3", "--target", "4"], "gssp needs --u, --v and --target, or --seed"),
+            ("kgssp-star", ["--z", "3", "--s0", "0", "--k", "1"],
+             "kgssp-star needs --z, --s0, --k and --target, or --seed"),
+            ("clique", [], "clique needs --graph, or --seed (with --k colors)")):
+        assert_refused(["gadget", "--family", family, *given], message)
+    # the explicit branches build their bundles
+    for family, given in (("kssp", ["--weights", "3,5,7", "--k", "2", "--target", "12"]),
+                          ("gssp", ["--u", "2", "--v", "5", "--target", "3"]),
+                          ("kgssp-star", ["--z", "1,2,3", "--s0", "0,1", "--k", "1",
+                                          "--target", "4"])):
+        r = run(["gadget", "--family", family, *given, "--solve"])
+        assert r.exit_code == 0, (family, r.output)
+        assert "source_answer" in json.loads(r.output)["info"]
+    path = write(tmp_path, "and.json", AND_MODEL)
+    for op, given, message in (("negate", [], "negate needs --model"),
+                               ("condition", [], "condition needs --model"),
+                               ("condition", ["--model", path], "condition needs --instance"),
+                               ("compile-dnf", [], "compile-dnf needs --formula"),
+                               ("compile-cnf", [], "compile-cnf needs --formula"),
+                               ("indicator-tree", [], "indicator-tree needs --instance"),
+                               ("indicator-perceptron", [],
+                                "indicator-perceptron needs --instance")):
+        assert_refused(["transform", "--op", op, *given], message)
+
+
+def test_negating_into_an_over_long_threshold_is_an_input_error(tmp_path):
+    """Each vote weight has a 1,001-digit denominator, so the negated
+    threshold's has about 5,000: writing it is refused with
+    ResourceCapError's line, not the catch-all's ValueError."""
+    member = {"kind": "tree", "features": 1, "root": 0, "nodes": [["leaf", 1]]}
+    weights = [f"1/{10 ** 1000 + 2 * j + 1}" for j in range(5)]
+    path = write(tmp_path, "w.json", json.dumps({
+        "format": "fpxplain-model", "version": 1,
+        "model": {"kind": "ensemble", "members": [member] * 5,
+                  "voting": {"rule": "weighted", "weights": weights, "threshold": "0"}}}))
+    assert_refused(["transform", "--op", "negate", "--model", path],
+                   "a numerator or denominator has more than 4300 digits; "
+                   "raise PYTHONINTMAXSTRDIGITS to print it")
 
 
 def test_enumerate_contrastive_query(tmp_path):

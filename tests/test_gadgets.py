@@ -3,7 +3,7 @@
 import pytest
 from fpxplain.errors import InvalidInstanceError
 from fpxplain.gadgets import (
-    ColoredGraph, GsspInstance, KgsspStarInstance, KsspInstance, SspInstance,
+    ColoredGraph, GsspInstance, KgsspInstance, KgsspStarInstance, KsspInstance, SspInstance,
     gssp_msr_gadget, gssp_to_kgssp, kgssp_star_msr_gadget,
     kgssp_to_kgssp_star, kssp_mcr_gadget, multicolored_clique_csr_gadget,
     solve_gssp_brute, solve_kgssp_brute, solve_kgssp_star_brute,
@@ -161,3 +161,24 @@ def test_instance_validation():
         ColoredGraph((0, 2), frozenset())
     with pytest.raises(InvalidInstanceError):
         ColoredGraph((0, 1), frozenset({(1, 1)}))
+
+
+def test_kgssp_instance_checks_name_the_broken_field():
+    cases = ((lambda: KgsspInstance((1, 0), (2,), 1, 3), "u must be positive integers, got 0"),
+             (lambda: KgsspInstance((1,), (True,), 1, 3), "v must be positive integers, got True"),
+             (lambda: KgsspInstance((1,), (2,), 1, -3),
+              "target must be positive integers, got -3"),
+             (lambda: KgsspInstance((1, 2), (2,), 3, 3), "k=3 outside 1..2"),
+             (lambda: KgsspInstance((1, 2), (2,), 0, 3), "k=0 outside 1..2"),
+             (lambda: KgsspStarInstance((1, 0), (0,), 1, 3), "z must be positive integers, got 0"),
+             (lambda: KgsspStarInstance((1, 2), (0,), 1, 0),
+              "target must be positive integers, got 0"),
+             (lambda: KgsspStarInstance((1, 2), (0, 0), 1, 3), "s0 must be strictly increasing"),
+             (lambda: KgsspStarInstance((1, 2), (1, 0), 1, 3), "s0 must be strictly increasing"),
+             (lambda: KgsspStarInstance((1, 2), (0, 2), 1, 3), "s0 index 2 outside 0..1"),
+             (lambda: KgsspStarInstance((1, 2), (-1, 0), 1, 3), "s0 index -1 outside 0..1"),
+             (lambda: KgsspStarInstance((1, 2), (0,), 0, 3), "k=0 must be at least 1"))
+    for build, message in cases:
+        with pytest.raises(InvalidInstanceError) as err:
+            build()
+        assert str(err.value) == message

@@ -225,6 +225,8 @@ def test_paths_raise_on_an_invalid_arena():
         ((1, (split(0, 1, 5), leaf(0)), 0), "child index 5 outside arena"),
         ((2, (split(0, 1, 2), split(0, 3, 4), leaf(1), leaf(0), leaf(1)), 0),
          "feature 0 tested twice on a path through node 1"),
+        ((1, (("leaf", 1, 0),), 0), "node 0 ('leaf', 1, 0) has 3 entries, not 2"),
+        ((1, (), 0), "tree has no nodes"),
     ]
     for fields, problem in cases:
         with pytest.raises(InvalidInstanceError) as err:
@@ -265,6 +267,71 @@ def test_a_node_that_is_not_a_tagged_tuple_is_a_listed_problem():
     for node in ((), 5):
         _assert_one_problem((split(0, 1, 2), node, leaf(0)),
                             f"node 1 {node!r} is not a tagged tuple", n=1)
+
+
+def test_a_node_the_walk_does_not_reach_is_checked_on_its_own():
+    """Each node off the root's tree is held to the checks of a reached
+    node, and its child indices to those of an index the walk pops; the
+    children are not followed, so no path check applies there."""
+    cases = [
+        ((leaf(1), None), ("node 1 None is not a tagged tuple",)),
+        ((leaf(1), split(5, 9, 9), leaf(True)),
+         ("node 1 tests feature 5 outside 0..0", "leaf 2 label True not 0/1")),
+        ((leaf(1), split(0, 9, True), split(0, 1.0, 0)),
+         ("child index 9 outside arena", "child index True is not an int",
+          "child index 1.0 is not an int")),
+        ((leaf(0), ("leaf", 1, 0), ("split", 0, 1)),
+         ("node 1 ('leaf', 1, 0) has 3 entries, not 2",
+          "node 2 ('split', 0, 1) has 3 entries, not 4")),
+        ((leaf(0), ("twig", 0), split(1.5, 0, 0), (), leaf(2)),
+         ("node 1 has unknown tag 'twig'", "node 2 tests feature 1.5, not an int",
+          "node 3 () is not a tagged tuple", "leaf 4 label 2 not 0/1")),
+    ]
+    for nodes, problems in cases:
+        assert _problems(lambda: DecisionTree(1, nodes, 0)) == problems, nodes
+    # reached and unreached problems are listed together, the reached first
+    assert _problems(lambda: DecisionTree(1, (split(0, 1, 2), leaf(3), leaf(0), leaf(4)), 0)) \
+        == ("leaf 1 label 3 not 0/1", "leaf 3 label 4 not 0/1")
+    # well-formed unreached nodes are no problem, wherever their children
+    # point (a reached node, each other, themselves); they add no path
+    t = DecisionTree(1, (split(0, 1, 2), leaf(0), leaf(1), split(0, 1, 4), split(0, 3, 3)), 0)
+    assert t.paths == ((1, 0, 0), (1, 1, 1)) and t.leaf_count == 2
+
+
+def test_a_value_past_the_digit_limit_is_named_in_the_message():
+    """A message that embeds an int of more than 4,300 digits, which str()
+    refuses, names its type: the error stays the package's own."""
+    big = 10 ** 5000
+    t = DecisionTree(2, (split(0, 1, 2), leaf(0), leaf(1)))
+    builds = [
+        (lambda: ProductDistribution((big,)), "probs[0] = <Fraction too long to print>"),
+        (lambda: ProductDistribution(((big,),)), "expected a rational, got <tuple too long"),
+        (lambda: DecisionTree(2, (split(big, 1, 2), leaf(0), leaf(1))),
+         "node 0 tests feature <int too long to print> outside 0..1"),
+        (lambda: DecisionTree(2, t.nodes, big), "root index <int too long to print>"),
+        (lambda: DecisionTree(2, (split(0, 1, 2), leaf(big), leaf(1))),
+         "leaf 1 label <int too long to print> not 0/1"),
+        (lambda: DecisionTree(2, (split(0, big, 2), leaf(0), leaf(1))),
+         "child index <int too long to print> outside arena"),
+        (lambda: DecisionTree(-big, t.nodes), "feature count <int too long to print>"),
+        (lambda: DecisionTree(big, (split(-1, 1, 2), leaf(0), leaf(1))),
+         "outside 0..<int too long to print>"),
+        (lambda: Ensemble((t, DecisionTree(big, (leaf(0),))), Majority()),
+         "feature count <int too long to print> differs from member 0 (2)"),
+    ]
+    for build, text in builds:
+        with pytest.raises(InvalidInstanceError) as err:
+            build()
+        assert text in str(err.value), text
+    checks = [(lambda: check_instance((0, big), 2), "instance bit 1 is <int too long"),
+              (lambda: check_instance(big, 2), "got <int too long to print>"),
+              (lambda: check_instance((0,), big), "model expects <int too long"),
+              (lambda: check_subset((big,), 2), "feature index <int too long to print>"),
+              (lambda: check_subset((-1,), big), "outside range 0..<int too long")]
+    for check, text in checks:
+        with pytest.raises(InputShapeError) as err:
+            check()
+        assert text in str(err.value), text
 
 
 def _reference_paths(t):

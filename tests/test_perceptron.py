@@ -1,6 +1,7 @@
 """Perceptron query algorithms: frozen examples and oracle agreement."""
 
 import ast
+import importlib.util
 import io
 import tokenize
 from fractions import Fraction
@@ -176,6 +177,44 @@ def test_pseudo_budget_cap_shap(monkeypatch, tmp_path):
     assert shap_report(p, x, d).values == oracle_shap(p, x, d)
     r = run(args)
     assert r.exit_code == 0, r.output
+
+
+def _perfbench_dp_cells():
+    """perfbench/spans.py's _dp_cells, perfbench's own copy of the charge."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._dp_cells
+
+
+def test_perfbench_books_the_cells_the_table_builder_charges(monkeypatch):
+    """perfbench books perceptron.dp_cells by its own copy of the charge
+    that _packed_product makes: each kind refuses at one cell below that
+    count and answers at it, so a change to the charge flags the copy."""
+    dp_cells = _perfbench_dp_cells()
+    rng = rng_from_seed(67)
+    for case in range(16):
+        n = rng.randint(1, 6)
+        p = Perceptron(tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)),
+                       F(rng.randint(-9, 9), rng.choice((1, 2))))
+        x = random_instance_bits(rng, n)
+        s = tuple(i for i in range(n) if rng.random() < 0.4)
+        d = random_product_distribution(rng, n)
+        for name, args, call in (
+                ("cc_perceptron_pseudopoly", (p, x, s), lambda: cc_perceptron_pseudopoly(p, x, s)),
+                ("expected_value_perceptron", (p, d), lambda: expected_value_perceptron(p, d)),
+                ("h_table_perceptron", (p, x, d), lambda: shap_report(p, x, d))):
+            cells = dp_cells(name, args)
+            perceptron._agreement_table.cache_clear()  # a cached table is not charged
+            monkeypatch.setenv("FPXPLAIN_PSEUDO_BUDGET", str(cells - 1))
+            with pytest.raises(ResourceCapError) as err:
+                call()
+            assert str(err.value) == (
+                f"the subset-sum table needs about {cells} DP cells, over the budget "
+                f"{cells - 1}; raise FPXPLAIN_PSEUDO_BUDGET to allow it"), (case, name)
+            monkeypatch.setenv("FPXPLAIN_PSEUDO_BUDGET", str(cells))
+            call()
 
 
 def test_shap_division_branches_match_oracle():

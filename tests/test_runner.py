@@ -431,6 +431,25 @@ def test_an_instance_that_is_not_a_sequence_is_an_input_error():
                 assert _outcome(kind, family, x=x, subset=(), bound=1) == want, (x, family, kind)
 
 
+def test_an_argument_past_the_digit_limit_is_a_package_error():
+    """An int of more than 4,300 digits, which str() refuses, where a
+    feature, a subset index, an instance bit, a kind or a flag belongs is
+    refused with the package's error on every family, its message naming
+    the value's type."""
+    big = 10 ** 5000
+    cases = (("shap", {"feature": big}, "InvalidInstanceError: feature"),
+             ("csr", {"subset": (big,)}, "InputShapeError: feature index"),
+             ("cc", {"x": (1, big, 0), "subset": ()}, "InputShapeError: instance bit 1 is"),
+             (big, {}, "InvalidInstanceError: unknown query kind"),
+             ("enumerate-contrastive", {"minimal_only": big},
+              "InvalidInstanceError: minimal_only must be true or false, got"),
+             ("mcr", {"bound": (big,)}, "InvalidInstanceError: mcr needs an integer bound"))
+    for family in FAMILIES:
+        for kind, kwargs, start in cases:
+            got = _outcome(kind, family, **kwargs)
+            assert got.startswith(start) and "too long to print>" in got, (family, kind, got)
+
+
 def _invalid_models():
     """(build, problem): build() constructs a model with that one problem."""
     return (
@@ -449,8 +468,9 @@ def _invalid_models():
         (lambda: DecisionTree(-1, (leaf(1),), 0), "feature count -1 is not a non-negative int"),
         (lambda: DecisionTree(3, list(T0.nodes), 0),
          "nodes are not hashable (unhashable type: 'list')"),
-        (lambda: DecisionTree(3, (leaf(1), ("leaf", [1])), 0),
+        (lambda: DecisionTree(3, (leaf(1), ["leaf", 1]), 0),
          "nodes are not hashable (unhashable type: 'list')"),
+        (lambda: DecisionTree(3, (leaf(1), ("leaf", [1])), 0), "leaf 1 label [1] not 0/1"),
         (lambda: DecisionTree(3, (leaf(0), {}), 1), "node 1 {} is not a tagged tuple"),
         (lambda: Perceptron((), Fraction(0)), "perceptron has no features"),
     )

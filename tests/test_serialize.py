@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpxplain import models
-from fpxplain.errors import ParseError
+from fpxplain.errors import ParseError, ResourceCapError
 from fpxplain.gadgets import ColoredGraph, SspInstance, ssp_csr_gadget
 from fpxplain.generate import (
     random_perceptron, random_tree, random_tree_ensemble, rng_from_seed,
 )
-from fpxplain.models import Perceptron, ProductDistribution
+from fpxplain.models import DecisionTree, Perceptron, ProductDistribution
 from fpxplain.runner import run_query
 from fpxplain.serialize import (
     canonical_dumps, cnf_to_text, dnf_to_text, dumps_bundle, dumps_model,
@@ -42,6 +42,52 @@ def test_rational_codec():
                  "\u0663", "inf", "nan", "1/2/3"):
         with pytest.raises(ParseError):
             parse_rational(text)
+
+
+def test_one_writer_renders_rationals_in_documents_and_payloads():
+    """Documents and payloads share models.rational_str, which refuses a
+    number too long to print with ResourceCapError, not ValueError."""
+    assert rational_str is models.rational_str
+    for value in (F(1, 10 ** 5000), F(-(10 ** 4300))):
+        with pytest.raises(ResourceCapError) as err:
+            rational_str(value)
+        assert "more than 4300 digits; raise PYTHONINTMAXSTRDIGITS" in str(err.value)
+    assert rational_str(F(10 ** 4299)) == "1" + "0" * 4299
+
+
+_BAD = st.sampled_from((True, 1.0, None, "0", -1, 10 ** 5000))
+_LABEL = st.one_of(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1), _BAD)
+_INDEX = st.one_of(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), _BAD)
+_LEAF = st.builds(lambda label: ("leaf", label), _LABEL)
+_NODE = st.one_of(
+    _LEAF, _LEAF, _LEAF,
+    st.builds(lambda f, c0, c1: ("split", f, c0, c1), _INDEX, _INDEX, _INDEX),
+    st.sampled_from((None, (), ("leaf",), ("split", 0, 1), ("twig", 0), ["leaf", 1], "leaf",
+                     ("leaf", 0, 1))))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.integers(0, 2 ** 20), st.lists(_NODE, max_size=3), st.integers(0, 3))
+def test_every_tree_the_constructor_accepts_survives_a_round_trip(seed, extra, where):
+    """A tree that builds is written as a document that loads back to an
+    equal tree. The arena is a random tree with up to three nodes of any
+    shape put in at one place, where no split points, so no path reaches
+    them; each is checked when the tree is built, so a tree that builds
+    holds no value the loader refuses."""
+    base = random_tree(rng_from_seed(seed), 3, 5)
+    at = where % (len(base.nodes) + 1)
+    # the nodes from at move up by len(extra): renumber their references
+    moved = [node if node[0] == "leaf" else
+             node[:2] + tuple(c + len(extra) if c >= at else c for c in node[2:])
+             for node in base.nodes]
+    nodes = tuple(moved[:at]) + tuple(extra) + tuple(moved[at:])
+    root = base.root + len(extra) if base.root >= at else base.root
+    try:
+        t = DecisionTree(3, nodes, root)
+    except models.InvalidInstanceError:
+        return
+    assert t.paths == base.paths
+    assert loads_model(dumps_model(t)) == t
 
 
 @settings(deadline=None, max_examples=60)
@@ -220,6 +266,29 @@ def test_graph_text_roundtrip_and_errors():
         parse_graph_text("v 0 0\ne 0 0\n")  # self loop
     with pytest.raises(ParseError):
         parse_graph_text("v 0 0\nv 1 2\n")  # color gap
+
+
+def test_graph_and_formula_text_errors_name_the_line():
+    for text, message in (("v a 0\n", "line 1: bad vertex line 'v a 0'"),
+                          ("v 0 -1\n", "line 1: negative color -1"),
+                          ("v 0 0\ne 0 b\n", "line 2: bad edge line 'e 0 b'"),
+                          ("v 0 0\nx 0 1\n",
+                           "line 2: expected 'v <id> <color>' or 'e <a> <b>', got 'x 0 1'"),
+                          ("v 0 0 1\n",
+                           "line 1: expected 'v <id> <color>' or 'e <a> <b>', got 'v 0 0 1'")):
+        with pytest.raises(ParseError) as err:
+            parse_graph_text(text)
+        assert str(err.value) == message
+    for text, message in (("features 2\ny0\n", "line 2: bad literal 'y0'"),
+                          ("features 2\nx0 !x\n", "line 2: bad literal '!x'"),
+                          ("features 2\nx1a\n", "line 2: bad literal 'x1a'"),
+                          ("features 2\n!x2\n", "line 2: feature x2 outside 0..1"),
+                          ("features two\n", "line 1: expected 'features N' header, "
+                           "got 'features two'")):
+        for parse in (parse_dnf_text, parse_cnf_text):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == message
 
 
 def test_canonical_dumps_sorted_compact():

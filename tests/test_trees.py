@@ -5,13 +5,13 @@ from itertools import combinations, product
 
 import pytest
 from fpxplain import trees
-from fpxplain.errors import InfeasibleError, UnsupportedModelError
+from fpxplain.errors import InfeasibleError, InputShapeError, UnsupportedModelError
 from fpxplain.generate import (
     random_instance_bits, random_product_distribution, random_tree,
     random_tree_ensemble, random_tree_exact, rng_from_seed,
 )
 from fpxplain.models import (
-    ABSENT, DecisionTree, Ensemble, Majority, ProductDistribution, Weighted,
+    ABSENT, DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution, Weighted,
     constant_tree, eval_model, int_to_bits, leaf, majority_ensemble, split,
     votes_accept,
 )
@@ -85,6 +85,37 @@ def test_hitting_set_basics():
     assert minimum_hitting_set(((0, 1),), 2) == (1, (0,))
     with pytest.raises(InfeasibleError):
         minimum_hitting_set(((0, 1), ()), 2)
+    # the order reads the bits the members use, however large n is
+    assert minimum_hitting_set(((0, 5), (3,)), 10 ** 12) == (2, (0, 3))
+
+
+def test_hitting_set_refuses_an_index_outside_the_ground_set():
+    """A member index that is not an int in 0..n-1 is an input error: a
+    negative one no longer raises "negative shift count", True is not read
+    as 1, and one past n-1 is no longer reported as infeasible."""
+    for family, index in ((((-1,),), "-1"), (((0, True),), "True"), (((1, 3),), "3"),
+                          (((0,), (1.0,)), "1.0"), (((10 ** 5000,),), "<int too long to print>")):
+        with pytest.raises(InputShapeError) as err:
+            minimum_hitting_set(family, 3)
+        assert str(err.value) == f"feature index {index} outside range 0..2", family
+
+
+def test_tree_engines_refuse_a_model_of_the_wrong_type():
+    p = Perceptron((Fraction(1),), Fraction(0))
+    tree = DecisionTree(1, (split(0, 1, 2), leaf(0), leaf(1)))
+    for engine, args in ((cc_tree_ensemble, ((1,), ())), (csr_tree_ensemble, ((1,), ())),
+                         (expected_value_tree_ensemble, (ProductDistribution.uniform(1),)),
+                         (cylinder_decomposition, ())):
+        for model, message in ((p, "expected an ensemble, got Perceptron"),
+                               (tree, "expected an ensemble, got DecisionTree"),
+                               (Ensemble((tree, p), Majority()),
+                                "ensemble member is not a decision tree")):
+            with pytest.raises(UnsupportedModelError) as err:
+                engine(model, *args)
+            assert str(err.value) == message, (engine.__name__, message)
+    with pytest.raises(UnsupportedModelError) as err:
+        csr_single_tree(majority_ensemble((tree,)), (1,), ())
+    assert str(err.value) == "expected a decision tree, got Ensemble"
 
 
 def test_hitting_set_matches_exhaustive():
