@@ -1,7 +1,7 @@
-"""Exact Shapley attribution: route choice, reports and identities.
+"""Exact Shapley attribution: reports, identities and the tree views.
 
-shap_report is the one place that picks a Shapley route, one per model
-family. All are exact:
+runner.route picks the Shapley route from the model family, as it does
+for every query kind, and shap_report runs it. All routes are exact:
 * the "interpolation" route: for tree ensembles, trees.cylinder_sums,
   one pass over the accepted cylinders of the tree scan, yields the
   size-stratified sums H(k) and every Shapley value; size_stratified_sums
@@ -25,13 +25,13 @@ from math import lcm
 
 from .errors import InvalidInstanceError, UnsupportedModelError
 from .models import (
-    DecisionTree, Ensemble, HTable, Instance, Model, Perceptron,
-    ProductDistribution, Record, check_dist, check_instance, check_subset,
-    eval_model, is_tree_ensemble, majority_ensemble,
+    Ensemble, HTable, Instance, Model, ProductDistribution, Record, check_dist,
+    check_instance, check_subset, eval_model, is_tree_ensemble,
 )
 
-# The engines (trees, perceptron, oracle) are imported by the
-# functions that call them, so a query process loads only its route's.
+# The engines (trees, perceptron, oracle) and runner's route table are
+# imported by the functions that use them, so a query process loads only
+# its route's engine.
 
 
 def _check_tree_query(e: Ensemble, x: Instance, dist: ProductDistribution) -> Instance:
@@ -108,34 +108,23 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
                 method: str = "auto") -> ShapReport:
     """Compute attributions by the named method and package them up.
 
-    method: auto | interpolation | pseudopoly | oracle. auto picks
-    interpolation, the one-pass cylinder route, for tree ensembles (single
-    trees are wrapped), the pseudo-polynomial route for perceptrons, and
-    the capped oracle for any other model: ensembles of perceptrons or of
-    mixed members have no polynomial route. Any other method is an
-    InvalidInstanceError, checked first, as run_query checks an unknown
-    algorithm.
+    method: auto | interpolation | pseudopoly | oracle, resolved by
+    runner.route, the one table of every query kind's routes: auto picks
+    interpolation, the one-pass cylinder route, for trees, pseudopoly for
+    perceptrons, and the capped oracle for any other model. Any other
+    method is an InvalidInstanceError, checked first, as run_query checks
+    an unknown algorithm.
     """
     if method not in ("auto", "interpolation", "pseudopoly", "oracle"):
         raise InvalidInstanceError(f"unknown attribution method {method!r}")
-    if isinstance(m, DecisionTree):
-        m = majority_ensemble((m,))
-    n = m.feature_count
-    x = check_instance(x, n)
-    if method == "auto":
-        if is_tree_ensemble(m):
-            method = "interpolation"
-        elif isinstance(m, Perceptron):
-            method = "pseudopoly"
-        else:
-            method = "oracle"
+    from .runner import route
+    x = check_instance(x, m.feature_count)
+    method, m, _ = route(m, "shap", method, [])
     if method == "interpolation":
         from .trees import cylinder_sums
         h, values = cylinder_sums(m, _check_tree_query(m, x, dist), dist)
         expected = h[0]
     elif method == "pseudopoly":
-        if not isinstance(m, Perceptron):
-            raise UnsupportedModelError("pseudopoly attribution is for perceptrons")
         from .perceptron import h_table_perceptron, shap_perceptron_pseudopoly
         values = shap_perceptron_pseudopoly(m, x, dist)
         expected = h_table_perceptron(m, x, dist).values[0]

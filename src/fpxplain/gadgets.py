@@ -15,16 +15,28 @@ from itertools import combinations, product
 
 from .errors import InvalidInstanceError
 from .models import (
-    DecisionTree, Ensemble, Majority, Perceptron, constant_tree, leaf, split,
+    DecisionTree, Ensemble, Majority, Perceptron, as_tuple, constant_tree, leaf, shown,
+    split,
 )
 
 HALF = Fraction(1, 2)
 
 
+def _check_int(value, what: str):
+    if type(value) is not int:
+        raise InvalidInstanceError(f"{what} must be an integer, got {shown(value)}")
+
+
 def _check_positive_ints(values, what: str):
-    for v in values:
+    for v in as_tuple(values, what):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise InvalidInstanceError(f"{what} must be positive integers, got {v!r}")
+            raise InvalidInstanceError(f"{what} must be positive integers, got {shown(v)}")
+
+
+def _check_k(k, most: int):
+    _check_int(k, "k")
+    if not (1 <= k <= most):
+        raise InvalidInstanceError(f"k={shown(k)} outside 1..{most}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +62,7 @@ class KsspInstance:
     def __post_init__(self):
         _check_positive_ints(self.weights, "weights")
         _check_positive_ints((self.target,), "target")
-        if not (1 <= self.k <= len(self.weights)):
-            raise InvalidInstanceError(f"k={self.k} outside 1..{len(self.weights)}")
+        _check_k(self.k, len(self.weights))
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,7 @@ class KgsspInstance:
         _check_positive_ints(self.u, "u")
         _check_positive_ints(self.v, "v")
         _check_positive_ints((self.target,), "target")
-        if not (1 <= self.k <= len(self.u)):
-            raise InvalidInstanceError(f"k={self.k} outside 1..{len(self.u)}")
+        _check_k(self.k, len(self.u))
 
 
 @dataclass(frozen=True)
@@ -103,14 +113,18 @@ class KgsspStarInstance:
         _check_positive_ints(self.z, "z")
         _check_positive_ints((self.target,), "target")
         n = len(self.z)
-        s0 = tuple(sorted(set(self.s0)))
-        if s0 != tuple(self.s0):
+        given = as_tuple(self.s0, "s0")
+        for i in given:
+            _check_int(i, "an s0 index")
+        s0 = tuple(sorted(set(given)))
+        if s0 != given:
             raise InvalidInstanceError("s0 must be strictly increasing")
         for i in s0:
             if not (0 <= i < n):
-                raise InvalidInstanceError(f"s0 index {i} outside 0..{n - 1}")
+                raise InvalidInstanceError(f"s0 index {shown(i)} outside 0..{n - 1}")
+        _check_int(self.k, "k")
         if self.k < 1:
-            raise InvalidInstanceError(f"k={self.k} must be at least 1")
+            raise InvalidInstanceError(f"k={shown(self.k)} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -122,14 +136,20 @@ class ColoredGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        n = len(self.colors)
-        k = max(self.colors) + 1 if self.colors else 0
-        present = set(self.colors)
-        if present != set(range(k)):
-            raise InvalidInstanceError(f"colors must cover 0..{k - 1} with no gaps")
-        for a, b in self.edges:
+        colors = as_tuple(self.colors, "colors")
+        for c in colors:
+            _check_int(c, "a color")
+        n = len(colors)
+        k = max(colors) + 1 if colors else 0
+        if min(colors, default=0) < 0 or len(set(colors)) != k:
+            raise InvalidInstanceError(f"colors must cover 0..{shown(k - 1)} with no gaps")
+        for edge in as_tuple(self.edges, "edges"):
+            if not (isinstance(edge, tuple) and len(edge) == 2
+                    and all(type(v) is int for v in edge)):
+                raise InvalidInstanceError(f"edge {shown(edge)} is not a pair of vertices")
+            a, b = edge
             if not (0 <= a < b < n):
-                raise InvalidInstanceError(f"bad edge ({a}, {b})")
+                raise InvalidInstanceError(f"bad edge ({shown(a)}, {shown(b)})")
 
     @property
     def color_count(self) -> int:

@@ -150,13 +150,18 @@ def as_fraction(v) -> Fraction:
         raise InvalidInstanceError(f"expected a rational, got {shown(v)}") from None
 
 
-def _rationals(values, what: str) -> tuple[Fraction, ...]:
-    """values as a tuple of Fractions, each read by as_fraction."""
+def as_tuple(values, what: str) -> tuple:
+    """values as a tuple, or InvalidInstanceError if it is not iterable."""
     try:
-        return tuple(map(as_fraction, values))
-    except TypeError:  # as_fraction raises none, so values is not iterable
+        return tuple(values)
+    except TypeError:
         raise InvalidInstanceError(
             f"{what} of type {type(values).__name__} are not a sequence") from None
+
+
+def _rationals(values, what: str) -> tuple[Fraction, ...]:
+    """values as a tuple of Fractions, each read by as_fraction."""
+    return tuple(map(as_fraction, as_tuple(values, what)))
 
 
 def invalid_model(problems) -> InvalidInstanceError:

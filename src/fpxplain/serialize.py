@@ -443,7 +443,7 @@ def parse_graph_text(text: str) -> ColoredGraph:
     try:
         return ColoredGraph(tuple(colors[v] for v in range(n)),
                             frozenset((a, b) for _, a, b in edge_lines))
-    except Exception as exc:
+    except InvalidInstanceError as exc:
         raise ParseError(str(exc)) from None
 
 

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UnsupportedModelError
+from .errors import InvalidInstanceError, UnsupportedModelError
 from .models import (
     DecisionTree, Ensemble, Instance, LEAF, Majority, Model, Perceptron,
-    Record, Weighted, as_fraction, check_instance, check_subset, constant_tree,
-    leaf, majority_threshold, split, subset_mask,
+    Record, Weighted, as_fraction, as_tuple, check_instance, check_subset,
+    constant_tree, leaf, majority_threshold, shown, split, subset_mask,
 )
 
 
@@ -195,8 +195,7 @@ class DnfFormula(Record):
     terms: tuple[tuple[Literal, ...], ...]
 
     def __init__(self, feature_count: int, terms):
-        self._set(feature_count=feature_count,
-                  terms=tuple(_check_term(t, feature_count) for t in terms))
+        self._set(feature_count=feature_count, terms=_check_terms(terms, feature_count))
 
 
 class CnfFormula(Record):
@@ -206,17 +205,34 @@ class CnfFormula(Record):
     clauses: tuple[tuple[Literal, ...], ...]
 
     def __init__(self, feature_count: int, clauses):
-        self._set(feature_count=feature_count,
-                  clauses=tuple(_check_term(c, feature_count) for c in clauses))
+        self._set(feature_count=feature_count, clauses=_check_terms(clauses, feature_count))
 
 
-def _check_term(lits, n: int) -> tuple[Literal, ...]:
+def _check_terms(terms, n: int) -> tuple[tuple[Literal, ...], ...]:
+    """terms as tuples of (feature, value) literals sorted by feature."""
+    if type(n) is not int or n < 0:
+        raise InvalidInstanceError(f"feature count must be a non-negative integer, got {shown(n)}")
+    return tuple(_check_term(as_tuple(t, "literals"), n) for t in as_tuple(terms, "terms"))
+
+
+def _check_term(lits: tuple, n: int) -> tuple[Literal, ...]:
     seen: dict[int, int] = {}
-    for feat, bit in lits:
+    for lit in lits:
+        try:
+            feat, bit = lit
+        except (TypeError, ValueError):
+            raise InvalidInstanceError(
+                f"literal {shown(lit)} is not a (feature, value) pair") from None
+        if type(feat) is not int:
+            raise InvalidInstanceError(f"a literal feature must be an integer, got {shown(feat)}")
         if not (0 <= feat < n):
-            raise UnsupportedModelError(f"literal feature {feat} outside 0..{n - 1}")
+            raise UnsupportedModelError(
+                f"literal feature {shown(feat)} outside 0..{shown(n - 1)}")
         if bit not in (0, 1):
-            raise UnsupportedModelError(f"literal value {bit!r} not 0/1")
+            raise UnsupportedModelError(f"literal value {shown(bit)} not 0/1")
+        if type(bit) is not int:
+            raise InvalidInstanceError(
+                f"a literal value must be the integer 0 or 1, got {shown(bit)}")
         if feat in seen and seen[feat] != bit:
             raise UnsupportedModelError(f"contradictory literals on feature {feat}")
         seen[feat] = bit

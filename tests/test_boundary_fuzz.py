@@ -5,11 +5,13 @@ perceptron, ensemble, voting rule or distribution, or one run_query
 argument, to a wrong type, a bool, a huge int, an int too long to print,
 a non-sequence or None, builds the model and runs one query kind on the
 auto or the oracle route: only FpxError subclasses may escape, from the constructors as
-from the query. Each CLI example changes one argument of a valid
-`fpxplain query` command, or one field of a gadget bundle for
-`query --bundle`, and runs cli.main in this process: the exit code is
-0, 1 or 2, 1 only with a false answer, and no `error:` line names a
-builtin exception, as the catch-all would.
+from the query. The gadget source instances, colored graphs and
+formulas get every field and every entry below one changed in the same
+way, and only FpxError may escape their constructors. Each CLI example
+changes one argument of a valid `fpxplain query` command, or one field
+of a gadget bundle for `query --bundle`, and runs cli.main in this
+process: the exit code is 0, 1 or 2, 1 only with a false answer, and no
+`error:` line names a builtin exception, as the catch-all would.
 """
 
 import builtins
@@ -23,7 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpxplain.errors import FpxError
-from fpxplain.gadgets import KsspInstance, SspInstance, kssp_mcr_gadget, ssp_csr_gadget
+from fpxplain.gadgets import (
+    ColoredGraph, GsspInstance, KgsspInstance, KgsspStarInstance, KsspInstance, SspInstance,
+    kssp_mcr_gadget, ssp_csr_gadget,
+)
 from fpxplain.generate import (
     random_instance_bits, random_perceptron, random_tree, rng_from_seed,
 )
@@ -33,6 +38,7 @@ from fpxplain.models import (
 )
 from fpxplain.runner import QUERY_KINDS, run_query
 from fpxplain.serialize import bundle_to_doc, dumps_model
+from fpxplain.transforms import CnfFormula, DnfFormula
 
 from cli_runner import run
 
@@ -190,6 +196,57 @@ def test_a_mutated_model_or_argument_raises_only_package_errors(
     model, x = _base(seed)
     for value in BAD:
         _query(model, x, field, value, where, kind, algorithm)
+
+
+# valid arguments of each value class outside models
+VALUES = ((SspInstance, ((3, 5, 7), 11)), (KsspInstance, ((3, 5, 7), 2, 12)),
+          (GsspInstance, ((1, 2), (3,), 4)), (KgsspInstance, ((1, 2), (3,), 1, 4)),
+          (KgsspStarInstance, ((1, 2, 4), (0, 2), 1, 3)),
+          (ColoredGraph, ((0, 1, 1), frozenset({(0, 1), (0, 2)}))),
+          (DnfFormula, (3, (((0, 1), (2, 0)), ((1, 1),)))),
+          (CnfFormula, (3, (((1, 1),), ((0, 0), (2, 1))))))
+
+
+def _entries(value) -> tuple:
+    return tuple(sorted(value)) if isinstance(value, frozenset) else value
+
+
+def _places(value, path=()):
+    """The path of every entry of value, and of every entry below one."""
+    if isinstance(value, (tuple, frozenset)):
+        for i, entry in enumerate(_entries(value)):
+            yield path + (i,)
+            yield from _places(entry, path + (i,))
+
+
+def _put(value, path, new):
+    """value with the entry at path replaced by new(old entry); a frozenset
+    that cannot hold the new entry (a list, a dict) becomes a tuple."""
+    if not path:
+        return new(value)
+    entries = list(_entries(value))
+    entries[path[0]] = _put(entries[path[0]], path[1:], new)
+    try:
+        return frozenset(entries) if isinstance(value, frozenset) else tuple(entries)
+    except TypeError:
+        return tuple(entries)
+
+
+def test_a_mutated_gadget_instance_graph_or_formula_raises_only_package_errors():
+    """Every argument of each constructor, and every entry below one (a
+    weight, an edge or an edge's vertex, a term, a literal or its feature
+    or value), is given each bad value in turn."""
+    built = refused = 0
+    for cls, args in VALUES:
+        assert cls(*args)
+        for path in _places(args):
+            for value in BAD:
+                try:
+                    cls(*_put(args, path, lambda old: _bad(value, old)))
+                    built += 1
+                except FpxError:
+                    refused += 1
+    assert (built, refused) == (80, 690)
 
 
 # ---------------------------------------------------------------------------

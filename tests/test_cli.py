@@ -319,46 +319,49 @@ def test_cli_import_loads_only_the_query_path():
                                    "wrong": [], "missing": []}, (family, kind, algorithm)
 
 
-def _imported(argv, env) -> tuple[subprocess.CompletedProcess, set[str]]:
-    """Run `python -X importtime ARGV`; the process and the modules it listed."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
-                          capture_output=True, text=True)
-    return proc, {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-                  if line.startswith("import time:")}
+# Runs `fpxplain.cli` as `python -m` does and, at exit, prints to stderr
+# the modules the process loaded beyond those this script starts with.
+QUERY_PROBE = """
+import atexit, json, runpy, sys
+before = set(sys.modules)
+atexit.register(lambda: print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr))
+runpy.run_module("fpxplain.cli", run_name="__main__", alter_sys=True)
+"""
+QUERY_PATH = {"fpxplain", "fpxplain.errors", "fpxplain.models", "fpxplain.runner",
+              "fpxplain.serialize"}  # the cli module itself runs as __main__
+ENGINES = {f"fpxplain.{m}" for m in ("trees", "perceptron", "attribution", "oracle",
+                                     "transforms", "gadgets", "generate", "bench")}
 
 
 def test_query_process_imports_only_what_its_route_runs(tmp_path):
-    """A real `python -m fpxplain.cli query` process on a small tree or
-    perceptron imports neither dataclasses nor inspect on any route, and
-    shap loads attribution and its model's engine only: not perceptron or
-    transforms for a tree, not trees or transforms for a perceptron.
-    `-X importtime` does not list a module that `importlib.import_module`
-    loads (runner's engine table), but it lists every module that one
-    imports, so only the shap engines are named here."""
+    """A real `fpxplain.cli query` process imports neither dataclasses nor
+    inspect on any route, and of the package only the query path and the
+    engines its route runs, read from sys.modules at exit: `trees` for a
+    tree, `perceptron` for a perceptron and `oracle` for the fallback on a
+    perceptron ensemble, with `attribution` in front of each for shap."""
     env = _src_env()
-    models = {"tree": write(tmp_path, "t.json", dumps_model(
-                  DecisionTree(2, (split(0, 1, 2), leaf(0), leaf(1))))),
-              "perceptron": write(tmp_path, "p.json", dumps_model(Perceptron((1, 1), -2)))}
-    _, bare = _imported(["-c", "pass"], env)
-    shap_engines = {"tree": "fpxplain.trees", "perceptron": "fpxplain.perceptron"}
-    for family, path in models.items():
+    p = Perceptron((1, 1), -2)
+    models = {"fpxplain.trees": DecisionTree(2, (split(0, 1, 2), leaf(0), leaf(1))),
+              "fpxplain.perceptron": p,
+              "fpxplain.oracle": majority_ensemble((p, Perceptron((1, -1), 0), p))}
+    seen = 0
+    for engine, model in models.items():
+        path = write(tmp_path, "m.json", dumps_model(model))
         kinds = ["csr", "cc", "mcr", "msr", "expect", "shap"]
-        if family == "tree":
+        if engine == "fpxplain.trees":
             kinds.append("enumerate-contrastive")
         for kind in kinds:
-            proc, loaded = _imported(["-m", "fpxplain.cli", "query", "--model", path,
-                                      "--kind", kind, "--instance", "11", "--bound", "1"],
-                                     env)
-            assert proc.returncode in (0, 1), (family, kind, proc.stderr[-500:])
+            proc = subprocess.run([sys.executable, "-c", QUERY_PROBE, "query", "--model", path,
+                                   "--kind", kind, "--instance", "11", "--bound", "1"],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode in (0, 1), (engine, kind, proc.stderr[-500:])
             assert json.loads(proc.stdout)["query"] == kind
-            new = loaded - bare
-            assert {"fpxplain.models", "fpxplain.serialize"} <= new, (family, kind)
-            assert not new & {"dataclasses", "inspect"}, (family, kind)
-            if kind == "shap":
-                engines = {m for m in new if m in (
-                    "fpxplain.attribution", "fpxplain.trees", "fpxplain.perceptron",
-                    "fpxplain.transforms", "fpxplain.oracle")}
-                assert engines == {"fpxplain.attribution", shap_engines[family]}, family
+            new = set(json.loads(proc.stderr.splitlines()[-1]))
+            assert not new & {"dataclasses", "inspect"}, (engine, kind)
+            engines = {engine, "fpxplain.attribution"} if kind == "shap" else {engine}
+            assert QUERY_PATH <= new and new & ENGINES == engines, (engine, kind)
+            seen += 1
+    assert seen == 19
 
 
 def test_perfbench_traced_names_resolve():

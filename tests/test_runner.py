@@ -174,37 +174,37 @@ shap tree
     auto          interpolation
     oracle        oracle
     fpt           interpolation
-    direct        UnsupportedModelError: pseudopoly attribution is for perceptrons
-    pseudopoly    UnsupportedModelError: pseudopoly attribution is for perceptrons
+    direct        UnsupportedModelError: algorithm 'direct' does not apply to shap on this model (would use interpolation)
+    pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to shap on this model (would use interpolation)
     interpolation interpolation
 shap tree-ensemble
     auto          interpolation
     oracle        oracle
     fpt           interpolation
-    direct        UnsupportedModelError: pseudopoly attribution is for perceptrons
-    pseudopoly    UnsupportedModelError: pseudopoly attribution is for perceptrons
+    direct        UnsupportedModelError: algorithm 'direct' does not apply to shap on this model (would use interpolation)
+    pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to shap on this model (would use interpolation)
     interpolation interpolation
 shap perceptron
     auto          pseudopoly
     oracle        oracle
-    fpt           UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
+    fpt           UnsupportedModelError: algorithm 'fpt' does not apply to shap on this model (would use pseudopoly)
     direct        pseudopoly
     pseudopoly    pseudopoly
-    interpolation UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
+    interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to shap on this model (would use pseudopoly)
 shap perceptron-ensemble
     auto          oracle warned
     oracle        oracle
-    fpt           UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
-    direct        UnsupportedModelError: pseudopoly attribution is for perceptrons
-    pseudopoly    UnsupportedModelError: pseudopoly attribution is for perceptrons
-    interpolation UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
+    fpt           UnsupportedModelError: no fpt algorithm for shap on this model
+    direct        UnsupportedModelError: no direct algorithm for shap on this model
+    pseudopoly    UnsupportedModelError: no pseudopoly algorithm for shap on this model
+    interpolation UnsupportedModelError: no interpolation algorithm for shap on this model
 shap mixed-ensemble
     auto          oracle warned
     oracle        oracle
-    fpt           UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
-    direct        UnsupportedModelError: pseudopoly attribution is for perceptrons
-    pseudopoly    UnsupportedModelError: pseudopoly attribution is for perceptrons
-    interpolation UnsupportedModelError: tree Shapley and H tables expect an ensemble of trees
+    fpt           UnsupportedModelError: no fpt algorithm for shap on this model
+    direct        UnsupportedModelError: no direct algorithm for shap on this model
+    pseudopoly    UnsupportedModelError: no pseudopoly algorithm for shap on this model
+    interpolation UnsupportedModelError: no interpolation algorithm for shap on this model
 expect tree
     auto          tree-fpt
     oracle        oracle
@@ -242,39 +242,39 @@ expect mixed-ensemble
     interpolation UnsupportedModelError: no interpolation algorithm for expect on this model
 enumerate-contrastive tree
     auto          tree-fpt
-    oracle        InvalidInstanceError: algorithm 'oracle' does not apply to enumeration
+    oracle        UnsupportedModelError: algorithm 'oracle' does not apply to enumerate-contrastive on this model (would use tree-fpt)
     fpt           tree-fpt
-    direct        InvalidInstanceError: algorithm 'direct' does not apply to enumeration
-    pseudopoly    InvalidInstanceError: algorithm 'pseudopoly' does not apply to enumeration
-    interpolation InvalidInstanceError: algorithm 'interpolation' does not apply to enumeration
+    direct        UnsupportedModelError: algorithm 'direct' does not apply to enumerate-contrastive on this model (would use tree-fpt)
+    pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to enumerate-contrastive on this model (would use tree-fpt)
+    interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to enumerate-contrastive on this model (would use tree-fpt)
 enumerate-contrastive tree-ensemble
     auto          tree-fpt
-    oracle        InvalidInstanceError: algorithm 'oracle' does not apply to enumeration
+    oracle        UnsupportedModelError: algorithm 'oracle' does not apply to enumerate-contrastive on this model (would use tree-fpt)
     fpt           tree-fpt
-    direct        InvalidInstanceError: algorithm 'direct' does not apply to enumeration
-    pseudopoly    InvalidInstanceError: algorithm 'pseudopoly' does not apply to enumeration
-    interpolation InvalidInstanceError: algorithm 'interpolation' does not apply to enumeration
+    direct        UnsupportedModelError: algorithm 'direct' does not apply to enumerate-contrastive on this model (would use tree-fpt)
+    pseudopoly    UnsupportedModelError: algorithm 'pseudopoly' does not apply to enumerate-contrastive on this model (would use tree-fpt)
+    interpolation UnsupportedModelError: algorithm 'interpolation' does not apply to enumerate-contrastive on this model (would use tree-fpt)
 enumerate-contrastive perceptron
-    auto          UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    oracle        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    fpt           UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    direct        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    pseudopoly    UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    interpolation UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
+    auto          UnsupportedModelError: no algorithm for enumerate-contrastive on this model
+    oracle        UnsupportedModelError: no oracle algorithm for enumerate-contrastive on this model
+    fpt           UnsupportedModelError: no fpt algorithm for enumerate-contrastive on this model
+    direct        UnsupportedModelError: no direct algorithm for enumerate-contrastive on this model
+    pseudopoly    UnsupportedModelError: no pseudopoly algorithm for enumerate-contrastive on this model
+    interpolation UnsupportedModelError: no interpolation algorithm for enumerate-contrastive on this model
 enumerate-contrastive perceptron-ensemble
-    auto          UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    oracle        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    fpt           UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    direct        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    pseudopoly    UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    interpolation UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
+    auto          UnsupportedModelError: no algorithm for enumerate-contrastive on this model
+    oracle        UnsupportedModelError: no oracle algorithm for enumerate-contrastive on this model
+    fpt           UnsupportedModelError: no fpt algorithm for enumerate-contrastive on this model
+    direct        UnsupportedModelError: no direct algorithm for enumerate-contrastive on this model
+    pseudopoly    UnsupportedModelError: no pseudopoly algorithm for enumerate-contrastive on this model
+    interpolation UnsupportedModelError: no interpolation algorithm for enumerate-contrastive on this model
 enumerate-contrastive mixed-ensemble
-    auto          UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    oracle        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    fpt           UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    direct        UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    pseudopoly    UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
-    interpolation UnsupportedModelError: contrastive-candidate enumeration is a tree-ensemble algorithm
+    auto          UnsupportedModelError: no algorithm for enumerate-contrastive on this model
+    oracle        UnsupportedModelError: no oracle algorithm for enumerate-contrastive on this model
+    fpt           UnsupportedModelError: no fpt algorithm for enumerate-contrastive on this model
+    direct        UnsupportedModelError: no direct algorithm for enumerate-contrastive on this model
+    pseudopoly    UnsupportedModelError: no pseudopoly algorithm for enumerate-contrastive on this model
+    interpolation UnsupportedModelError: no interpolation algorithm for enumerate-contrastive on this model
 """
 
 
@@ -347,8 +347,7 @@ def test_shap_auto_falls_back_to_the_oracle_without_a_fast_route():
 def test_arguments_are_checked_before_the_route():
     """Kind and algorithm names first, then that the model is one (a
     model is valid by construction), then the instance, then the subset,
-    bound or feature, then (for enumeration) the model family; a refused
-    route comes last."""
+    bound, feature or flag; a refused route comes last, for every kind."""
     cases = [
         (("csr", None), {"algorithm": "fast"},
          "InvalidInstanceError: unknown algorithm 'fast'"),
@@ -371,8 +370,9 @@ def test_arguments_are_checked_before_the_route():
         (("shap", "perceptron"), {"feature": 3, "algorithm": "fpt"},
          "InvalidInstanceError: feature 3 outside 0..2"),
         (("enumerate-contrastive", "perceptron"), {"algorithm": "oracle"},
-         "UnsupportedModelError: contrastive-candidate enumeration is a "
-         "tree-ensemble algorithm"),
+         "UnsupportedModelError: no oracle algorithm for enumerate-contrastive on this model"),
+        (("enumerate-contrastive", "perceptron"), {"minimal_only": 1},
+         "InvalidInstanceError: minimal_only must be true or false, got 1"),
     ]
     for (kind, family), kwargs, outcome in cases:
         assert _outcome(kind, family, **kwargs) == outcome, (kind, family, kwargs)
