@@ -25,7 +25,7 @@ from math import lcm
 
 from .errors import InvalidInstanceError, UnsupportedModelError
 from .models import (
-    Ensemble, HTable, Instance, Model, ProductDistribution, Record, check_dist,
+    Ensemble, Instance, Model, ProductDistribution, Record, check_dist,
     check_instance, check_subset, eval_model, is_tree_ensemble,
 )
 
@@ -53,14 +53,15 @@ def _full_pass(e: Ensemble, x: Instance,
     return cylinder_sums(e, x, dist)
 
 
-def size_stratified_sums(e: Ensemble, x: Instance, dist: ProductDistribution) -> HTable:
+def size_stratified_sums(e: Ensemble, x: Instance,
+                         dist: ProductDistribution) -> tuple[Fraction, ...]:
     """H(k) = sum over size-k subsets s of E[f | z_s = x_s].
 
     Tree ensembles only. The H(k) are the coefficients of the summed
     cylinder polynomials; see trees.cylinder_sums. x is checked and made a
     tuple before the cache sees it, so any sequence of bits will do.
     """
-    return HTable(_full_pass(e, _check_tree_query(e, x, dist), dist)[0])
+    return _full_pass(e, _check_tree_query(e, x, dist), dist)[0]
 
 
 size_stratified_sums.cache_info = _full_pass.cache_info
@@ -127,7 +128,7 @@ def shap_report(m: Model, x: Instance, dist: ProductDistribution,
     elif method == "pseudopoly":
         from .perceptron import h_table_perceptron, shap_perceptron_pseudopoly
         values = shap_perceptron_pseudopoly(m, x, dist)
-        expected = h_table_perceptron(m, x, dist).values[0]
+        expected = h_table_perceptron(m, x, dist)[0]
     else:
         from .oracle import oracle_expected_value, oracle_shap
         values = oracle_shap(m, x, dist)

@@ -136,6 +136,8 @@ def gadget(opts):
         bundle, solve = kssp_mcr_gadget(inst), solve_kssp_brute
     elif family == "gssp":
         if rng is not None:
+            if n < 1:  # the split below would give it one weight a side
+                opts.usage(f"--n must be at least 1, got {n}")
             half = max(1, n // 2)
             inst = sample_gssp(rng, half, max(1, n - half))
         elif opts.u and opts.v and target is not None:

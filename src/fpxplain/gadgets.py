@@ -9,14 +9,13 @@ gadget's query answer matches the source answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import InvalidInstanceError
 from .models import (
-    DecisionTree, Ensemble, Majority, Perceptron, as_tuple, constant_tree, leaf, shown,
-    split,
+    DecisionTree, Ensemble, Majority, Perceptron, Record, as_tuple, constant_tree, leaf,
+    shown, split,
 )
 
 HALF = Fraction(1, 2)
@@ -27,10 +26,13 @@ def _check_int(value, what: str):
         raise InvalidInstanceError(f"{what} must be an integer, got {shown(value)}")
 
 
-def _check_positive_ints(values, what: str):
-    for v in as_tuple(values, what):
+def _positive_ints(values, what: str) -> tuple:
+    """values as a tuple, after checking each is a positive integer."""
+    values = as_tuple(values, what)
+    for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise InvalidInstanceError(f"{what} must be positive integers, got {shown(v)}")
+    return values
 
 
 def _check_k(k, most: int):
@@ -39,34 +41,32 @@ def _check_k(k, most: int):
         raise InvalidInstanceError(f"k={shown(k)} outside 1..{most}")
 
 
-@dataclass(frozen=True)
-class SspInstance:
+class SspInstance(Record):
     """Subset sum: is there a subset of weights adding up to target?"""
 
     weights: tuple[int, ...]
     target: int
 
-    def __post_init__(self):
-        _check_positive_ints(self.weights, "weights")
-        _check_positive_ints((self.target,), "target")
+    def __init__(self, weights, target: int):
+        self._set(weights=_positive_ints(weights, "weights"),
+                  target=_positive_ints((target,), "target")[0])
 
 
-@dataclass(frozen=True)
-class KsspInstance:
+class KsspInstance(Record):
     """Subset sum with exactly k chosen weights."""
 
     weights: tuple[int, ...]
     k: int
     target: int
 
-    def __post_init__(self):
-        _check_positive_ints(self.weights, "weights")
-        _check_positive_ints((self.target,), "target")
-        _check_k(self.k, len(self.weights))
+    def __init__(self, weights, k: int, target: int):
+        weights = _positive_ints(weights, "weights")
+        target = _positive_ints((target,), "target")[0]
+        _check_k(k, len(weights))
+        self._set(weights=weights, k=k, target=target)
 
 
-@dataclass(frozen=True)
-class GsspInstance:
+class GsspInstance(Record):
     """Generalized subset sum: is there a u-subset such that no extension
     by a v-subset hits the target?"""
 
@@ -74,14 +74,12 @@ class GsspInstance:
     v: tuple[int, ...]
     target: int
 
-    def __post_init__(self):
-        _check_positive_ints(self.u, "u")
-        _check_positive_ints(self.v, "v")
-        _check_positive_ints((self.target,), "target")
+    def __init__(self, u, v, target: int):
+        self._set(u=_positive_ints(u, "u"), v=_positive_ints(v, "v"),
+                  target=_positive_ints((target,), "target")[0])
 
 
-@dataclass(frozen=True)
-class KgsspInstance:
+class KgsspInstance(Record):
     """Generalized subset sum with the u-subset of size exactly k."""
 
     u: tuple[int, ...]
@@ -89,15 +87,14 @@ class KgsspInstance:
     k: int
     target: int
 
-    def __post_init__(self):
-        _check_positive_ints(self.u, "u")
-        _check_positive_ints(self.v, "v")
-        _check_positive_ints((self.target,), "target")
-        _check_k(self.k, len(self.u))
+    def __init__(self, u, v, k: int, target: int):
+        u, v = _positive_ints(u, "u"), _positive_ints(v, "v")
+        target = _positive_ints((target,), "target")[0]
+        _check_k(k, len(u))
+        self._set(u=u, v=v, k=k, target=target)
 
 
-@dataclass(frozen=True)
-class KgsspStarInstance:
+class KgsspStarInstance(Record):
     """Prefix-restricted generalized subset sum.
 
     Is there S inside s0 with |S| = k such that no subset S' of the
@@ -109,47 +106,49 @@ class KgsspStarInstance:
     k: int
     target: int
 
-    def __post_init__(self):
-        _check_positive_ints(self.z, "z")
-        _check_positive_ints((self.target,), "target")
-        n = len(self.z)
-        given = as_tuple(self.s0, "s0")
-        for i in given:
+    def __init__(self, z, s0, k: int, target: int):
+        z = _positive_ints(z, "z")
+        target = _positive_ints((target,), "target")[0]
+        n = len(z)
+        s0 = as_tuple(s0, "s0")
+        for i in s0:
             _check_int(i, "an s0 index")
-        s0 = tuple(sorted(set(given)))
-        if s0 != given:
+        if tuple(sorted(set(s0))) != s0:
             raise InvalidInstanceError("s0 must be strictly increasing")
         for i in s0:
             if not (0 <= i < n):
                 raise InvalidInstanceError(f"s0 index {shown(i)} outside 0..{n - 1}")
-        _check_int(self.k, "k")
-        if self.k < 1:
-            raise InvalidInstanceError(f"k={shown(self.k)} must be at least 1")
+        _check_int(k, "k")
+        if k < 1:
+            raise InvalidInstanceError(f"k={shown(k)} must be at least 1")
+        self._set(z=z, s0=s0, k=k, target=target)
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class ColoredGraph(Record):
     """Vertex-colored graph; vertex v has color colors[v], edges are
     sorted pairs."""
 
     colors: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        colors = as_tuple(self.colors, "colors")
+    def __init__(self, colors, edges):
+        colors = as_tuple(colors, "colors")
         for c in colors:
             _check_int(c, "a color")
         n = len(colors)
         k = max(colors) + 1 if colors else 0
         if min(colors, default=0) < 0 or len(set(colors)) != k:
             raise InvalidInstanceError(f"colors must cover 0..{shown(k - 1)} with no gaps")
-        for edge in as_tuple(self.edges, "edges"):
+        # checked before the frozenset hashes them: a list edge is refused
+        edges = as_tuple(edges, "edges")
+        for edge in edges:
             if not (isinstance(edge, tuple) and len(edge) == 2
                     and all(type(v) is int for v in edge)):
                 raise InvalidInstanceError(f"edge {shown(edge)} is not a pair of vertices")
             a, b = edge
             if not (0 <= a < b < n):
                 raise InvalidInstanceError(f"bad edge ({shown(a)}, {shown(b)})")
+        self._set(colors=colors, edges=frozenset(edges))
 
     @property
     def color_count(self) -> int:
@@ -167,16 +166,20 @@ class ColoredGraph:
         return (min(a, b), max(a, b)) in self.edges
 
 
-@dataclass
-class QueryGadget:
+class QueryGadget(Record):
     """A model plus the query whose answer encodes the source problem."""
 
     kind: str  # csr | mcr | msr
     model: Ensemble
     x: tuple[int, ...]
-    subset: tuple[int, ...] | None = None
-    bound: int | None = None
-    info: dict = field(default_factory=dict)
+    subset: tuple[int, ...] | None
+    bound: int | None
+    info: dict
+
+    def __init__(self, kind: str, model: Ensemble, x: tuple[int, ...], subset=None,
+                 bound=None, info=None):
+        self._set(kind=kind, model=model, x=x, subset=subset, bound=bound,
+                  info={} if info is None else info)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,16 @@ from .gadgets import (
 )
 from .models import (
     DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution,
-    Weighted, leaf, split,
+    Weighted, leaf, shown, split,
 )
+
+
+def _at_least(value, least: int, what: str):
+    """Refuse a size or bound that is not an integer of at least least,
+    before the random stream reads it."""
+    if type(value) is not int or value < least:
+        raise InvalidInstanceError(
+            f"{what} must be an integer of at least {least}, got {shown(value)}")
 
 
 def rng_from_seed(seed) -> random.Random:
@@ -30,6 +38,7 @@ def random_instance_bits(rng: random.Random, n: int) -> tuple[int, ...]:
 
 def random_tree(rng: random.Random, n: int, max_leaves: int) -> DecisionTree:
     """Grow a read-once-per-path tree by splitting random leaves."""
+    _at_least(max_leaves, 1, "max_leaves")
     return _grow_tree(rng, n, rng.randint(1, max_leaves))
 
 
@@ -77,10 +86,12 @@ def _grow_tree(rng: random.Random, n: int, target: int) -> DecisionTree:
 
 def random_rational(rng: random.Random, bound: int,
                     denominators=(1, 1, 2)) -> Fraction:
+    _at_least(bound, 0, "bound")
     return Fraction(rng.randint(-bound, bound), rng.choice(denominators))
 
 
 def random_perceptron(rng: random.Random, n: int, weight_bound: int) -> Perceptron:
+    _at_least(weight_bound, 0, "weight_bound")
     weights = tuple(random_rational(rng, weight_bound) for _ in range(n))
     # integer-heavy biases keep exact score ties common
     bias = Fraction(rng.randint(-2 * weight_bound, 2 * weight_bound),
@@ -90,6 +101,7 @@ def random_perceptron(rng: random.Random, n: int, weight_bound: int) -> Perceptr
 
 def random_tree_ensemble(rng: random.Random, n: int, k: int,
                          max_leaves: int) -> Ensemble:
+    _at_least(k, 1, "k")
     members = tuple(random_tree(rng, n, max_leaves) for _ in range(k))
     if rng.random() < 0.7:
         voting = Majority()
@@ -123,6 +135,8 @@ def generate_model(family: str, rng: random.Random, n: int, k: int = 2,
 
 
 def sample_ssp(rng: random.Random, n: int, weight_bound: int = 40) -> SspInstance:
+    _at_least(n, 1, "n")
+    _at_least(weight_bound, 1, "weight_bound")
     weights = tuple(rng.randint(1, weight_bound) for _ in range(n))
     if rng.random() < 0.5:
         size = rng.randint(1, n)
@@ -133,6 +147,8 @@ def sample_ssp(rng: random.Random, n: int, weight_bound: int = 40) -> SspInstanc
 
 
 def sample_kssp(rng: random.Random, n: int, weight_bound: int = 40) -> KsspInstance:
+    _at_least(n, 1, "n")
+    _at_least(weight_bound, 1, "weight_bound")
     weights = tuple(rng.randint(1, weight_bound) for _ in range(n))
     k = rng.randint(1, n)
     if rng.random() < 0.5:
@@ -161,6 +177,8 @@ def sample_kssp_filtered(rng: random.Random, n: int,
 
 def sample_gssp(rng: random.Random, l: int, m: int,
                 weight_bound: int = 12) -> GsspInstance:
+    _at_least(l, 1, "l")
+    _at_least(weight_bound, 1, "weight_bound")
     u = tuple(rng.randint(1, weight_bound) for _ in range(l))
     if rng.random() < 0.5:
         # dense v-side subset sums make no-answers reachable
@@ -180,6 +198,8 @@ def sample_kgssp_star(rng: random.Random, n: int,
                       weight_bound: int = 20) -> KgsspStarInstance:
     """Direct sampler; avoids the sum(z) == target corner where the
     query gadget's correspondence intentionally does not hold."""
+    _at_least(n, 1, "n")
+    _at_least(weight_bound, 1, "weight_bound")
     while True:
         z = tuple(rng.randint(1, weight_bound) for _ in range(n))
         l = rng.randint(1, n)
@@ -198,6 +218,7 @@ def sample_kgssp_star(rng: random.Random, n: int,
 
 
 def sample_colored_graph(rng: random.Random, k: int, max_class_size: int) -> ColoredGraph:
+    _at_least(max_class_size, 1, "max_class_size")
     sizes = [rng.randint(1, max_class_size) for _ in range(k)]
     colors = []
     for c, size in enumerate(sizes):

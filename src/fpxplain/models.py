@@ -1,4 +1,4 @@
-"""Core model classes: trees, perceptrons, ensembles, distributions, H tables.
+"""Core model classes: trees, perceptrons, ensembles, distributions.
 
 Conventions used throughout the package:
 
@@ -398,28 +398,6 @@ class ProductDistribution(Record):
     @property
     def feature_count(self) -> int:
         return len(self.probs)
-
-    def bit_prob(self, i: int, bit: int) -> Fraction:
-        """Probability that feature i takes the given value."""
-        return self.probs[i] if bit else 1 - self.probs[i]
-
-    def is_uniform(self) -> bool:
-        return all(p == _HALF for p in self.probs)
-
-
-class HTable(Record):
-    """H(k) = sum over size-k subsets of E[f | z_s = x_s], for k = 0..n."""
-
-    values: tuple[Fraction, ...]
-
-    def __init__(self, values: tuple[Fraction, ...]):
-        self._set(values=values)
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 # ---------------------------------------------------------------------------

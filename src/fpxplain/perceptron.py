@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import _config
 from .errors import ResourceCapError, UnsupportedModelError
 from .models import (
-    ABSENT, HTable, Instance, Perceptron, ProductDistribution, check_dist,
+    ABSENT, Instance, Perceptron, ProductDistribution, check_dist,
     check_instance, check_subset, eval_perceptron, packed_cells, packed_dot,
 )
 
@@ -314,7 +314,8 @@ def _agreement_table(p: Perceptron, x: Instance, dist: ProductDistribution) -> _
                            low + width - 1, cells)
 
 
-def h_table_perceptron(p: Perceptron, x: Instance, dist: ProductDistribution) -> HTable:
+def h_table_perceptron(p: Perceptron, x: Instance,
+                       dist: ProductDistribution) -> tuple[Fraction, ...]:
     """All H(k) at once, from one subset-sum table.
 
     For the agreement set A = sim(z, x), f(z) = 1 iff sum over A of
@@ -328,7 +329,7 @@ def h_table_perceptron(p: Perceptron, x: Instance, dist: ProductDistribution) ->
     x = _check_h_query(p, x, dist)
     table = _agreement_table(p, x, dist)
     sums = packed_cells(table.column(table.threshold), table.slot // 8, p.feature_count + 1)
-    return HTable(tuple(Fraction(c, table.common) for c in sums))
+    return tuple(Fraction(c, table.common) for c in sums)
 
 
 def shap_perceptron_pseudopoly(p: Perceptron, x: Instance,

@@ -1,4 +1,5 @@
-"""Reading and writing models, instances, formulas and graphs.
+"""Reading and writing model and bundle documents; reading instances,
+distributions, formulas and graphs.
 
 Model documents are JSON with a format marker:
 
@@ -382,21 +383,6 @@ def parse_cnf_text(text: str) -> CnfFormula:
     return CnfFormula(n, tuple(clauses))
 
 
-def dnf_to_text(formula: DnfFormula) -> str:
-    return _formula_to_text(formula.feature_count, formula.terms)
-
-
-def cnf_to_text(formula: CnfFormula) -> str:
-    return _formula_to_text(formula.feature_count, formula.clauses)
-
-
-def _formula_to_text(n: int, groups) -> str:
-    lines = [f"features {n}"]
-    for group in groups:
-        lines.append(" ".join(f"x{i}" if v else f"!x{i}" for i, v in group))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # colored graph text format
 
@@ -445,9 +431,3 @@ def parse_graph_text(text: str) -> ColoredGraph:
                             frozenset((a, b) for _, a, b in edge_lines))
     except InvalidInstanceError as exc:
         raise ParseError(str(exc)) from None
-
-
-def graph_to_text(g: ColoredGraph) -> str:
-    lines = [f"v {v} {c}" for v, c in enumerate(g.colors)]
-    lines += [f"e {a} {b}" for a, b in sorted(g.edges)]
-    return "\n".join(lines) + "\n"

@@ -56,24 +56,14 @@ from fractions import Fraction
 from itertools import groupby
 from math import factorial, prod
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .errors import InfeasibleError, UnsupportedModelError
+from .errors import InfeasibleError, InputShapeError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Ensemble, Instance, ProductDistribution, bits_to_int,
     check_dist, check_instance, check_subset, eval_ensemble, eval_tree,
     integer_votes, packed_cells, packed_dot, subset_mask,
 )
-
-
-class Cylinder(NamedTuple):
-    """A partial assignment whose every completion the ensemble accepts."""
-
-    mask: int
-    vals: int
-
-    def fixed_features(self) -> tuple[int, ...]:
-        return _members(self.mask)
 
 
 def _require_trees(e: Ensemble):
@@ -239,11 +229,16 @@ def greedy_subset_minimal_sufficient(n: int, order, is_sufficient: Callable) -> 
 
     Walks the features in the given order and drops each one whose removal
     keeps sufficiency; makes exactly len(order) is_sufficient calls. With
-    order a permutation of range(n) the result is subset-minimal.
+    order a permutation of range(n) the result is subset-minimal; any
+    other order is an InputShapeError.
     """
-    order = list(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of range(n)")
+    try:
+        order = list(order)
+        permutation = sorted(order) == list(range(n))
+    except TypeError:  # not iterable, or entries that do not compare
+        permutation = False
+    if not permutation:
+        raise InputShapeError("order must be a permutation of range(n)")
     current = set(range(n))
     for i in order:
         trial = tuple(sorted(current - {i}))
@@ -466,10 +461,11 @@ def min_sufficient_size(e: Ensemble, x: Instance) -> tuple[int, tuple[int, ...]]
 # counting and expectation over cylinders
 
 
-def cylinder_decomposition(e: Ensemble) -> tuple[Cylinder, ...]:
-    """Disjoint partial assignments covering exactly the accepted instances."""
+def cylinder_decomposition(e: Ensemble) -> tuple[tuple[int, int], ...]:
+    """Disjoint partial assignments covering exactly the accepted
+    instances, as (mask, vals) pairs: every completion of one is accepted."""
     _require_trees(e)
-    return tuple(Cylinder(m, v) for m, v in _selections(_raw_triples(e), e.voting, 1))
+    return tuple(_selections(_raw_triples(e), e.voting, 1))
 
 
 def _mass_factors(mask: int, vals: int, nums: list[int], dens: list[int]) -> tuple[int, int]:

@@ -235,18 +235,23 @@ def _put(value, path, new):
 def test_a_mutated_gadget_instance_graph_or_formula_raises_only_package_errors():
     """Every argument of each constructor, and every entry below one (a
     weight, an edge or an edge's vertex, a term, a literal or its feature
-    or value), is given each bad value in turn."""
+    or value), is given each bad value in turn. What builds hashes: its
+    containers are stored as tuples or frozensets."""
     built = refused = 0
     for cls, args in VALUES:
         assert cls(*args)
         for path in _places(args):
             for value in BAD:
                 try:
-                    cls(*_put(args, path, lambda old: _bad(value, old)))
-                    built += 1
+                    instance = cls(*_put(args, path, lambda old: _bad(value, old)))
                 except FpxError:
                     refused += 1
+                else:
+                    hash(instance)
+                    built += 1
     assert (built, refused) == (80, 690)
+    listed, given = SspInstance([3, 5, 7], 11), SspInstance((3, 5, 7), 11)
+    assert listed == given and hash(listed) == hash(given)
 
 
 # ---------------------------------------------------------------------------

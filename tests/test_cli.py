@@ -13,7 +13,9 @@ import fpxplain
 from fpxplain.bench import bench_instances, run_bench
 from fpxplain.errors import FpxError, InvalidInstanceError
 from fpxplain.generate import (
-    generate_model, random_instance_bits, random_tree_exact, rng_from_seed,
+    generate_model, random_instance_bits, random_perceptron, random_rational, random_tree,
+    random_tree_exact, rng_from_seed, sample_colored_graph, sample_gssp, sample_kgssp_star,
+    sample_kssp, sample_ssp,
 )
 from fpxplain.models import (
     DecisionTree, Perceptron, ProductDistribution, leaf, majority_ensemble, split,
@@ -588,6 +590,38 @@ def test_bench_and_gen_refusals():
     with pytest.raises(InvalidInstanceError) as err:
         random_tree_exact(rng_from_seed(1), 1, 3)
     assert str(err.value) == "cannot fit 3 leaves in 1 read-once features"
+    # a size or bound the random stream cannot draw from is refused by name
+    rng = rng_from_seed(1)
+    for call, message in (
+            (lambda: random_tree(rng, 3, 0), "max_leaves must be an integer of at least 1, got 0"),
+            (lambda: random_rational(rng, -1), "bound must be an integer of at least 0, got -1"),
+            (lambda: random_perceptron(rng, 0, -1),
+             "weight_bound must be an integer of at least 0, got -1"),
+            (lambda: sample_ssp(rng, 0), "n must be an integer of at least 1, got 0"),
+            (lambda: sample_kssp(rng, -3), "n must be an integer of at least 1, got -3"),
+            (lambda: sample_ssp(rng, 3, 0),
+             "weight_bound must be an integer of at least 1, got 0"),
+            (lambda: sample_gssp(rng, 0, 1), "l must be an integer of at least 1, got 0"),
+            (lambda: sample_kgssp_star(rng, 0), "n must be an integer of at least 1, got 0"),
+            (lambda: sample_colored_graph(rng, 3, 0),
+             "max_class_size must be an integer of at least 1, got 0")):
+        with pytest.raises(InvalidInstanceError) as err:
+            call()
+        assert str(err.value) == message
+    for args, message in (
+            (["gen", "--seed", "1", "--leaves", "0"],
+             "max_leaves must be an integer of at least 1, got 0"),
+            (["gen", "--seed", "1", "--family", "perceptron", "--weight-bound", "-1"],
+             "weight_bound must be an integer of at least 0, got -1"),
+            (["gen", "--seed", "2", "--k", "-1"], "k must be an integer of at least 1, got -1"),
+            *((["gadget", "--family", family, "--seed", "1", "--n", n],
+               f"n must be an integer of at least 1, got {n}")
+              for family in ("ssp", "kssp", "kgssp-star") for n in ("0", "-3")),
+            (["gadget", "--family", "clique", "--seed", "1", "--n", "0"],
+             "max_class_size must be an integer of at least 1, got 0"),
+            (["gadget", "--family", "gssp", "--seed", "1", "--n", "0"],
+             "--n must be at least 1, got 0")):
+        assert_refused(args, message)
     # a spent budget ends the rows with one truncation row
     assert run_bench("scaling-k", 1, budget_seconds=-1) == [
         {"suite": "scaling-k", "n": "", "k": "", "m": "", "W": "", "query": "cc",

@@ -97,8 +97,7 @@ def _check_attributions(e, x, d, done: Counter):
     assert tuple(rep.values) == tuple(oracle_shap(e, x, d)), (e, x, d)
     assert rep.expected == oracle_expected_value(e, d), (e, x, d)
     done["shap"] += 1
-    assert tuple(size_stratified_sums(e, x, d).values) == tuple(oracle_h_table(e, x, d)), \
-        (e, x, d)
+    assert size_stratified_sums(e, x, d) == oracle_h_table(e, x, d), (e, x, d)
     done["sums"] += 1
 
 

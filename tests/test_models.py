@@ -155,11 +155,7 @@ def test_packed_dot_reads_every_cell_once():
 def test_product_distribution_validation():
     with pytest.raises(InvalidInstanceError):
         ProductDistribution((Fraction(3, 2),))
-    d = ProductDistribution.uniform(3)
-    assert d.is_uniform() and d.bit_prob(0, 0) == Fraction(1, 2)
-    d2 = ProductDistribution((Fraction(1, 4),))
-    assert d2.bit_prob(0, 1) == Fraction(1, 4)
-    assert d2.bit_prob(0, 0) == Fraction(3, 4)
+    assert ProductDistribution.uniform(3).probs == (Fraction(1, 2),) * 3
     # the ends of [0, 1] are inside; the message names the first bad index
     assert ProductDistribution((0, 1, "1/1", Fraction(2, 2))).probs == (0, 1, 1, 1)
     for probs, message in (((Fraction(1, 2), Fraction(-1, 3)), "probs[1] = -1/3 outside [0, 1]"),

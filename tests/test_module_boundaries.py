@@ -1,6 +1,7 @@
 """Each module of the package keeps its internals: no module imports or
 reads a sibling module's _-prefixed name. Importing a module whose own
-name starts with _ (such as _config) is allowed."""
+name starts with _ (such as _config) is allowed. And no module imports
+dataclasses: models.Record is the one base of the value classes."""
 
 import ast
 from pathlib import Path
@@ -14,14 +15,19 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _modules(package: Path):
+    """(path, every AST node) of each module of the package."""
+    for path in sorted(package.glob("*.py")):
+        yield path, list(ast.walk(ast.parse(path.read_text(), str(path))))
+
+
 def private_reads(package: Path) -> list[str]:
     """Every `from .m import _name` and every read of `m._name`, where m
     is a sibling module bound by `from . import m`, in the package's
     modules, as 'module: m._name'."""
     found = []
-    for path in sorted(package.glob("*.py")):
+    for path, nodes in _modules(package):
         bound = {}  # local name -> sibling module
-        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
         for node in nodes:
             if not isinstance(node, ast.ImportFrom):
                 continue
@@ -44,8 +50,29 @@ def private_reads(package: Path) -> list[str]:
     return found
 
 
+def dataclass_imports(package: Path) -> list[str]:
+    """Every module of the package that imports dataclasses, by `import`
+    or by `from ... import`, as 'module: line'."""
+    found = []
+    for path, nodes in _modules(package):
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.stem}: {node.lineno}")
+    return found
+
+
 def test_no_module_reads_another_modules_private_names():
     assert private_reads(PACKAGE) == []
+
+
+def test_no_module_imports_dataclasses():
+    assert dataclass_imports(PACKAGE) == []
 
 
 def test_the_guard_sees_each_form(tmp_path):
@@ -59,3 +86,10 @@ def test_the_guard_sees_each_form(tmp_path):
     (tmp_path / "b.py").write_text("from fpxplain import a as alias\nalias._x\n")
     assert private_reads(tmp_path) == [
         "a: b._hidden", "a: b._absolute", "a: b._inner", "a: b._cache", "b: a._x"]
+
+
+def test_the_dataclasses_guard_sees_each_form(tmp_path):
+    (tmp_path / "a.py").write_text("import dataclasses\nfrom . import dataclasses_like\n")
+    (tmp_path / "b.py").write_text(
+        "def f():\n    from dataclasses import dataclass\n    import os, dataclasses as dc\n")
+    assert dataclass_imports(tmp_path) == ["a: 1", "b: 2", "b: 3"]

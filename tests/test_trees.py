@@ -184,12 +184,14 @@ def test_greedy_counts_calls_and_checks_order():
 
     greedy_subset_minimal_sufficient(2, (0, 1), suff)
     assert len(calls) == 2
-    with pytest.raises(Exception):
-        greedy_subset_minimal_sufficient(2, (0, 0), lambda s: True)
+    # repeats, a non-iterable and an entry that is not an index
+    for n, order in ((2, (0, 0)), (3, (0, 1, 1)), (3, 3), (3, (0, 1, "2"))):
+        with pytest.raises(InputShapeError):
+            greedy_subset_minimal_sufficient(n, order, lambda s: True)
 
 
 def test_cylinders_partition_the_cube():
-    from fpxplain.trees import Cylinder, _raw_triples, _selections
+    from fpxplain.trees import _raw_triples, _selections
     rng = rng_from_seed(54)
     cases = []
     for _ in range(30):
@@ -210,13 +212,12 @@ def test_cylinders_partition_the_cube():
     ties = dict.fromkeys(tie_rules, 0)
     for n, e in cases:
         accept = cylinder_decomposition(e)
-        reject = tuple(Cylinder(m, v)
-                       for m, v in _selections(_raw_triples(e), e.voting, 0))
+        reject = tuple(_selections(_raw_triples(e), e.voting, 0))
         # every input matches exactly one cylinder, on the correct side
         for z in range(1 << n):
             zb = int_to_bits(z, n)
             hits = [(cyl, want) for cyls, want in ((accept, 1), (reject, 0))
-                    for cyl in cyls if (z ^ cyl.vals) & cyl.mask == 0]
+                    for cyl in cyls if (z ^ cyl[1]) & cyl[0] == 0]
             assert len(hits) == 1
             assert hits[0][1] == eval_model(e, zb)
             if e.voting in ties:
@@ -224,8 +225,8 @@ def test_cylinders_partition_the_cube():
                 if sum(w for w, v in zip(e.voting.weights, votes) if v) == e.voting.threshold:
                     ties[e.voting] += 1
                     assert hits[0][1] == 1
-        mass = sum((Fraction(1, 1 << cyl.mask.bit_count())
-                    for cyl in accept + reject), Fraction(0))
+        mass = sum((Fraction(1, 1 << mask.bit_count())
+                    for mask, _ in accept + reject), Fraction(0))
         assert mass == 1
     assert all(ties.values()), ties
 
@@ -313,8 +314,8 @@ def test_mass_memo_and_minimal_filter_match_oracle():
                 sum(wi for wi, m in zip(w, e.members)
                     if eval_model(m, int_to_bits(z, n))) == t
                 for z in range(1 << n))
-        seen["both parts"] += any(c.mask & inside and c.mask & ~inside
-                                  for c in cylinder_decomposition(e))
+        seen["both parts"] += any(mask & inside and mask & ~inside
+                                  for mask, _ in cylinder_decomposition(e))
         seen["filter drops"] += len(minimal) < len(family)
         seen["no flip"] += not family
     assert min(seen.values()) >= 30, seen
@@ -374,7 +375,7 @@ def test_table_scan_matches_its_oracle_twins():
                       for _ in range(n))
         d = ProductDistribution(probs)
         accept = _naive_selections(e, 1)
-        assert cylinder_decomposition(e) == tuple(trees.Cylinder(m, v) for m, v in accept), case
+        assert cylinder_decomposition(e) == tuple(accept), case
         xbits = sum(b << i for i, b in enumerate(x))
         flips = {(v ^ xbits) & m for m, v in _naive_selections(e, 1 - eval_model(e, x))}
         family = enumerate_candidate_contrastive(e, x)
@@ -417,10 +418,11 @@ def test_min_sufficient_on_the_hitting_set_hot_spot():
     assert len(enumerate_candidate_contrastive(e, x, filter_minimal=True)) == 71
 
 
-def _cylinder_mass(d, c):
+def _cylinder_mass(d, mask, vals):
     mass = Fraction(1)
-    for i in c.fixed_features():
-        mass *= d.bit_prob(i, (c.vals >> i) & 1)
+    for i in range(d.feature_count):
+        if mask >> i & 1:
+            mass *= d.probs[i] if vals >> i & 1 else 1 - d.probs[i]
     return mass
 
 
@@ -445,5 +447,5 @@ def test_expect_factors_each_part_once(monkeypatch):
         cylinders = cylinder_decomposition(e)
         calls.clear()
         assert expected_value_tree_ensemble(e, d) == sum(
-            (_cylinder_mass(d, c) for c in cylinders), Fraction(0))
+            (_cylinder_mass(d, *c) for c in cylinders), Fraction(0))
         assert len(calls) == len(entries) + len(tails) + len(outside), k
