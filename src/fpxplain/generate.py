@@ -200,6 +200,10 @@ def sample_kgssp_star(rng: random.Random, n: int,
     query gadget's correspondence intentionally does not hold."""
     _at_least(n, 1, "n")
     _at_least(weight_bound, 1, "weight_bound")
+    if n == weight_bound == 1:
+        raise InvalidInstanceError(
+            "n = 1 and weight_bound = 1 leave no instance: sum(z) is 1, and the "
+            "target must lie in 1..sum(z) without equalling it")
     while True:
         z = tuple(rng.randint(1, weight_bound) for _ in range(n))
         l = rng.randint(1, n)

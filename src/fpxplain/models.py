@@ -393,7 +393,11 @@ class ProductDistribution(Record):
 
     @classmethod
     def uniform(cls, n: int) -> "ProductDistribution":
-        return cls((_HALF,) * n)
+        # every entry is the constant 1/2, which __init__'s checks pass, so
+        # the tuple is stored without them; a bad n fails in the product
+        out = cls.__new__(cls)
+        out._set(probs=(_HALF,) * n)
+        return out
 
     @property
     def feature_count(self) -> int:

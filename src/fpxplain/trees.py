@@ -29,11 +29,18 @@ entry, so a prefix costs one lookup and one multiply-add. An entry's mass
 factors at the prefix's part inside U: one factor for that part, times,
 for each row, the factor of the row's features outside it, memoised per
 call. Sufficiency runs the same walk and stops at the first prefix whose
-entry is non-empty.
+entry is non-empty. A consumer may also hand the walk a cut, a predicate
+on a partial selection checked right after the vote bound, that drops
+the selection and everything below it.
 
-The contrastive queries read one set of flip masks, the features on
-which a selection that overturns f(x) disagrees with x. The smallest
-contrastive set is a smallest mask. Candidates come by size, then by
+The contrastive queries read the flip masks, the features on which a
+selection that overturns f(x) disagrees with x. The smallest contrastive
+set is a smallest mask, and mcr finds it without building the family:
+branch and bound (Land & Doig, Econometrica 1960) on the one walk, whose
+cut drops a partial selection that already flips more features than the
+best complete one, with each tree's paths tried cheapest first and each
+entry folded to its least row cost. Enumeration and minimum sufficient
+reasons read the whole family. Candidates come by size, then by
 member tuple: the masks are sorted before any tuple is built, by a bytes
 key under which equal-size masks compare as their tuples do (_lex_key),
 and each tuple is then joined once from memoised tuples of its low and
@@ -97,7 +104,7 @@ def _conditioned_triples(tree: DecisionTree, xbits: int, smask: int) -> list[tup
 # the joint selection scan
 
 
-def _prefixes(lists, voting, want: int, fold=None):
+def _prefixes(lists, voting, want: int, fold=None, cut=None):
     """Yield (mask, vals, entry) for each selection of the first k - 1 trees
     that some path of the last tree completes to the given output, with
     (mask, vals) the selection's part outside U (see below).
@@ -120,6 +127,13 @@ def _prefixes(lists, voting, want: int, fold=None):
     built on their first miss, and a prefix whose entry is empty is not
     yielded, so a consumer that stops at the first prefix (sufficiency)
     builds entries only for the prefixes the walk reaches.
+
+    A cut, when given, is a predicate on a partial selection's (mask,
+    vals), the union of its paths inside and outside U. It is asked at each
+    step right after the vote bound, and a selection it holds is dropped
+    with everything below it, so a consumer can bound the walk by a cost
+    that adding paths never lowers (mcr's flip count). Without one the
+    walk yields every prefix, as above.
 
     Since any partial assignment extends to a full instance, and a full
     instance follows some path in every tree, the scan yields a first
@@ -154,10 +168,12 @@ def _prefixes(lists, voting, want: int, fold=None):
             v = vote + weights[j - 1] if lab else vote
             if v < floor[j - 1]:
                 continue
-            if j < depth:
-                stack.append((iter(heads[j]), mask | m2, vals | v2, v))
-                break
             pm, pv = mask | m2, vals | v2
+            if cut is not None and cut(pm, pv):
+                continue
+            if j < depth:
+                stack.append((iter(heads[j]), pm, pv, v))
+                break
             mu, vu = pm & inside, pv & inside
             take0, take1 = v >= threshold, v + w >= threshold
             key = (mu, vu, take0, take1)
@@ -251,23 +267,28 @@ def greedy_subset_minimal_sufficient(n: int, order, is_sufficient: Callable) -> 
 # contrastive reasons and minimum sufficient reasons via hitting-set duality
 
 
+def _overturning(e: Ensemble, x: Instance) -> tuple[int, int]:
+    """(x as bits, the output that overturns f(x)), after checking the
+    members, then x."""
+    _require_trees(e)
+    x = check_instance(x, e.feature_count)
+    return bits_to_int(x), 1 - eval_ensemble(e, x)
+
+
 def _flip_masks(e: Ensemble, x: Instance) -> set[int]:
     """Flip masks (vals ^ x) & mask of the selections that overturn f(x).
 
     Each one is contrastive, and every subset-minimal contrastive set is
     one of them.
     """
-    _require_trees(e)
-    x = check_instance(x, e.feature_count)
-    xbits = bits_to_int(x)
+    xbits, want = _overturning(e, x)
     flips: set[int] = set()
 
     def entry_flips(rows, mu, vu) -> set[int]:
         return {(rv ^ xbits) & rm for rm, rv in rows}
 
     # an entry holds the flip masks of its rows; a prefix adds its own part
-    for mask, vals, row_flips in _prefixes(_raw_triples(e), e.voting, 1 - eval_ensemble(e, x),
-                                           entry_flips):
+    for mask, vals, row_flips in _prefixes(_raw_triples(e), e.voting, want, entry_flips):
         pf = (vals ^ xbits) & mask
         flips.update([pf | f for f in row_flips] if pf else row_flips)
     assert 0 not in flips, "a selection consistent with x cannot overturn f(x)"
@@ -372,13 +393,47 @@ def enumerate_candidate_contrastive(e: Ensemble, x: Instance,
 
 
 def min_contrastive_size(e: Ensemble, x: Instance):
-    """(size, witness) of a smallest contrastive set, or ABSENT if none."""
-    flips = _flip_masks(e, x)
-    if not flips:
+    """(size, witness) of a smallest contrastive set, or ABSENT if none.
+
+    The smallest flip masks, found by branch and bound on the scan without
+    building the family: a selection's flip count only grows as paths join
+    it, so the walk cuts any partial selection that already flips more
+    features than the best complete one so far. Each tree's paths are tried
+    cheapest first, so a good bound comes early. An entry keeps its rows'
+    least flip count and the row masks at that count; every mask at the
+    final best survives the cut, and the witness is the first of them by
+    _lex_key, as among the whole family.
+    """
+    xbits, want = _overturning(e, x)
+    n = e.feature_count
+    best = n  # the least complete flip count so far; no mask exceeds n
+
+    def flip_cost(path) -> int:
+        return ((path[1] ^ xbits) & path[0]).bit_count()
+
+    def cut(mask, vals) -> bool:
+        return ((vals ^ xbits) & mask).bit_count() > best  # as the loop below lowers it
+
+    def cheapest(rows, mu, vu) -> tuple[int, list[int]]:
+        flips = [(rv ^ xbits) & rm for rm, rv in rows]
+        least = min(map(int.bit_count, flips))
+        return least, [f for f in flips if f.bit_count() == least]
+
+    lists = [sorted(t.paths, key=flip_cost) for t in e.members]
+    kept: list[int] = []  # the flip masks at cost best
+    for mask, vals, (least, row_flips) in _prefixes(lists, e.voting, want, cheapest, cut):
+        pf = (vals ^ xbits) & mask  # outside U, so disjoint from the row masks
+        cost = pf.bit_count() + least
+        if cost > best:
+            continue
+        if cost < best:
+            best = cost
+            kept = []
+        kept += [pf | f for f in row_flips]
+    if not kept:
         return ABSENT
-    size = min(map(int.bit_count, flips))
-    witness = min((m for m in flips if m.bit_count() == size), key=_lex_key(e.feature_count))
-    return size, _members(witness)
+    assert best, "a selection consistent with x cannot overturn f(x)"
+    return best, _members(min(kept, key=_lex_key(n)))
 
 
 def _disjoint_packing(masks: list[int]) -> int:

@@ -603,6 +603,9 @@ def test_bench_and_gen_refusals():
              "weight_bound must be an integer of at least 1, got 0"),
             (lambda: sample_gssp(rng, 0, 1), "l must be an integer of at least 1, got 0"),
             (lambda: sample_kgssp_star(rng, 0), "n must be an integer of at least 1, got 0"),
+            (lambda: sample_kgssp_star(rng, 1, weight_bound=1),
+             "n = 1 and weight_bound = 1 leave no instance: sum(z) is 1, and the "
+             "target must lie in 1..sum(z) without equalling it"),
             (lambda: sample_colored_graph(rng, 3, 0),
              "max_class_size must be an integer of at least 1, got 0")):
         with pytest.raises(InvalidInstanceError) as err:

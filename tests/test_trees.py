@@ -449,3 +449,64 @@ def test_expect_factors_each_part_once(monkeypatch):
         assert expected_value_tree_ensemble(e, d) == sum(
             (_cylinder_mass(d, *c) for c in cylinders), Fraction(0))
         assert len(calls) == len(entries) + len(tails) + len(outside), k
+
+
+def _scan_sized_ensembles():
+    """Seeded ensembles of the decide-count shapes, past the oracle's cap:
+    two draws of each of n in {30, 40}, k in {3, 4}, m in {12, 24} leaves
+    per tree, under majority and under weighted votes with negative
+    weights; with an instance each."""
+    rng = rng_from_seed(27)
+    for n, k, m, weighted in product((30, 40), (3, 4), (12, 24), (False, True)):
+        for _ in range(2):
+            members = tuple(random_tree_exact(rng, n, m) for _ in range(k))
+            if weighted:
+                voting = Weighted(tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                                 rng.choice((1, 2))) for _ in range(k)),
+                                  Fraction(rng.randint(-4, 4), 2))
+            else:
+                voting = Majority()
+            yield Ensemble(members, voting), random_instance_bits(rng, n)
+
+
+def test_mcr_past_the_oracle_cap():
+    """The bounded walk's (size, witness) is the family's first candidate,
+    flipping the witness overturns f(x), and dropping any one of its
+    features leaves a set whose complement is sufficient: the witness is
+    subset-minimal as well as smallest."""
+    seen = {"models": 0, "absent": 0, "sizes": set()}
+    for e, x in _scan_sized_ensembles():
+        seen["models"] += 1
+        got = min_contrastive_size(e, x)
+        family = enumerate_candidate_contrastive(e, x)
+        if not family:
+            assert got is ABSENT
+            seen["absent"] += 1
+            continue
+        size, witness = got
+        assert got == (len(family[0]), family[0])
+        seen["sizes"].add(size)
+        flipped = tuple(1 - b if i in witness else b for i, b in enumerate(x))
+        assert eval_model(e, flipped) != eval_model(e, x)
+        for i in witness:
+            rest = set(witness) - {i}
+            assert csr_tree_ensemble(e, x, [j for j in range(len(x)) if j not in rest])
+    assert seen == {"models": 32, "absent": 7, "sizes": {1, 2, 3, 4}}
+
+
+def test_mcr_does_not_build_the_flip_family(monkeypatch):
+    """mcr answers through run_query with the family builder refusing to
+    run: on the 32 scan-sized ensembles, and on one- and three-tree
+    ensembles over two features."""
+    cases = [*_scan_sized_ensembles(),
+             (majority_ensemble((or_tree(),)), (1, 1)),
+             (majority_ensemble((or_tree(), or_tree(), single_split(2, 0))), (0, 1))]
+    answers = [run_query(e, "mcr", x, bound=2) for e, x in cases]
+    assert sum(a["size"] is None for a in answers) == 7
+
+    def refuse(*args):
+        raise AssertionError("mcr built the flip-mask family")
+
+    monkeypatch.setattr(trees, "_flip_masks", refuse)
+    for (e, x), payload in zip(cases, answers):
+        assert run_query(e, "mcr", x, bound=2) == payload
