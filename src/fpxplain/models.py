@@ -393,10 +393,15 @@ class ProductDistribution(Record):
 
     @classmethod
     def uniform(cls, n: int) -> "ProductDistribution":
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise InvalidInstanceError(f"feature count {shown(n)} is not a non-negative int")
         # every entry is the constant 1/2, which __init__'s checks pass, so
-        # the tuple is stored without them; a bad n fails in the product
+        # the tuple is stored without them
         out = cls.__new__(cls)
-        out._set(probs=(_HALF,) * n)
+        try:
+            out._set(probs=(_HALF,) * n)
+        except OverflowError:
+            raise ResourceCapError(f"{shown(n)} features do not fit in one tuple") from None
         return out
 
     @property

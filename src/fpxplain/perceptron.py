@@ -9,13 +9,14 @@ target. Counting and Shapley attribution read one packed
 subset-sum table on the integer-scaled weights: completion counts and
 expected values are a single prefix of its t-free form, and Shapley
 values are assembled from size-stratified conditional expectation sums
-H(k), the prefix sums of its t^k rows up to the threshold. The tables
-of the model conditioned on each feature follow from it by exact
-division.
+H(k), the prefix sums of its t^k rows up to the threshold, kept as one
+packed integer per column. The tables of the model conditioned on each
+feature follow from those columns by exact division.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -74,25 +75,24 @@ def _lex_first_witness(gains: list[int], need: int):
     The smallest size is the first r whose top-r gain sum reaches need,
     and a prefix of chosen features extends to a set of that size exactly
     when its sum plus the largest remaining gains does. Scanning indices
-    in order gives the lexicographically first witness.
+    in order gives the lexicographically first witness. The gains after
+    the index in hand are kept sorted, so each test sums a slice of them.
     """
-    n = len(gains)
-    ranked = accumulate(sorted(gains, reverse=True), initial=0)
+    rest = sorted(gains)  # gains[i + 1:], ascending, once gains[i] is taken out
+    ranked = accumulate(reversed(rest), initial=0)
     size = next((r for r, total in enumerate(ranked) if total >= need), None)
     if size is None:
         return ABSENT
     chosen: list[int] = []
-    start = 0
-    while len(chosen) < size:
-        for i in range(start, n):
-            tail = sorted(gains[i + 1:], reverse=True)[:size - len(chosen) - 1]
-            if gains[i] + sum(tail) >= need:
-                chosen.append(i)
-                need -= gains[i]
-                start = i + 1
-                break
-        else:  # pragma: no cover
-            raise AssertionError("feasible size must admit a witness")
+    for i, gain in enumerate(gains):
+        if len(chosen) == size:
+            break
+        del rest[bisect_left(rest, gain)]
+        room = size - len(chosen) - 1  # at most len(rest) while a witness remains
+        if gain + sum(rest[len(rest) - room:]) >= need:
+            chosen.append(i)
+            need -= gain
+    assert len(chosen) == size, "a feasible size admits a witness"
     return size, tuple(chosen)
 
 
@@ -237,14 +237,13 @@ class _AgreementTable(NamedTuple):
 
     G = prod_i F_i with F_i = (d_i - a_i) + u^{w''_i} (a_i + d_i t), where
     q_i = a_i / d_i (see h_table_perceptron): G[j][s] / D, D = prod d_i,
-    is the mass of conditioned count j and w'' sum s. Column s - low of
-    `cells` holds C_j(s) = sum_{s' <= s} G[j][s'] for j = 0..n, one
-    little-endian `slot`-bit cell each. Every cell is below D 2^n, so a
-    column read as one integer is the polynomial sum_j C_j(s) t^j at
-    t = 2^slot, and sums, differences and exact quotients of columns are
+    is the mass of conditioned count j and w'' sum s. cols[s - low] is
+    the polynomial sum_j C_j(s) t^j at t = 2^slot, one `slot`-bit cell
+    per j = 0..n, with C_j(s) = sum_{s' <= s} G[j][s']. Every cell is
+    below D 2^n, so sums, differences and exact quotients of columns are
     taken cell by cell as long as every resulting cell stays in range.
-    `column` reads one column at the threshold; the sweeps of `conditioned`
-    read the bytes of `cells` in place.
+    `column` reads one column at any s; the sweeps of `conditioned` index
+    the list.
     """
 
     factors: tuple[tuple[int, int, int], ...]  # (w''_i, a_i, d_i)
@@ -253,14 +252,11 @@ class _AgreementTable(NamedTuple):
     slot: int
     low: int
     high: int
-    cells: bytes
+    cols: list[int]
 
     def column(self, s: int) -> int:
-        if s < self.low:
-            return 0
-        size = (len(self.factors) + 1) * self.slot // 8
-        start = (min(s, self.high) - self.low) * size
-        return int.from_bytes(self.cells[start:start + size], "little")
+        """C(s): 0 below low, the total above high."""
+        return self.cols[min(s, self.high) - self.low] if s >= self.low else 0
 
     def conditioned(self, w: int, a: int, d: int) -> int:
         """Column T - w of the prefix sums P of Q = G / F, F = (w, a, d) a factor.
@@ -274,44 +270,36 @@ class _AgreementTable(NamedTuple):
         the same recurrence holds for the suffix sums, which sweep down
         from 0 above Q's range [low - w, high] and are subtracted from Q's
         total D / d (1 + t)^(n-1). Either sweep reads at most width / |w|
-        columns in place, each one slice of `cells` at byte offset
-        (s - low) size, stepping |w| columns at a time; every point lies in
+        columns, every |w|-th entry of `cols`; every point lies in
         [low, high), so none is clamped.
         """
-        cells, low, high, read = self.cells, self.low, self.high, int.from_bytes
-        size = (len(self.factors) + 1) * self.slot // 8
+        cols, low, high = self.cols, self.low, self.high
         c0, times = d - a, a + (d << self.slot)
         acc = 0
         if w > 0:
-            top = (min(self.threshold, high) - w - low) * size
-            for at in range(top % (w * size), top + 1, w * size):
-                acc = (read(cells[at:at + size], "little") - times * acc) // c0
+            top = min(self.threshold, high) - w - low
+            for c in cols[top % w:max(top + 1, 0):w]:
+                acc = (c - times * acc) // c0
             return acc
-        last = (high - low) * size
-        total = read(cells[last:], "little")
-        start = (max(self.threshold - w, low - w - 1) - low) * size
-        for at in reversed(range(start, last, -w * size)):
-            acc = (total - read(cells[at:at + size], "little") - times * acc) // c0
+        total = cols[-1]
+        for c in reversed(cols[max(self.threshold - w, low - w - 1) - low:high - low:-w]):
+            acc = (total - c - times * acc) // c0
         return total // (d + (d << self.slot)) - acc
 
 
 @lru_cache(maxsize=1)
 def _agreement_table(p: Perceptron, x: Instance, dist: ProductDistribution) -> _AgreementTable:
-    """The table of G(u, t) for (p, x, dist).
+    """The table of G(u, t) for (p, x, dist): G's columns, read once from
+    its bytes, summed along s in one pass.
 
     Cached so that shap_report reads its Shapley values and its expected
     value (through h_table_perceptron) from the same table.
     """
     factors, threshold = _agreement_factors(p, x, dist)
     g, low, width, slot, common = _packed_product(factors, with_t=True)
-    col = (len(factors) + 1) * slot
-    step = 1
-    while step < width:  # prefix sums along s by doubling
-        g += g << step * col
-        step *= 2
-    cells = (g & ((1 << width * col) - 1)).to_bytes(width * col // 8, "little")
+    cols = list(accumulate(packed_cells(g, (len(factors) + 1) * slot // 8, width)))
     return _AgreementTable(tuple(factors), threshold, common, slot, low,
-                           low + width - 1, cells)
+                           low + width - 1, cols)
 
 
 def h_table_perceptron(p: Perceptron, x: Instance,

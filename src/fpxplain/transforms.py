@@ -260,6 +260,8 @@ def dnf_to_ensemble(f: DnfFormula) -> Ensemble:
     majority bar is then met exactly when some indicator fires. An empty
     DNF compiles to a single constant-0 tree.
     """
+    if not isinstance(f, DnfFormula):
+        raise UnsupportedModelError(f"expected a DnfFormula, got {type(f).__name__}")
     n = f.feature_count
     t = len(f.terms)
     if t == 0:
@@ -275,6 +277,8 @@ def cnf_to_ensemble(f: CnfFormula) -> Ensemble:
     not(CNF) is the DNF whose terms are the negated clauses; compiling
     that and negating the ensemble yields the CNF exactly.
     """
+    if not isinstance(f, CnfFormula):
+        raise UnsupportedModelError(f"expected a CnfFormula, got {type(f).__name__}")
     neg_terms = tuple(
         tuple((feat, 1 - bit) for feat, bit in clause) for clause in f.clauses)
     dnf = DnfFormula(f.feature_count, neg_terms)

@@ -69,7 +69,7 @@ from .errors import InfeasibleError, InputShapeError, UnsupportedModelError
 from .models import (
     ABSENT, DecisionTree, Ensemble, Instance, ProductDistribution, bits_to_int,
     check_dist, check_instance, check_subset, eval_ensemble, eval_tree,
-    integer_votes, packed_cells, packed_dot, subset_mask,
+    integer_votes, packed_cells, packed_dot, shown, subset_mask,
 )
 
 
@@ -456,16 +456,26 @@ def minimum_hitting_set(family, n: int) -> tuple[int, tuple[int, ...]]:
     by _lex_order. Then iterative deepening with a disjoint-packing lower
     bound; element candidates are taken in increasing order, so the first
     solution found at the optimal size is the lexicographically smallest
-    one. A member holding anything but an int in 0..n-1 raises
-    InputShapeError.
+    one. An n that is not a non-negative int, a family that is not
+    iterable and a member holding anything but an int in 0..n-1 raise
+    InputShapeError. Elements past the members' largest one hit nothing,
+    so the search never reaches them, however large n is.
     """
-    masks = {subset_mask(check_subset(t, n)) for t in family}
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise InputShapeError(f"ground set size {shown(n)} is not a non-negative int")
+    try:
+        members = iter(family)
+    except TypeError:
+        raise InputShapeError(
+            f"family of type {type(family).__name__} is not an iterable of subsets") from None
+    masks = {subset_mask(check_subset(t, n)) for t in members}
     if not masks:
         return 0, ()
     if 0 in masks:
         raise InfeasibleError("family contains the empty set; no hitting set exists")
     # keyed on the bits the masks use, not on n, which can be far larger
-    masks = _lex_order(_inclusion_minimal(masks), max(masks).bit_length())
+    bits = max(masks).bit_length()
+    masks = _lex_order(_inclusion_minimal(masks), bits)
     lower = _disjoint_packing(masks)
 
     def search(size: int, start: int, chosen: list[int], unhit: list[int]):
@@ -474,7 +484,7 @@ def minimum_hitting_set(family, n: int) -> tuple[int, tuple[int, ...]]:
         room = size - len(chosen)
         if room <= 0 or _disjoint_packing(unhit) > room:
             return None
-        for el in range(start, n):
+        for el in range(start, bits):
             bit = 1 << el
             rest = [u for u in unhit if not (u & bit)]
             if len(rest) == len(unhit):
@@ -486,7 +496,7 @@ def minimum_hitting_set(family, n: int) -> tuple[int, tuple[int, ...]]:
                 return res
         return None
 
-    for size in range(lower, n + 1):
+    for size in range(lower, bits + 1):
         res = search(size, 0, [], masks)
         if res is not None:
             return size, res

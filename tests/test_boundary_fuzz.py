@@ -38,7 +38,8 @@ from fpxplain.models import (
 )
 from fpxplain.runner import QUERY_KINDS, run_query
 from fpxplain.serialize import bundle_to_doc, dumps_model
-from fpxplain.transforms import CnfFormula, DnfFormula
+from fpxplain.transforms import CnfFormula, DnfFormula, cnf_to_ensemble, dnf_to_ensemble
+from fpxplain.trees import minimum_hitting_set
 
 from cli_runner import run
 
@@ -252,6 +253,26 @@ def test_a_mutated_gadget_instance_graph_or_formula_raises_only_package_errors()
     assert (built, refused) == (80, 690)
     listed, given = SspInstance([3, 5, 7], 11), SspInstance((3, 5, 7), 11)
     assert listed == given and hash(listed) == hash(given)
+
+
+def test_a_bad_count_family_or_formula_raises_only_package_errors():
+    """Each argument of ProductDistribution.uniform, minimum_hitting_set and
+    the DNF and CNF compilers is given each bad value in turn. Every pair
+    of the family's members overlaps, so a search that tried each element
+    of a huge ground set would not end."""
+    formula = dict(VALUES)
+    calls = ((ProductDistribution.uniform, (3,)),
+             (minimum_hitting_set, (((0, 1), (1, 2), (0, 2)), 3)),
+             (dnf_to_ensemble, (DnfFormula(*formula[DnfFormula]),)),
+             (cnf_to_ensemble, (CnfFormula(*formula[CnfFormula]),)))
+    for call, args in calls:
+        assert call(*args)
+        for where in range(len(args)):
+            for value in BAD:
+                try:
+                    call(*_replace(args, where, _bad(value, args[where])))
+                except FpxError:
+                    pass
 
 
 # ---------------------------------------------------------------------------

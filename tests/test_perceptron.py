@@ -5,7 +5,7 @@ import importlib.util
 import io
 import tokenize
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,7 @@ from fpxplain.generate import (
 )
 from fpxplain.models import (
     ABSENT, DecisionTree, Perceptron, ProductDistribution, eval_model, leaf,
-    majority_ensemble, split,
+    majority_ensemble, packed_cells, split,
 )
 from fpxplain.oracle import (
     oracle_completion_count, oracle_expected_value, oracle_h_table,
@@ -286,6 +286,29 @@ def test_shap_division_branches_match_oracle():
     assert min(seen.values()) >= 30, seen
 
 
+def test_table_columns_are_running_sums_of_g():
+    """column(s) is the running sum of G's columns, each cell of G read on
+    its own with packed_cells, for every s from low - 2 to high + 2: 0
+    below low and the total above high."""
+    rng = rng_from_seed(68)
+    for case in range(60):
+        n = rng.randint(1, 7)
+        p = Perceptron(tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)),
+                       F(rng.randint(-12, 12), rng.choice((1, 2))))
+        x = random_instance_bits(rng, n)
+        d = random_product_distribution(rng, n)
+        table = perceptron._agreement_table(p, x, d)
+        g, low, width, slot, _ = perceptron._packed_product(table.factors, with_t=True)
+        assert (low, low + width - 1) == (table.low, table.high), case
+        cells = packed_cells(g, slot // 8, width * (n + 1))
+        sums = [0] * (n + 1)
+        for s in range(low - 2, table.high + 3):
+            if low <= s <= table.high:
+                at = (s - low) * (n + 1)
+                sums = [c + cell for c, cell in zip(sums, cells[at:at + n + 1])]
+            assert packed_cells(table.column(s), slot // 8, n + 1) == sums, (case, s)
+
+
 def test_shap_report_builds_one_table(monkeypatch):
     """Shapley values and the expected value come from one table, with no
     per-feature projected models."""
@@ -316,6 +339,38 @@ def test_lex_first_witnesses():
     p2 = P((2, 2, 2), -6)
     x2 = (1, 1, 1)
     assert min_contrastive_perceptron(p2, x2) == (1, (0,))
+
+
+def _lex_first_witness_reference(gains, need):
+    """The witness search that sorts the gains after every candidate."""
+    ranked = accumulate(sorted(gains, reverse=True), initial=0)
+    size = next((r for r, total in enumerate(ranked) if total >= need), None)
+    if size is None:
+        return ABSENT
+    chosen, start = [], 0
+    while len(chosen) < size:
+        for i in range(start, len(gains)):
+            tail = sorted(gains[i + 1:], reverse=True)[:size - len(chosen) - 1]
+            if gains[i] + sum(tail) >= need:
+                chosen.append(i)
+                need -= gains[i]
+                start = i + 1
+                break
+    return size, tuple(chosen)
+
+
+def test_lex_first_witness_matches_its_reference():
+    """Random gains with ties and zeros, n up to 40, and needs at 0, at the
+    total, past it and in between."""
+    rng = rng_from_seed(69)
+    for case in range(2000):
+        n = rng.randint(0, 40)
+        gains = [rng.choice((0, 0, rng.randint(1, 4), rng.randint(1, 100))) for _ in range(n)]
+        total = sum(gains)
+        for need in (0, total, total + 1, rng.randint(1, total + 1)):
+            assert perceptron._lex_first_witness(gains, need) == \
+                _lex_first_witness_reference(gains, need), (case, gains, need)
+
 
 def test_engines_refuse_trees_and_ensembles():
     """Every perceptron engine names the model it cannot take, before it
