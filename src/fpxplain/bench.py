@@ -40,33 +40,26 @@ def bench_instances(suite: str, seed: int):
     rng = random.Random(f"fpxplain-bench:{suite}:{seed}")
     # cc with an empty subset scans every joint leaf choice, so the
     # timing actually exercises the m^k tuple space
-    if suite == "scaling-m":
-        n, k = 30, 2
-        for m in (4, 8, 16, 32):
-            members = tuple(random_tree_exact(rng, n, m) for _ in range(k))
-            model = Ensemble(members, Majority())
-            x = random_instance_bits(rng, n)
-            yield ({"n": n, "k": k, "m": m, "W": ""}, model, "cc",
-                   {"x": x, "subset": (), "algorithm": "fpt"}, "adaptive")
-    elif suite == "scaling-k":
-        n, m = 16, 8
-        for k in (1, 2, 3, 4):
+    if suite in ("scaling-m", "scaling-k"):
+        rows = ([(30, 2, m) for m in (4, 8, 16, 32)] if suite == "scaling-m"
+                else [(16, k, 8) for k in (1, 2, 3, 4)])
+        for n, k, m in rows:
             members = tuple(random_tree_exact(rng, n, m) for _ in range(k))
             model = Ensemble(members, Majority())
             x = random_instance_bits(rng, n)
             yield ({"n": n, "k": k, "m": m, "W": ""}, model, "cc",
                    {"x": x, "subset": (), "algorithm": "fpt"}, "adaptive")
     elif suite == "pseudopoly-w":
+        # every feature free, so the table spans sum |w| + 1 ~ 8 W columns;
+        # W <= 19,531 keeps 16 (16 W + 1) cells under the default budget
         n = 16
-        subset = tuple(range(0, n, 2))
-        for w_bound in (8, 64, 512):
+        for w_bound in (8, 512, 4096, 16384):
             weights = tuple(Fraction(rng.randint(-w_bound, w_bound))
                             for _ in range(n))
-            model = Perceptron(weights, Fraction(rng.randint(-4 * w_bound,
-                                                             4 * w_bound)))
+            model = Perceptron(weights, Fraction(rng.randint(-w_bound, w_bound)))
             x = random_instance_bits(rng, n)
             yield ({"n": n, "k": "", "m": "", "W": w_bound}, model, "cc",
-                   {"x": x, "subset": subset, "algorithm": "pseudopoly"},
+                   {"x": x, "subset": (), "algorithm": "pseudopoly"},
                    "adaptive")
     elif suite == "oracle-doubling":
         for n in (16, 18, 20):
@@ -79,9 +72,9 @@ def bench_instances(suite: str, seed: int):
         raise InvalidInstanceError(f"unknown bench suite {suite!r}")
 
 
-def _time_adaptive(fn, min_total: float = 0.05, max_runs: int = 4096):
+def _time_adaptive(fn):
     total, runs, result = 0.0, 0, None
-    while total < min_total and runs < max_runs:
+    while total < 0.05 and runs < 4096:
         t0 = time.perf_counter()
         result = fn()
         total += time.perf_counter() - t0
@@ -89,9 +82,9 @@ def _time_adaptive(fn, min_total: float = 0.05, max_runs: int = 4096):
     return result, total / runs
 
 
-def _time_best(fn, count: int = 3):
+def _time_best(fn):
     best, result = None, None
-    for _ in range(count):
+    for _ in range(3):
         oracle.clear_caches()
         t0 = time.perf_counter()
         result = fn()

@@ -110,60 +110,49 @@ def gadget(opts):
         sample_kssp_filtered, sample_ssp,
     )
 
-    def ints(text: str, what: str) -> tuple[int, ...]:
+    def ints(name: str) -> tuple[int, ...]:
+        text = getattr(opts, name[2:])
         try:
             return tuple(int(p.strip()) for p in text.split(","))
         except ValueError:
-            opts.usage(f"{what} must be comma-separated ints, got {text!r}")
+            opts.usage(f"{name} must be comma-separated ints, got {text!r}")
 
-    family, k, n, target = opts.family, opts.k, opts.n, opts.target
-    rng = rng_from_seed(opts.seed) if opts.seed is not None else None
-    if family == "ssp":
-        if rng is not None:
-            inst = sample_ssp(rng, n)
-        elif opts.weights and target is not None:
-            inst = SspInstance(ints(opts.weights, "--weights"), target)
-        else:
-            opts.usage("ssp needs --weights and --target, or --seed")
-        bundle, solve = ssp_csr_gadget(inst), solve_ssp_brute
-    elif family == "kssp":
-        if rng is not None:
-            inst = sample_kssp_filtered(rng, n)
-        elif opts.weights and k is not None and target is not None:
-            inst = KsspInstance(ints(opts.weights, "--weights"), k, target)
-        else:
-            opts.usage("kssp needs --weights, --k and --target, or --seed")
-        bundle, solve = kssp_mcr_gadget(inst), solve_kssp_brute
-    elif family == "gssp":
-        if rng is not None:
-            if n < 1:  # the split below would give it one weight a side
-                opts.usage(f"--n must be at least 1, got {n}")
-            half = max(1, n // 2)
-            inst = sample_gssp(rng, half, max(1, n - half))
-        elif opts.u and opts.v and target is not None:
-            inst = GsspInstance(ints(opts.u, "--u"), ints(opts.v, "--v"),
-                                target)
-        else:
-            opts.usage("gssp needs --u, --v and --target, or --seed")
-        bundle, solve = gssp_msr_gadget(inst), solve_gssp_brute
-    elif family == "kgssp-star":
-        if rng is not None:
-            inst = sample_kgssp_star(rng, n)
-        elif opts.z and opts.s0 and k is not None and target is not None:
-            inst = KgsspStarInstance(ints(opts.z, "--z"),
-                                     ints(opts.s0, "--s0"), k, target)
-        else:
-            opts.usage("kgssp-star needs --z, --s0, --k and --target, or --seed")
-        bundle, solve = kgssp_star_msr_gadget(inst), solve_kgssp_star_brute
-    else:  # clique
-        if rng is not None:
-            inst = sample_colored_graph(rng, k if k is not None else 3, n)
-        elif opts.graph:
-            inst = parse_graph_text(_read(opts.graph))
-        else:
-            opts.usage("clique needs --graph, or --seed (with --k colors)")
-        bundle, solve = (multicolored_clique_csr_gadget(inst),
-                         solve_multicolored_clique_brute)
+    def split_gssp(rng, n):
+        if n < 1:  # the split below would give it one weight a side
+            opts.usage(f"--n must be at least 1, got {n}")
+        half = max(1, n // 2)
+        return sample_gssp(rng, half, max(1, n - half))
+
+    # family: (sampler of --seed and --n, the options that give an instance
+    # instead, that instance, the gadget, the brute-force source solver)
+    families = {
+        "ssp": (sample_ssp, ("--weights", "--target"),
+                lambda: SspInstance(ints("--weights"), opts.target),
+                ssp_csr_gadget, solve_ssp_brute),
+        "kssp": (sample_kssp_filtered, ("--weights", "--k", "--target"),
+                 lambda: KsspInstance(ints("--weights"), opts.k, opts.target),
+                 kssp_mcr_gadget, solve_kssp_brute),
+        "gssp": (split_gssp, ("--u", "--v", "--target"),
+                 lambda: GsspInstance(ints("--u"), ints("--v"), opts.target),
+                 gssp_msr_gadget, solve_gssp_brute),
+        "kgssp-star": (sample_kgssp_star, ("--z", "--s0", "--k", "--target"),
+                       lambda: KgsspStarInstance(ints("--z"), ints("--s0"), opts.k,
+                                                 opts.target),
+                       kgssp_star_msr_gadget, solve_kgssp_star_brute),
+        "clique": (lambda rng, n: sample_colored_graph(rng, 3 if opts.k is None else opts.k, n),
+                   ("--graph",), lambda: parse_graph_text(_read(opts.graph)),
+                   multicolored_clique_csr_gadget, solve_multicolored_clique_brute),
+    }
+    sample, needs, given, build, solve = families[opts.family]
+    if opts.seed is not None:
+        inst = sample(rng_from_seed(opts.seed), opts.n)
+    elif all(getattr(opts, name[2:]) not in (None, "") for name in needs):
+        inst = given()
+    else:
+        listed = f"{', '.join(needs[:-1])} and {needs[-1]}" if needs[1:] else needs[0]
+        colors = " (with --k colors)" if opts.family == "clique" else ""
+        opts.usage(f"{opts.family} needs {listed}, or --seed{colors}")
+    bundle = build(inst)
     if opts.solve:
         bundle.info["source_answer"] = solve(inst)
     _emit(dumps_bundle(bundle), opts.out)

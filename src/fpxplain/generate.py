@@ -33,17 +33,21 @@ def rng_from_seed(seed) -> random.Random:
 
 
 def random_instance_bits(rng: random.Random, n: int) -> tuple[int, ...]:
+    _at_least(n, 0, "n")
     return tuple(rng.randint(0, 1) for _ in range(n))
 
 
 def random_tree(rng: random.Random, n: int, max_leaves: int) -> DecisionTree:
     """Grow a read-once-per-path tree by splitting random leaves."""
     _at_least(max_leaves, 1, "max_leaves")
+    _at_least(n, 0, "n")
     return _grow_tree(rng, n, rng.randint(1, max_leaves))
 
 
 def random_tree_exact(rng: random.Random, n: int, leaves: int) -> DecisionTree:
     """Like random_tree but with an exact leaf count (needs enough features)."""
+    _at_least(n, 0, "n")
+    _at_least(leaves, 0, "leaves")
     tree = _grow_tree(rng, n, leaves)
     if tree.leaf_count != leaves:
         raise InvalidInstanceError(
@@ -84,14 +88,14 @@ def _grow_tree(rng: random.Random, n: int, target: int) -> DecisionTree:
     return DecisionTree(n, tuple(nodes), root_index)
 
 
-def random_rational(rng: random.Random, bound: int,
-                    denominators=(1, 1, 2)) -> Fraction:
+def random_rational(rng: random.Random, bound: int) -> Fraction:
     _at_least(bound, 0, "bound")
-    return Fraction(rng.randint(-bound, bound), rng.choice(denominators))
+    return Fraction(rng.randint(-bound, bound), rng.choice((1, 1, 2)))
 
 
 def random_perceptron(rng: random.Random, n: int, weight_bound: int) -> Perceptron:
     _at_least(weight_bound, 0, "weight_bound")
+    _at_least(n, 0, "n")
     weights = tuple(random_rational(rng, weight_bound) for _ in range(n))
     # integer-heavy biases keep exact score ties common
     bias = Fraction(rng.randint(-2 * weight_bound, 2 * weight_bound),
@@ -112,6 +116,7 @@ def random_tree_ensemble(rng: random.Random, n: int, k: int,
 
 
 def random_product_distribution(rng: random.Random, n: int) -> ProductDistribution:
+    _at_least(n, 0, "n")
     probs = []
     for _ in range(n):
         den = rng.choice((2, 3, 4, 8))

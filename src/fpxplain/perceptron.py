@@ -130,10 +130,12 @@ def _packed_product(factors, with_t: bool) -> tuple[int, int, int, int, int]:
     without t.
 
     G is one integer, cell (j, s) at bit ((s - low) rows + j) slot with
-    rows = n + 1 (1 without t), so multiplying by a factor is a few
-    whole-integer operations. Its w sums span width = sum |w_i| + 1
-    columns from low. A slot holds D 2^(rows - 1) + 1, more than any
-    prefix sum of a row.
+    rows = n + 1 (1 without t), so multiplying by a factor is one
+    multiply-add of whole integers, head + (tail << |w| columns): head is
+    (d - a) G and tail (a + d t) G for w >= 0, and the two swap for w < 0,
+    where F = u^w ((a + d t) + u^{-w} (d - a)) moves low down by |w|. Its
+    w sums span width = sum |w_i| + 1 columns from low. A slot holds
+    D 2^(rows - 1) + 1, more than any prefix sum of a row.
 
     The table is charged width * max(1, n) * rows cells against
     FPXPLAIN_PSEUDO_BUDGET before it is built; over the budget raises
@@ -154,12 +156,11 @@ def _packed_product(factors, with_t: bool) -> tuple[int, int, int, int, int]:
     g, low = 1, 0
     # small shifts first keep the early partial products short
     for w, a, d in sorted(factors, key=lambda f: abs(f[0])):
-        moved = (a + (d << slot) if with_t else a) * g
-        if w >= 0:
-            g = (d - a) * g + (moved << w * col)
-        else:
-            g = ((d - a) * g << -w * col) + moved
+        head, tail = (d - a) * g, (a + (d << slot) if with_t else a) * g
+        if w < 0:
+            head, tail = tail, head
             low += w
+        g = head + (tail << abs(w) * col)
     return g, low, width, slot, common
 
 
@@ -242,7 +243,7 @@ class _AgreementTable(NamedTuple):
     per j = 0..n, with C_j(s) = sum_{s' <= s} G[j][s']. Every cell is
     below D 2^n, so sums, differences and exact quotients of columns are
     taken cell by cell as long as every resulting cell stays in range.
-    `column` reads one column at any s; the sweeps of `conditioned` index
+    `column` reads one column at any s; the sweep of `conditioned` indexes
     the list.
     """
 
@@ -265,26 +266,25 @@ class _AgreementTable(NamedTuple):
         with threshold T - w. Summing G = F Q over s' <= s gives
         C(s) = c0 P(s) + (a + d t) P(s - w) with c0 = d - a, which must be
         positive, so P(s) = (C(s) - (a + d t) P(s - w)) / c0 exactly, and
-        P(T - w) needs only the points T - w - m w. For w > 0 the sweep
-        runs upward from P = 0 below Q's range [low, high - w]; for w < 0
-        the same recurrence holds for the suffix sums, which sweep down
-        from 0 above Q's range [low - w, high] and are subtracted from Q's
-        total D / d (1 + t)^(n-1). Either sweep reads at most width / |w|
-        columns, every |w|-th entry of `cols`; every point lies in
-        [low, high), so none is clamped.
+        P(T - w) needs only the points T - w - m w. The sweep starts on
+        the side P(s - w) lies on: for w > 0 upward from P = 0 below
+        Q's range [low, high - w], for w < 0 downward from Q's total
+        D / d (1 + t)^(n-1) above Q's range [low - w, high]. So each step
+        divides by the integer c0, not by the packed a + d t, and reads one
+        of at most width / |w| columns, every |w|-th entry of `cols`; every
+        point lies in [low, high), so none is clamped.
         """
         cols, low, high = self.cols, self.low, self.high
         c0, times = d - a, a + (d << self.slot)
-        acc = 0
         if w > 0:
             top = min(self.threshold, high) - w - low
-            for c in cols[top % w:max(top + 1, 0):w]:
-                acc = (c - times * acc) // c0
-            return acc
-        total = cols[-1]
-        for c in reversed(cols[max(self.threshold - w, low - w - 1) - low:high - low:-w]):
-            acc = (total - c - times * acc) // c0
-        return total // (d + (d << self.slot)) - acc
+            acc, points = 0, cols[top % w:max(top + 1, 0):w]
+        else:
+            acc = cols[-1] // (d + (d << self.slot))
+            points = reversed(cols[max(self.threshold - w, low - w - 1) - low:high - low:-w])
+        for c in points:
+            acc = (c - times * acc) // c0
+        return acc
 
 
 @lru_cache(maxsize=1)

@@ -21,6 +21,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,8 @@ from fpxplain.gadgets import (
     kssp_mcr_gadget, ssp_csr_gadget,
 )
 from fpxplain.generate import (
-    random_instance_bits, random_perceptron, random_tree, rng_from_seed,
+    generate_model, random_instance_bits, random_perceptron, random_product_distribution,
+    random_tree, random_tree_ensemble, random_tree_exact, rng_from_seed,
 )
 from fpxplain.models import (
     DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution, Weighted,
@@ -273,6 +275,32 @@ def test_a_bad_count_family_or_formula_raises_only_package_errors():
                     call(*_replace(args, where, _bad(value, args[where])))
                 except FpxError:
                     pass
+
+
+def test_a_bad_size_to_a_generator_raises_a_package_error_before_drawing():
+    """Each size argument of the seeded generators, and only those, is
+    given each bad value in turn: each is refused with an FpxError, and
+    the random stream is left unread. HUGE and OVER_LONG are left out:
+    they are valid sizes, which would draw 10^30 values or more, not bad
+    ones."""
+    bad = tuple(value for value in BAD if value is not HUGE and value is not OVER_LONG)
+    calls = ((random_instance_bits, (3,)),
+             (random_product_distribution, (3,)),
+             (random_perceptron, (3, 4)),
+             (random_tree, (3, 4)),
+             (random_tree_exact, (4, 3)),
+             (random_tree_ensemble, (3, 2, 4)),
+             *((lambda rng, n, family=family: generate_model(family, rng, n), (3,))
+               for family in ("tree", "tree-ensemble", "perceptron")))
+    fresh = rng_from_seed(0).getstate()
+    for call, args in calls:
+        call(rng_from_seed(0), *args)
+        for where in range(len(args)):
+            for value in bad:
+                rng = rng_from_seed(0)
+                with pytest.raises(FpxError):
+                    call(rng, *_replace(args, where, _bad(value, args[where])))
+                assert rng.getstate() == fresh, (call, where, value)
 
 
 # ---------------------------------------------------------------------------

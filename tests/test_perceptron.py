@@ -286,6 +286,63 @@ def test_shap_division_branches_match_oracle():
     assert min(seen.values()) >= 30, seen
 
 
+def test_division_past_the_shap_oracle_cap():
+    """The division for each feature, past FPXPLAIN_SHAP_ORACLE_CAP (14),
+    where no oracle twin answers: 40 seeded perceptrons at n = 16..30 with
+    integer weights of both signs and zeros, under the pseudo budget,
+    probabilities that include 0 and 1, and thresholds T below low, inside
+    [low, high], within max |w''| of high and above high, 10 of each. For
+    each of the 601 features with w'' != 0 and q_i != 1, d_i P / D, P the
+    conditioned column read with packed_cells, is the H table of the
+    model with feature i fixed to x_i, over the other features. And
+    shap_report's values sum to f(x) - E[f], with its E[f] the t-free
+    table's expected_value_perceptron."""
+    from fpxplain import _config
+    rng = rng_from_seed(69)
+    probs = tuple(F(q) for q in ("0", "1", "1/2", "1/3", "2/3", "1/8", "7/8"))
+    seen = {"T<low": 0, "low<=T<=high": 0, "high-|w''|<=T<=high": 0, "T>high": 0,
+            "w''>0": 0, "w''<0": 0, "q=0": 0}
+    for case in range(40):
+        n = rng.randint(_config.SHAP_ORACLE_CAP_DEFAULT + 2, 30)
+        bound = rng.choice((1, 3, 9, 20))
+        weights = tuple(0 if rng.random() < 0.1 else rng.randint(-bound, bound)
+                        for _ in range(n))
+        x = random_instance_bits(rng, n)
+        w2s = [-w if xi else w for w, xi in zip(weights, x)]
+        low, high = sum(w for w in w2s if w < 0), sum(w for w in w2s if w > 0)
+        assert (high - low + 1) * n * (n + 1) <= _config.PSEUDO_BUDGET_DEFAULT, case
+        where = tuple(seen)[case % 4]
+        if where == "T<low":
+            threshold = low - rng.randint(1, 3)
+        elif where == "low<=T<=high":
+            threshold = rng.randint(low, high)
+        elif where == "T>high":
+            threshold = high + rng.randint(1, 3)
+        else:
+            threshold = high - rng.randint(0, max(map(abs, w2s)))
+        seen[where] += 1
+        p = Perceptron(tuple(map(F, weights)),
+                       F(threshold - sum(w for w, xi in zip(weights, x) if not xi)))
+        d = ProductDistribution(tuple(rng.choice(probs) for _ in range(n)))
+        report = shap_report(p, x, d)
+        assert report.method == "pseudopoly" and check_efficiency(report), case
+        assert report.expected == expected_value_perceptron(p, d), case
+        table = perceptron._agreement_table(p, x, d)  # the cache holds one table
+        assert (table.threshold, table.low, table.high) == (threshold, low, high), case
+        for i, (w, a, den) in enumerate(table.factors):
+            if w == 0 or a == den:
+                continue
+            cells = packed_cells(table.conditioned(w, a, den), table.slot // 8, n)
+            g = transforms.project_out_feature(p, i, x[i])
+            rest = ProductDistribution(d.probs[:i] + d.probs[i + 1:])
+            assert tuple(F(den * c, table.common) for c in cells) == \
+                h_table_perceptron(g, x[:i] + x[i + 1:], rest), (case, i)
+            seen["w''>0" if w > 0 else "w''<0"] += 1
+            seen["q=0"] += a == 0
+    assert seen == {"T<low": 10, "low<=T<=high": 10, "high-|w''|<=T<=high": 10,
+                    "T>high": 10, "w''>0": 302, "w''<0": 299, "q=0": 99}, seen
+
+
 def test_table_columns_are_running_sums_of_g():
     """column(s) is the running sum of G's columns, each cell of G read on
     its own with packed_cells, for every s from low - 2 to high + 2: 0
