@@ -144,14 +144,24 @@ def gadget(opts):
                    multicolored_clique_csr_gadget, solve_multicolored_clique_brute),
     }
     sample, needs, given, build, solve = families[opts.family]
+
+    def listed(names) -> str:
+        return f"{', '.join(names[:-1])} and {names[-1]}" if names[1:] else names[0]
+
     if opts.seed is not None:
+        # the sampler draws the whole instance, so an option that gives part
+        # of it would be dropped; clique's --k is not one, it is the
+        # sampler's color count
+        clash = [name for name in needs if getattr(opts, name[2:]) is not None]
+        if clash:
+            opts.usage(f"--seed samples the {opts.family} instance; "
+                       f"it cannot be given with {listed(clash)}")
         inst = sample(rng_from_seed(opts.seed), opts.n)
     elif all(getattr(opts, name[2:]) not in (None, "") for name in needs):
         inst = given()
     else:
-        listed = f"{', '.join(needs[:-1])} and {needs[-1]}" if needs[1:] else needs[0]
         colors = " (with --k colors)" if opts.family == "clique" else ""
-        opts.usage(f"{opts.family} needs {listed}, or --seed{colors}")
+        opts.usage(f"{opts.family} needs {listed(needs)}, or --seed{colors}")
     bundle = build(inst)
     if opts.solve:
         bundle.info["source_answer"] = solve(inst)

@@ -183,6 +183,7 @@ def sample_kssp_filtered(rng: random.Random, n: int,
 def sample_gssp(rng: random.Random, l: int, m: int,
                 weight_bound: int = 12) -> GsspInstance:
     _at_least(l, 1, "l")
+    _at_least(m, 0, "m")
     _at_least(weight_bound, 1, "weight_bound")
     u = tuple(rng.randint(1, weight_bound) for _ in range(l))
     if rng.random() < 0.5:
@@ -227,6 +228,7 @@ def sample_kgssp_star(rng: random.Random, n: int,
 
 
 def sample_colored_graph(rng: random.Random, k: int, max_class_size: int) -> ColoredGraph:
+    _at_least(k, 0, "k")
     _at_least(max_class_size, 1, "max_class_size")
     sizes = [rng.randint(1, max_class_size) for _ in range(k)]
     colors = []

@@ -67,7 +67,13 @@ def parse_rational(value, what: str = "rational") -> Fraction:
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """obj as compact JSON with sorted keys: the canonical payload bytes.
+
+    Every caller passes a tree of freshly built dicts and lists, so the
+    encoder skips its circular-reference bookkeeping; a cyclic object
+    raises RecursionError.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 # ---------------------------------------------------------------------------

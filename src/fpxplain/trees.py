@@ -29,26 +29,35 @@ entry, so a prefix costs one lookup and one multiply-add. An entry's mass
 factors at the prefix's part inside U: one factor for that part, times,
 for each row, the factor of the row's features outside it, memoised per
 call. Sufficiency runs the same walk and stops at the first prefix whose
-entry is non-empty. A consumer may also hand the walk a cut, a predicate
-on a partial selection checked right after the vote bound, that drops
-the selection and everything below it.
+entry is non-empty.
+
+A consumer may also hand the walk a step, which carries a state down its
+stack: called right after the vote bound with the parent selection's
+state and the joining path, it returns the child's state, from the
+features the path newly fixes, or None to drop the selection and
+everything below it; each prefix comes out with its state. Expectation
+carries the prefix's mass outside U this way, multiplying in only the
+features a path newly fixes there, memoised per call.
 
 The contrastive queries read the flip masks, the features on which a
 selection that overturns f(x) disagrees with x. The smallest contrastive
 set is a smallest mask, and mcr finds it without building the family:
 branch and bound (Land & Doig, Econometrica 1960) on the one walk, whose
-cut drops a partial selection that already flips more features than the
-best complete one, with each tree's paths tried cheapest first and each
-entry folded to its least row cost. Enumeration and minimum sufficient
-reasons read the whole family. Candidates come by size, then by
-member tuple: the masks are sorted before any tuple is built, by a bytes
-key under which equal-size masks compare as their tuples do (_lex_key),
-and each tuple is then joined once from memoised tuples of its low and
-high halves. Minimum sufficient reasons come from the hitting-set
-duality (Ignatiev, Narodytska & Marques-Silva, AAAI 2019): a set is
-sufficient iff it meets every flip mask, and iff it meets every
-inclusion-minimal one, so the family is reduced to those before the
-search.
+step carries the flip count and drops a partial selection that already
+flips more features than the best complete one, with each tree's paths
+tried cheapest first and each entry folded to its least row cost.
+Minimum sufficient reasons come from the hitting-set duality (Ignatiev,
+Narodytska & Marques-Silva, AAAI 2019): a set is sufficient iff it meets
+every flip mask, and iff it meets every inclusion-minimal one. Those are
+found by a second bounded walk, whose step carries the flip mask and
+drops a selection whose mask contains one already met; the met masks
+form an antichain, a new one evicting its supersets, and at the end they
+are the minimal family. Minimal-only enumeration reads the same walk;
+only unfiltered enumeration builds the whole family. Candidates come by
+size, then by member tuple: the masks are sorted before any tuple is
+built, by a bytes key under which equal-size masks compare as their
+tuples do (_lex_key), and each tuple is then joined once from memoised
+tuples of its low and high halves.
 
 Cost is O(m^(k-1)) prefixes for k trees with at most m leaves each,
 each one table lookup, plus O(m) per distinct table entry; the
@@ -104,7 +113,7 @@ def _conditioned_triples(tree: DecisionTree, xbits: int, smask: int) -> list[tup
 # the joint selection scan
 
 
-def _prefixes(lists, voting, want: int, fold=None, cut=None):
+def _prefixes(lists, voting, want: int, fold=None, step=None, start=None):
     """Yield (mask, vals, entry) for each selection of the first k - 1 trees
     that some path of the last tree completes to the given output, with
     (mask, vals) the selection's part outside U (see below).
@@ -128,12 +137,16 @@ def _prefixes(lists, voting, want: int, fold=None, cut=None):
     yielded, so a consumer that stops at the first prefix (sufficiency)
     builds entries only for the prefixes the walk reaches.
 
-    A cut, when given, is a predicate on a partial selection's (mask,
-    vals), the union of its paths inside and outside U. It is asked at each
-    step right after the vote bound, and a selection it holds is dropped
-    with everything below it, so a consumer can bound the walk by a cost
-    that adding paths never lowers (mcr's flip count). Without one the
-    walk yields every prefix, as above.
+    A step, when given, carries a state down the stack, start at the empty
+    selection. It is called right after the vote bound as step(state, mask,
+    m2, v2), with the parent selection's state and mask (the union of its
+    path masks, inside and outside U) and the joining path's (m2, v2), so
+    m2 & ~mask are the features the path newly fixes. It returns the
+    child's state, or None to drop the child with everything below it, so
+    a consumer can carry a product over the fixed features, or bound the
+    walk by a cost that adding paths never lowers (mcr's flip count). Each
+    prefix is then yielded as (mask, vals, entry, state). Without a step
+    the walk yields every prefix, as above.
 
     Since any partial assignment extends to a full instance, and a full
     instance follows some path in every tree, the scan yields a first
@@ -158,9 +171,9 @@ def _prefixes(lists, voting, want: int, fold=None, cut=None):
     floor = need[1:k] or need[:1]
     depth = len(heads)
     table: dict[tuple[int, int, bool, bool], object] = {}
-    stack = [(iter(heads[0]), 0, 0, 0)]
+    stack = [(iter(heads[0]), 0, 0, 0, start)]
     while stack:
-        paths, mask, vals, vote = stack[-1]
+        paths, mask, vals, vote, state = stack[-1]
         j = len(stack)
         for m2, v2, lab in paths:
             if (vals ^ v2) & mask & m2:
@@ -168,11 +181,15 @@ def _prefixes(lists, voting, want: int, fold=None, cut=None):
             v = vote + weights[j - 1] if lab else vote
             if v < floor[j - 1]:
                 continue
+            if step is None:
+                child = None
+            else:
+                child = step(state, mask, m2, v2)
+                if child is None:
+                    continue
             pm, pv = mask | m2, vals | v2
-            if cut is not None and cut(pm, pv):
-                continue
             if j < depth:
-                stack.append((iter(heads[j]), pm, pv, v))
+                stack.append((iter(heads[j]), pm, pv, v, child))
                 break
             mu, vu = pm & inside, pv & inside
             take0, take1 = v >= threshold, v + w >= threshold
@@ -183,7 +200,8 @@ def _prefixes(lists, voting, want: int, fold=None, cut=None):
                         if (take1 if ll else take0) and not (vu ^ lv) & mu & lm]
                 entry = table[key] = (fold(rows, mu, vu) if fold else rows) if rows else None
             if entry is not None:
-                yield pm ^ mu, pv ^ vu, entry
+                yield (pm ^ mu, pv ^ vu, entry) if step is None \
+                    else (pm ^ mu, pv ^ vu, entry, child)
         else:
             stack.pop()
 
@@ -279,7 +297,8 @@ def _flip_masks(e: Ensemble, x: Instance) -> set[int]:
     """Flip masks (vals ^ x) & mask of the selections that overturn f(x).
 
     Each one is contrastive, and every subset-minimal contrastive set is
-    one of them.
+    one of them. Only unfiltered enumeration needs them all; the other
+    contrastive queries bound the walk (_minimal_flip_masks, mcr).
     """
     xbits, want = _overturning(e, x)
     flips: set[int] = set()
@@ -293,6 +312,56 @@ def _flip_masks(e: Ensemble, x: Instance) -> set[int]:
         flips.update([pf | f for f in row_flips] if pf else row_flips)
     assert 0 not in flips, "a selection consistent with x cannot overturn f(x)"
     return flips
+
+
+def _cheapest_first(e: Ensemble, xbits: int) -> list[list[tuple[int, int, int]]]:
+    """Each member's paths by the number of features on which they
+    disagree with x, fewest first, so a bounded walk meets small flip
+    masks early."""
+    def flip_cost(path) -> int:
+        return ((path[1] ^ xbits) & path[0]).bit_count()
+
+    return [sorted(t.paths, key=flip_cost) for t in e.members]
+
+
+def _minimal_flip_masks(e: Ensemble, x: Instance) -> list[int]:
+    """The inclusion-minimal members of _flip_masks(e, x), by a bounded
+    walk that never builds the rest of the family.
+
+    The walk carries each selection's flip mask, which only grows as paths
+    join it, and drops a selection whose mask already contains a flip mask
+    met so far: no completion of it is minimal. The met masks are kept as
+    an antichain, since a new mask evicts its supersets, and each tree's
+    paths are tried cheapest first, so the antichain is small early. Every
+    minimal mask is met (each partial mask on its way is a subset of it,
+    and contains no other member), and a met mask that is not minimal is
+    evicted by the minimal one it contains, or was never added, so the
+    antichain at the end is exactly the minimal family, in no set order.
+    """
+    xbits, want = _overturning(e, x)
+    met: list[int] = []
+
+    def step(flips, mask, m2, v2):
+        flips |= (v2 ^ xbits) & m2
+        for m in met:
+            if m & flips == m:
+                return None
+        return flips
+
+    def entry_minimal(rows, mu, vu) -> list[int]:
+        # a row whose flips contain another row's completes a prefix only
+        # to a superset of the mask that row gives it
+        return _inclusion_minimal({(rv ^ xbits) & rm for rm, rv in rows})
+
+    lists = _cheapest_first(e, xbits)
+    for _, _, row_flips, flips in _prefixes(lists, e.voting, want, entry_minimal, step, 0):
+        for f in row_flips:
+            f |= flips
+            if all(m & f != m for m in met):
+                met[:] = [m for m in met if m & f != f]
+                met.append(f)
+    assert 0 not in met, "a selection consistent with x cannot overturn f(x)"
+    return met
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -383,11 +452,10 @@ def enumerate_candidate_contrastive(e: Ensemble, x: Instance,
     Each returned set is contrastive (flipping it changes the prediction),
     and every subset-minimal contrastive set appears. Sorted by size then
     lexicographically. filter_minimal drops members that strictly contain
-    another member.
+    another member: those come from the bounded walk of
+    _minimal_flip_masks, which never builds the others.
     """
-    flips = _flip_masks(e, x)
-    if filter_minimal:
-        flips = _inclusion_minimal(flips)
+    flips = _minimal_flip_masks(e, x) if filter_minimal else _flip_masks(e, x)
     n = e.feature_count
     return tuple(_member_tuples(_lex_order(flips, n), n))
 
@@ -396,39 +464,39 @@ def min_contrastive_size(e: Ensemble, x: Instance):
     """(size, witness) of a smallest contrastive set, or ABSENT if none.
 
     The smallest flip masks, found by branch and bound on the scan without
-    building the family: a selection's flip count only grows as paths join
-    it, so the walk cuts any partial selection that already flips more
-    features than the best complete one so far. Each tree's paths are tried
-    cheapest first, so a good bound comes early. An entry keeps its rows'
-    least flip count and the row masks at that count; every mask at the
-    final best survives the cut, and the witness is the first of them by
-    _lex_key, as among the whole family.
+    building the family: the walk carries each selection's flip count,
+    which only grows as paths join it, adding the flips of the features a
+    path newly fixes, and drops any partial selection that already flips
+    more features than the best complete one so far. Each tree's paths are
+    tried cheapest first, so a good bound comes early. An entry keeps the
+    least count its rows add to the prefix's and the row masks at that
+    count; every mask at the final best survives the bound, and the
+    witness is the first of them by _lex_key, as among the whole family.
     """
     xbits, want = _overturning(e, x)
     n = e.feature_count
     best = n  # the least complete flip count so far; no mask exceeds n
 
-    def flip_cost(path) -> int:
-        return ((path[1] ^ xbits) & path[0]).bit_count()
-
-    def cut(mask, vals) -> bool:
-        return ((vals ^ xbits) & mask).bit_count() > best  # as the loop below lowers it
+    def step(count, mask, m2, v2):
+        count += ((v2 ^ xbits) & m2 & ~mask).bit_count()
+        return None if count > best else count  # best as the loop below lowers it
 
     def cheapest(rows, mu, vu) -> tuple[int, list[int]]:
         flips = [(rv ^ xbits) & rm for rm, rv in rows]
         least = min(map(int.bit_count, flips))
-        return least, [f for f in flips if f.bit_count() == least]
+        own = ((vu ^ xbits) & mu).bit_count()  # already in the prefix's count
+        return least - own, [f for f in flips if f.bit_count() == least]
 
-    lists = [sorted(t.paths, key=flip_cost) for t in e.members]
     kept: list[int] = []  # the flip masks at cost best
-    for mask, vals, (least, row_flips) in _prefixes(lists, e.voting, want, cheapest, cut):
-        pf = (vals ^ xbits) & mask  # outside U, so disjoint from the row masks
-        cost = pf.bit_count() + least
+    for mask, vals, (extra, row_flips), count in _prefixes(
+            _cheapest_first(e, xbits), e.voting, want, cheapest, step, 0):
+        cost = count + extra
         if cost > best:
             continue
         if cost < best:
             best = cost
             kept = []
+        pf = (vals ^ xbits) & mask  # outside U, so disjoint from the row masks
         kept += [pf | f for f in row_flips]
     if not kept:
         return ABSENT
@@ -509,15 +577,13 @@ def min_sufficient_size(e: Ensemble, x: Instance) -> tuple[int, tuple[int, ...]]
     A set is sufficient exactly when it meets every contrastive set, and
     it is enough to meet the flip masks, which contain all the
     subset-minimal contrastive sets, or just their inclusion-minimal
-    members.
+    members. Only those are built (_minimal_flip_masks); the reduction
+    inside minimum_hitting_set finds nothing more to drop.
     """
-    flips = _flip_masks(e, x)
-    if not flips:
+    minimal = _minimal_flip_masks(e, x)
+    if not minimal:
         return 0, ()
-    # filtered here too, so only the minimal members make the trip through
-    # index tuples; the second pass inside finds nothing to drop
-    minimal = map(_members, _inclusion_minimal(flips))
-    size, witness = minimum_hitting_set(minimal, e.feature_count)
+    size, witness = minimum_hitting_set(map(_members, minimal), e.feature_count)
     assert csr_tree_ensemble(e, x, witness), "duality witness must be sufficient"
     return size, witness
 
@@ -555,9 +621,12 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
     features the last tree tests, and its entries the ones inside (see
     _prefixes), so the mass splits at U: an entry keeps its rows' summed
     mass on U over D_U, the product of the denominators on U, and a prefix
-    adds D // (D_U d_out) * q_out times it, where q_out and d_out are the
-    products of the numerator factors and of the denominators on the
-    prefix's part outside U, memoised per call.
+    adds its scale times it, D // (D_U d_out) * q_out, where q_out and
+    d_out are the products of the numerator factors and of the
+    denominators on the prefix's part outside U. The walk carries the
+    scale down its stack, from D // D_U at the empty selection: a path
+    takes it to scale // d(S) * q(S), S the features it newly fixes
+    outside U, with (q(S), d(S)) memoised per call by S and its values.
 
     An entry's rows all hold the prefix's part (mu, vu) inside U, so its
     mass factors there: with head = D_U // d(mu) * q(mu, vu), a completing
@@ -575,6 +644,7 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
     d_in = prod(dens[i] for i in _members(inside))
     rest = denom // d_in
     tails: dict[tuple[int, int], tuple[int, int]] = {}  # (S, vals on S) -> (q, d) on S
+    outside: dict[tuple[int, int], tuple[int, int]] = {}  # the same, for S outside U
 
     def mass(rows, mu, vu) -> int:
         q, d = _mass_factors(mu, vu, nums, dens)
@@ -591,15 +661,20 @@ def expected_value_tree_ensemble(e: Ensemble, dist: ProductDistribution) -> Frac
             total += head // got[1] * got[0]
         return total
 
-    scales: dict[tuple[int, int], int] = {}  # a prefix part outside U -> its mass over D // D_U
+    def step(scale, mask, m2, v2) -> int:
+        new = m2 & ~(mask | inside)
+        if not new:
+            return scale
+        key = new, v2 & new
+        got = outside.get(key)
+        if got is None:
+            got = outside[key] = _mass_factors(*key, nums, dens)
+        # exact: scale carries the denominators outside U that the
+        # selection leaves free, among them those on new
+        return scale // got[1] * got[0]
+
     acc = 0
-    for mask, vals, f in _prefixes(lists, e.voting, 1, mass):
-        scale = scales.get((mask, vals))
-        if scale is None:
-            # exact: mask lies outside U, and rest is the product of the
-            # denominators there
-            q, d = _mass_factors(mask, vals, nums, dens)
-            scale = scales[mask, vals] = rest // d * q
+    for _, _, f, scale in _prefixes(lists, e.voting, 1, mass, step, rest):
         acc += scale * f
     return Fraction(acc, denom)
 

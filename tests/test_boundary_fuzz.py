@@ -32,7 +32,8 @@ from fpxplain.gadgets import (
 )
 from fpxplain.generate import (
     generate_model, random_instance_bits, random_perceptron, random_product_distribution,
-    random_tree, random_tree_ensemble, random_tree_exact, rng_from_seed,
+    random_tree, random_tree_ensemble, random_tree_exact, rng_from_seed, sample_colored_graph,
+    sample_gssp, sample_kgssp_star, sample_kssp, sample_kssp_filtered, sample_ssp,
 )
 from fpxplain.models import (
     DecisionTree, Ensemble, Majority, Perceptron, ProductDistribution, Weighted,
@@ -278,11 +279,12 @@ def test_a_bad_count_family_or_formula_raises_only_package_errors():
 
 
 def test_a_bad_size_to_a_generator_raises_a_package_error_before_drawing():
-    """Each size argument of the seeded generators, and only those, is
-    given each bad value in turn: each is refused with an FpxError, and
-    the random stream is left unread. HUGE and OVER_LONG are left out:
-    they are valid sizes, which would draw 10^30 values or more, not bad
-    ones."""
+    """Each size argument of the seeded generators and gadget samplers,
+    and only those, is given each bad value in turn: each is refused with
+    an FpxError, and the random stream is left unread. Sizes of 0 are
+    valid where they are (gssp's m, the clique sampler's k) and the calls
+    with them draw. HUGE and OVER_LONG are left out: they are valid sizes,
+    which would draw 10^30 values or more, not bad ones."""
     bad = tuple(value for value in BAD if value is not HUGE and value is not OVER_LONG)
     calls = ((random_instance_bits, (3,)),
              (random_product_distribution, (3,)),
@@ -291,10 +293,20 @@ def test_a_bad_size_to_a_generator_raises_a_package_error_before_drawing():
              (random_tree_exact, (4, 3)),
              (random_tree_ensemble, (3, 2, 4)),
              *((lambda rng, n, family=family: generate_model(family, rng, n), (3,))
-               for family in ("tree", "tree-ensemble", "perceptron")))
+               for family in ("tree", "tree-ensemble", "perceptron")),
+             (sample_ssp, (3,)),
+             (sample_kssp, (3,)),
+             (sample_kssp_filtered, (3,)),
+             (sample_gssp, (2, 2)),
+             (sample_gssp, (2, 0)),
+             (sample_kgssp_star, (3,)),
+             (sample_colored_graph, (2, 2)),
+             (sample_colored_graph, (0, 2)))
     fresh = rng_from_seed(0).getstate()
     for call, args in calls:
-        call(rng_from_seed(0), *args)
+        rng = rng_from_seed(0)
+        call(rng, *args)
+        assert rng.getstate() != fresh, (call, args)
         for where in range(len(args)):
             for value in bad:
                 rng = rng_from_seed(0)

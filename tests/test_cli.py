@@ -495,6 +495,24 @@ def test_gadget_sampled_families(tmp_path):
     assert r.exit_code == 0, r.output
 
 
+def test_gadget_seed_with_instance_options_is_a_usage_error(tmp_path):
+    """--seed samples the whole instance, so giving any of the family's
+    instance options with it is refused, naming them, not dropped without
+    a word; clique's --k is the sampler's color count and stays allowed."""
+    gpath = write(tmp_path, "g.txt", "v 0 0\nv 1 1\ne 0 1\n")
+    for family, given, names in (
+            ("ssp", ["--weights", "3,5,7", "--target", "11"], "--weights and --target"),
+            ("ssp", ["--target", "11"], "--target"),
+            ("kssp", ["--k", "2"], "--k"),
+            ("gssp", ["--u", "2", "--v", "5", "--target", "3"], "--u, --v and --target"),
+            ("kgssp-star", ["--z", "1,2,3", "--s0", "0"], "--z and --s0"),
+            ("clique", ["--graph", gpath, "--k", "2"], "--graph")):
+        assert_refused(["gadget", "--family", family, "--seed", "2", *given],
+                       f"--seed samples the {family} instance; it cannot be given with {names}")
+    r = run(["gadget", "--family", "clique", "--seed", "2", "--k", "2", "--n", "2"])
+    assert r.exit_code == 0, r.output
+
+
 def test_gadget_clique_from_file(tmp_path):
     gpath = write(tmp_path, "g.txt", "v 0 0\nv 1 1\ne 0 1\n")
     r = run(["gadget", "--family", "clique", "--graph", gpath, "--solve"])

@@ -292,3 +292,16 @@ def test_graph_and_formula_text_errors_name_the_line():
 
 def test_canonical_dumps_sorted_compact():
     assert canonical_dumps({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+
+def test_canonical_dumps_skips_the_circular_check():
+    """Payloads and documents are freshly built trees, so the encoder does
+    no circular-reference bookkeeping: a shared, non-cyclic member is
+    written twice, and a cyclic object runs into the recursion limit."""
+    shared = [1, {"a": "1/2"}]
+    assert canonical_dumps({"y": shared, "x": shared}) == \
+        '{"x":[1,{"a":"1/2"}],"y":[1,{"a":"1/2"}]}'
+    cyclic = []
+    cyclic.append(cyclic)
+    with pytest.raises(RecursionError):
+        canonical_dumps(cyclic)

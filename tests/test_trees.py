@@ -338,6 +338,38 @@ def _naive_selections(e, want):
     return out
 
 
+def test_the_walk_carries_a_state_and_drops_where_its_step_says():
+    """A step sees its parent's state and mask and returns the child's: a
+    carry of the selection itself yields the walk's prefixes unchanged,
+    each with its full selection as state, and a step that drops the
+    selections fixing feature 0 to 1 yields exactly the other prefixes."""
+    rng = rng_from_seed(61)
+    dropped = 0
+    for _ in range(40):
+        e = random_tree_ensemble(rng, 8, rng.randint(1, 4), 8)
+        lists = [t.paths for t in e.members]
+        inside = trees._support(lists[-1])
+        for want in (0, 1):
+            plain = list(trees._prefixes(lists, e.voting, want))
+
+            def carry(state, mask, m2, v2):
+                assert state[0] == mask
+                return state[0] | m2, state[1] | v2
+
+            def drop(state, mask, m2, v2):
+                child = carry(state, mask, m2, v2)
+                return None if child[1] & 1 else child
+
+            carried = list(trees._prefixes(lists, e.voting, want, step=carry, start=(0, 0)))
+            assert [p[:3] for p in carried] == plain
+            assert all((fm & ~inside, fv & ~inside) == (mask, vals)
+                       for mask, vals, _, (fm, fv) in carried)
+            kept = list(trees._prefixes(lists, e.voting, want, step=drop, start=(0, 0)))
+            assert kept == [p for p in carried if not p[3][1] & 1]
+            dropped += len(carried) - len(kept)
+    assert dropped == 106, dropped
+
+
 def test_table_scan_matches_its_oracle_twins():
     """The scan that reads the last tree through a table, against the
     oracles and a naive row-major product: csr and cc on every subset,
@@ -427,10 +459,11 @@ def _cylinder_mass(d, mask, vals):
 
 
 def test_expect_factors_each_part_once(monkeypatch):
-    """expect factors each scan entry: one factor for the prefix's part
-    inside the last tree's features per table entry, one per distinct
-    part of a row outside that, and one per distinct prefix part outside
-    the last tree's features, each once per call."""
+    """expect factors each scan entry and carries each prefix's mass
+    outside the last tree's features U down the walk: one factor for the
+    prefix's part inside U per table entry, one per distinct part of a row
+    outside that, and one per distinct part that a path of the walk newly
+    fixes outside U, each once per call."""
     calls = []
     factors = trees._mass_factors
     monkeypatch.setattr(trees, "_mass_factors",
@@ -439,16 +472,26 @@ def test_expect_factors_each_part_once(monkeypatch):
     for k in (1, 3):
         e = majority_ensemble(tuple(random_tree_exact(rng, 20, 10) for _ in range(k)))
         d = random_product_distribution(rng, 20)
-        entries = []
-        outside = {(mask, vals) for mask, vals, _ in trees._prefixes(
-            [t.paths for t in e.members], e.voting, 1,
-            lambda rows, mu, vu: entries.append((rows, mu, vu)) or len(entries))}
+        lists = [t.paths for t in e.members]
+        inside = trees._support(lists[-1])
+        entries, fixed = [], set()
+
+        def record(state, mask, m2, v2):
+            new = m2 & ~(mask | inside)
+            if new:
+                fixed.add((new, v2 & new))
+            return state
+
+        list(trees._prefixes(lists, e.voting, 1,
+                             lambda rows, mu, vu: entries.append((rows, mu, vu)) or len(entries),
+                             record, 0))
         tails = {(rm ^ mu, rv ^ vu) for rows, mu, vu in entries for rm, rv in rows}
         cylinders = cylinder_decomposition(e)
         calls.clear()
         assert expected_value_tree_ensemble(e, d) == sum(
             (_cylinder_mass(d, *c) for c in cylinders), Fraction(0))
-        assert len(calls) == len(entries) + len(tails) + len(outside), k
+        assert len(calls) == len(entries) + len(tails) + len(fixed), k
+        assert bool(fixed) == (k > 1), k
 
 
 def _scan_sized_ensembles():
@@ -510,3 +553,45 @@ def test_mcr_does_not_build_the_flip_family(monkeypatch):
     monkeypatch.setattr(trees, "_flip_masks", refuse)
     for (e, x), payload in zip(cases, answers):
         assert run_query(e, "mcr", x, bound=2) == payload
+
+
+def test_msr_past_the_oracle_cap():
+    """On the 32 scan-sized ensembles: msr's (size, witness) is the
+    hitting-set search over the filtered full flip family, the witness is
+    sufficient and no set one feature smaller inside it is, and the
+    minimal-only enumeration is the filtered full family."""
+    seen = {"models": 0, "empty": 0, "sizes": set(), "minimal": 0, "full": 0}
+    for e, x in _scan_sized_ensembles():
+        seen["models"] += 1
+        n = e.feature_count
+        flips = trees._flip_masks(e, x)
+        minimal = trees._inclusion_minimal(flips)
+        got = min_sufficient_size(e, x)
+        assert got == minimum_hitting_set(map(trees._members, minimal), n)
+        size, witness = got
+        seen["sizes"].add(size)
+        seen["empty"] += not flips
+        assert csr_tree_ensemble(e, x, witness)
+        for i in witness:
+            assert not csr_tree_ensemble(e, x, [j for j in witness if j != i])
+        assert enumerate_candidate_contrastive(e, x, filter_minimal=True) == \
+            tuple(trees._member_tuples(trees._lex_order(minimal, n), n))
+        seen["minimal"] += len(minimal)
+        seen["full"] += len(flips)
+    assert seen == {"models": 32, "empty": 7, "sizes": set(range(10)), "minimal": 353,
+                    "full": 69983}
+
+
+def test_msr_and_minimal_enumeration_do_not_build_the_flip_family(monkeypatch):
+    """msr and minimal-only enumeration answer through run_query with the
+    family builder refusing to run, on the 32 scan-sized ensembles."""
+    cases = list(_scan_sized_ensembles())
+    kinds = (("msr", {"bound": 3}), ("enumerate-contrastive", {"minimal_only": True}))
+    answers = [run_query(e, kind, x, **options) for e, x in cases for kind, options in kinds]
+
+    def refuse(*args):
+        raise AssertionError("the flip-mask family was built")
+
+    monkeypatch.setattr(trees, "_flip_masks", refuse)
+    assert [run_query(e, kind, x, **options)
+            for e, x in cases for kind, options in kinds] == answers
